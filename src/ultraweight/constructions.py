@@ -24,7 +24,7 @@ object or raising InternalInconsistency when a promised property fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -510,6 +510,10 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
                        spec=spec,
                        structural=frozenset({"lc", "slc"}))
     L = power(S, r)
+    if s_tail is not None:
+        # (e/r)*r can round above e, which would read as an exponent gap
+        # against N; L's quotient exponent is the base's exactly
+        L.tail_model = replace(L.tail_model, e_lo=tm.e_hi, e_hi=tm.e_hi)
 
     checks: dict[str, ConditionVerdict] = {}
     slc = check_slc(S, min(P, 20000))

@@ -30,6 +30,7 @@ from .verdict import (ConditionVerdict, ConvexityViolation, EvaluationRangeError
                       RunConfig, YGrid)
 
 _ASSOC_TABLE_CAP = 1 << 21
+_HULL_ROUNDS = 32
 _REL_MARGIN = 1.01
 
 
@@ -234,7 +235,8 @@ class AssociatedOf(WeightFunction):
 
     Inside the tabulated quotient range the maximizer is found by bisection on
     the (nondecreasing) quotients; beyond it an exact tail model continues the
-    evaluation in closed form, and without one the argument range is capped.
+    evaluation in closed form, a finite list keeps its last index, and
+    otherwise the argument range is capped.
     """
 
     def __init__(self, seq: WeightSequence, table_cap: int = _ASSOC_TABLE_CAP):
@@ -270,7 +272,9 @@ class AssociatedOf(WeightFunction):
             P = min(2 * P, limit)
             self.seq.ensure(P)
             log_mu = self.seq.log_quotients(P)
-        if log_mu[-1] <= top and not self._closed:
+        # a finite list simply takes its last index there: the sup runs over
+        # finitely many p
+        if log_mu[-1] <= top and not (self._closed or self.seq.finite_size):
             raise EvaluationRangeError(
                 f"argument beyond tabulated quotients of {self.seq.label} "
                 f"and no exact tail model")
@@ -281,11 +285,10 @@ class AssociatedOf(WeightFunction):
         if self._closed:
             beyond = log_t >= log_mu[-1]
             if np.any(beyond):
-                tm = self.seq.tail_model
                 # indices can exceed int64 range here; float64 is exact enough
                 # because the objective is flat near its maximizer
-                p_star[beyond] = [float(tm.count_quotients_below(lt))
-                                  for lt in log_t[beyond]]
+                p_star[beyond] = self.seq.tail_model.count_quotients_below(
+                    log_t[beyond])
         return p_star
 
     def eval(self, t: np.ndarray) -> np.ndarray:
@@ -300,9 +303,8 @@ class AssociatedOf(WeightFunction):
         ps = p_star[small].astype(np.int64)
         out[small] = ps * log_t[small] - log_M[ps]
         if np.any(~small):
-            tm = self.seq.tail_model
             pb = p_star[~small]
-            out[~small] = pb * log_t[~small] - np.array([tm.log_value(int(p)) for p in pb])
+            out[~small] = pb * log_t[~small] - self.seq.tail_model.log_value(pb)
         return out
 
     def spec(self) -> dict:
@@ -333,7 +335,8 @@ class KappaPower(WeightFunction):
         self.r = r
         self.s = s
         self.divergent = bm is not None and bm.converges_against(s) is False
-        self.tail_method = "unset"
+        self._tail = bm.tail_callable(s) if bm is not None else None
+        self.tail_method = "closed-form" if self._tail is not None else "fitted"
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         raw = np.asarray(t, dtype=float)
@@ -342,14 +345,12 @@ class KappaPower(WeightFunction):
             return np.full_like(t, math.inf)
         order = np.argsort(t)
         ts, inverse = np.unique(t[order], return_inverse=True)
-        tail = self.base.model.tail_callable(self.s) if self.base.model else None
-        self.tail_method = "closed-form" if tail is not None else "fitted"
         if len(ts) == 1:
             G = np.array([integral_to_infinity(self.base.eval, float(ts[0]), self.s,
-                                               model_tail=tail,
+                                               model_tail=self._tail,
                                                kinks=self.base.kinks).value])
         else:
-            G = suffix_integral_grid(self.base.eval, ts, self.s, model_tail=tail,
+            G = suffix_integral_grid(self.base.eval, ts, self.s, model_tail=self._tail,
                                      kinks=self.base.kinks)
         vals = ts ** (1.0 / self.r) * G / self.r
         out = np.empty_like(t)
@@ -749,7 +750,7 @@ def check_omega_condition(omega: WeightFunction, cond: str, *,
                           config: Optional[RunConfig] = None) -> ConditionVerdict:
     """Dispatch a condition check with caching and implication bookkeeping."""
     config = config or RunConfig()
-    key = (cond, r, config.grid.t_min, config.grid.t_max, config.grid.points)
+    key = (cond, r, config)
     if key in omega._verdicts:
         return omega._verdicts[key]
     if cond == "omega_nq_r":
@@ -766,8 +767,7 @@ def check_omega_condition(omega: WeightFunction, cond: str, *,
 
 
 def _cached(omega: WeightFunction, cond: str, config: RunConfig):
-    key = (cond, None, config.grid.t_min, config.grid.t_max, config.grid.points)
-    return omega._verdicts.get(key)
+    return omega._verdicts.get((cond, None, config))
 
 
 def _apply_chain(omega: WeightFunction, cond: str, verdict: ConditionVerdict,
@@ -912,13 +912,8 @@ class ConvexPL:
         return float(self(np.asarray([x]))[0])
 
 
-def convexify(xs: np.ndarray, vals: np.ndarray) -> tuple[ConvexPL, float]:
-    """Lower convex hull (monotone chain).  Returns the hull and the largest
-    pointwise drop from the input to the hull, as a convexity defect measure."""
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    if len(xs) < 2 or np.any(np.diff(xs) <= 0):
-        raise GridTooCoarse("need at least two strictly increasing sample points")
+def _monotone_chain(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Indices of the lower hull vertices, one point at a time."""
     hull = [0]
     for i in range(1, len(xs)):
         while len(hull) >= 2:
@@ -930,7 +925,35 @@ def convexify(xs: np.ndarray, vals: np.ndarray) -> tuple[ConvexPL, float]:
             else:
                 break
         hull.append(i)
-    idx = np.asarray(hull)
+    return np.asarray(hull)
+
+
+def convexify(xs: np.ndarray, vals: np.ndarray) -> tuple[ConvexPL, float]:
+    """Lower convex hull.  Returns the hull and the largest pointwise drop
+    from the input to the hull, as a convexity defect measure.
+
+    Points are eliminated in rounds: each round drops, all at once, every
+    interior point on or above the chord of its current neighbours.  Such a
+    point is no hull vertex of the original set, so the rounds leave the hull
+    unchanged; they stop when a round drops nothing.  Inputs that shed only a
+    few points per round (one very low end point) finish after
+    `_HULL_ROUNDS` rounds with the monotone chain on the survivors.
+    """
+    xs = np.asarray(xs, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    if len(xs) < 2 or np.any(np.diff(xs) <= 0):
+        raise GridTooCoarse("need at least two strictly increasing sample points")
+    idx = np.arange(len(xs))
+    for _ in range(_HULL_ROUNDS):
+        x, v = xs[idx], vals[idx]
+        # the chain's test, for every interior point against its neighbours
+        drop = ((v[1:-1] - v[:-2]) * (x[2:] - x[1:-1])
+                >= (v[2:] - v[1:-1]) * (x[1:-1] - x[:-2]))
+        if not drop.any():
+            break
+        idx = np.delete(idx, np.flatnonzero(drop) + 1)
+    else:
+        idx = idx[_monotone_chain(xs[idx], vals[idx])]
     pl = ConvexPL(xs[idx], vals[idx],
                   float((vals[idx[-1]] - vals[idx[-2]]) / (xs[idx[-1]] - xs[idx[-2]])))
     defect = float(np.max(vals - pl(xs)))

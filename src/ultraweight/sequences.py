@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
+from scipy.special import gammaln, zeta as hurwitz_zeta
 
 from .verdict import (
     ConditionVerdict,
@@ -107,37 +107,52 @@ class TailModel:
             return self.e_hi * np.log(p) + math.log(self.c_hi)
         return self.a * p + self.b + self.g * np.log(p)
 
-    def log_value(self, p: int) -> float:
-        """Exact log M_p = sum_{k<=p} log mu_k; needs exact model with start == 1."""
+    def log_value(self, p) -> np.ndarray:
+        """Exact log M_p = sum_{k<=p} log mu_k, elementwise over an array of
+        indices (held as floats: they can exceed the int64 range); needs an
+        exact model with start == 1."""
         if not (self.exact and self.start == 1):
             raise EvaluationRangeError("no closed form for this tail model")
+        p = np.asarray(p, dtype=float)
         if self.kind == "power":
-            return self.e_hi * math.lgamma(p + 1) + p * math.log(self.c_hi)
-        return self.a * p * (p + 1) / 2.0 + self.b * p + self.g * math.lgamma(p + 1)
+            return self.e_hi * gammaln(p + 1.0) + p * math.log(self.c_hi)
+        return self.a * p * (p + 1.0) / 2.0 + self.b * p + self.g * gammaln(p + 1.0)
 
-    def count_quotients_below(self, log_t: float) -> int:
-        """Largest p with log mu_p <= log_t (0 if none); exact models only."""
+    def count_quotients_below(self, log_t) -> np.ndarray:
+        """Largest p with log mu_p <= log_t (0 if none), elementwise over an
+        array; indices come back as floats.  Exact models only."""
         if not self.exact:
             raise EvaluationRangeError("no inversion for a non-exact tail model")
+        log_t = np.asarray(log_t, dtype=float)
         if self.kind == "power":
             if self.e_hi <= 0:
                 raise EvaluationRangeError("cannot invert non-increasing quotients")
-            p = math.floor(math.exp((log_t - math.log(self.c_hi)) / self.e_hi))
+            p = np.floor(np.exp((log_t - math.log(self.c_hi)) / self.e_hi))
         else:
-            # solve a*p + b + g*log p = log_t by a few Newton steps on p >= 1
-            p_f = max(1.0, (log_t - self.b) / self.a)
+            # solve a*p + b + g*log p = log_t by Newton steps on p >= 1, all
+            # points at once until every step is below a quarter
+            p_f = np.maximum(1.0, (log_t - self.b) / self.a)
             for _ in range(40):
-                val = self.a * p_f + self.b + self.g * math.log(p_f)
-                dp = (log_t - val) / (self.a + self.g / p_f)
-                p_f += dp
-                if abs(dp) < 0.25:
+                dp = (log_t - self.log_quotient(p_f)) / (self.a + self.g / p_f)
+                p_f = np.maximum(1.0, p_f + dp)
+                if np.all(np.abs(dp) < 0.25):
                     break
-            p = math.floor(p_f + 1e-9)
-            while p >= 1 and self.a * p + self.b + self.g * math.log(p) > log_t:
-                p -= 1
-            while self.a * (p + 1) + self.b + self.g * math.log(p + 1) <= log_t:
-                p += 1
-        return max(0, p)
+            p = np.floor(p_f + 1e-9)
+        # the rounded inversion can be a step off (at a quotient itself, about
+        # every other time): settle it on log mu_p <= log_t < log mu_{p+1},
+        # where p + 1 is still a different float
+        settle = p < 2.0 ** 52
+        while True:
+            high = settle & (p >= 1) & (self.log_quotient(np.maximum(p, 1.0)) > log_t)
+            if not high.any():
+                break
+            p = p - high
+        while True:
+            low = settle & (self.log_quotient(p + 1.0) <= log_t)
+            if not low.any():
+                break
+            p = p + low
+        return np.maximum(0.0, p)
 
     # -- tail sums ---------------------------------------------------------
 
@@ -293,7 +308,7 @@ class WeightSequence:
     def log_value_closed(self, p: int) -> float:
         """log M_p for arbitrary p via the exact tail model, if available."""
         if self.tail_model is not None and self.tail_model.exact and self.tail_model.start == 1:
-            return self.tail_model.log_value(p) + self.log_m0
+            return float(self.tail_model.log_value(p)) + self.log_m0
         self._check_range(p)
         return self.log_value(p)
 

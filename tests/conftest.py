@@ -61,6 +61,62 @@ def brute_conjugate(pl: uw.ConvexPL, x: float, y_hi: float,
     return float(np.max(x * ys - pl(ys)))
 
 
+def reference_lower_hull(xs: np.ndarray, vals: np.ndarray):
+    """Lower convex hull by the one-point-at-a-time monotone chain.
+
+    Returns the hull vertices (xs, vals) and the largest drop from the input
+    to the hull's linear interpolation.
+    """
+    hull = [0]
+    for i in range(1, len(xs)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            lhs = (vals[i1] - vals[i0]) * (xs[i] - xs[i1])
+            rhs = (vals[i] - vals[i1]) * (xs[i1] - xs[i0])
+            if lhs >= rhs:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    hx, hv = xs[hull], vals[hull]
+    return hx, hv, float(np.max(vals - np.interp(xs, hx, hv)))
+
+
+def scalar_log_quotient(tm, p: int) -> float:
+    """log mu_p of an exact tail model, in scalar math."""
+    if tm.kind == "power":
+        return tm.e_hi * math.log(p) + math.log(tm.c_hi)
+    return tm.a * p + tm.b + tm.g * math.log(p)
+
+
+def scalar_count_quotients_below(tm, log_t: float) -> int:
+    """Largest p with log mu_p <= log_t, one point at a time: closed form
+    (power) or Newton (log-linear) for a first guess, then unit steps until
+    log mu_p <= log_t < log mu_{p+1}."""
+    if tm.kind == "power":
+        p = math.floor(math.exp((log_t - math.log(tm.c_hi)) / tm.e_hi))
+    else:
+        p_f = max(1.0, (log_t - tm.b) / tm.a)
+        for _ in range(40):
+            dp = (log_t - scalar_log_quotient(tm, p_f)) / (tm.a + tm.g / p_f)
+            p_f = max(1.0, p_f + dp)
+            if abs(dp) < 0.25:
+                break
+        p = math.floor(p_f + 1e-9)
+    while p >= 1 and scalar_log_quotient(tm, p) > log_t:
+        p -= 1
+    while scalar_log_quotient(tm, p + 1) <= log_t:
+        p += 1
+    return max(0, p)
+
+
+def scalar_log_value(tm, p: int) -> float:
+    """log M_p = sum_{k <= p} log mu_k of an exact tail model, via math.lgamma."""
+    if tm.kind == "power":
+        return tm.e_hi * math.lgamma(p + 1) + p * math.log(tm.c_hi)
+    return tm.a * p * (p + 1) / 2.0 + tm.b * p + tm.g * math.lgamma(p + 1)
+
+
 def assert_status(verdict, expected: str) -> None:
     expected = expected.lower()
     assert verdict.status.value == expected, (

@@ -179,6 +179,12 @@ class TestArtifactFiles:
         np.testing.assert_allclose(L.log_values(40), direct.L.log_values(40),
                                    rtol=1e-12)
 
+    def test_descend_at_an_order_off_one_half(self, capsys, tmp_path):
+        # the descendant's tail exponent s/r used to round back above s
+        code, _, err = run(capsys, "descend", "--sequence", "gevrey:1.7625",
+                           "--r", "0.618", "--out", str(tmp_path / "d.json"))
+        assert code == cli.EXIT_OK, err
+
     def test_reduce_writes_reparsable_glue(self, capsys, tmp_path):
         out = tmp_path / "red.json"
         code, _, _ = run(

@@ -66,6 +66,14 @@ class TestAssociatedEval:
             assert uw.associated_eval(gevrey2, t * t) == pytest.approx(
                 2.0 * uw.associated_eval(half, t), rel=1e-12)
 
+    def test_finite_list_past_its_last_quotient(self):
+        # the sup runs over finitely many p: far out the last index wins
+        M = uw.explicit([1, 1, 2, 6, 24])
+        assert uw.associated_eval(M, 1e6) == pytest.approx(
+            4.0 * math.log(1e6) - math.log(24.0), rel=1e-12)
+        assert uw.associated_eval(M, 1e6) == pytest.approx(
+            brute_associated_log(M, 1e6), rel=1e-12)
+
     def test_rejects_non_log_convex(self):
         with pytest.raises(uw.NotLogConvex):
             uw.associated_eval(uw.explicit([1, 4, 8, 32]), 2.0)
@@ -263,6 +271,23 @@ class TestDescendant:
         est = uw.gamma_index_seq(pair.L, gevrey3, config=FAST)
         assert est.upper >= 3.0 - 0.05
         assert est.lower <= 3.0 + 0.05
+
+    def test_exponent_round_trip_above_the_base(self):
+        # (1.7625 / 0.618) * 0.618 rounds above 1.7625; L must keep the base's
+        # exponent and pass its own mixed comparison
+        pair = uw.descendant(uw.gevrey(1.7625), 0.618)
+        assert pair.L.tail_model.e_hi == 1.7625
+        assert_status(pair.checks["mixed_L_N"], "satisfied")
+
+    def test_seeded_sweep_of_orders(self):
+        rng = np.random.default_rng(20)
+        failures = []
+        for s, r in zip(rng.uniform(1.2, 3.0, 50), rng.uniform(0.5, 1.0, 50)):
+            try:
+                uw.descendant(uw.gevrey(float(s)), float(r), config=FAST)
+            except uw.UltraweightError as exc:
+                failures.append((float(s), float(r), repr(exc)))
+        assert failures == []
 
     def test_precondition_errors(self, gevrey1, gevrey2):
         with pytest.raises(uw.NotLogConvex):

@@ -10,6 +10,8 @@ from ultraweight import (LogPower, PowerLaw, check_omega_condition,
                          check_omega_nq_r, compare_o, compare_preceq,
                          equivalent_fun, normalize, power_substitute)
 
+from ultraweight.specio import make_function
+
 from conftest import assert_status
 
 
@@ -143,9 +145,36 @@ class TestOmegaConditions:
                 elif s == "satisfied":
                     assert not seen_violated, (fn.label, statuses)
 
+    def test_cached_verdict_keys_on_the_y_grid(self):
+        # omega4 samples config.ygrid, so a second call with another y-grid
+        # must not get the first call's verdict back
+        fine = uw.RunConfig(ygrid=uw.YGrid(points=2000))
+        coarse = uw.RunConfig(ygrid=uw.YGrid(points=64))
+        fn = make_function("logpower:0.5")
+        first = check_omega_condition(fn, "omega4", config=fine)
+        second = check_omega_condition(fn, "omega4", config=coarse)
+        fresh = check_omega_condition(make_function("logpower:0.5"), "omega4",
+                                      config=coarse)
+        assert second is not first
+        assert second.to_dict() == fresh.to_dict()
+        assert (second.counterexample["triple_y"]
+                != first.counterexample["triple_y"])
+        assert check_omega_condition(fn, "omega4", config=coarse) is second
+
     def test_unknown_condition_rejected(self):
         with pytest.raises(uw.InvalidArgument):
             check_omega_condition(PowerLaw(0.5), "omega9")
+
+
+class TestKappaPowerNode:
+    @pytest.mark.parametrize("base, method", [("power:0.5", "closed-form"),
+                                              ("assoc(gevrey:2)", "fitted")])
+    def test_eval_leaves_the_node_unchanged(self, base, method):
+        node = uw.KappaPower(make_function(base), 1.0)
+        before = dict(vars(node))
+        node.eval(np.geomspace(1.0, 1e6, 50))
+        assert vars(node) == before
+        assert node.tail_method == method
 
 
 class TestComparisons:

@@ -1,0 +1,148 @@
+"""Array kernels: the lower hull by rounds, and exact-tail inversion.
+
+`convexify` eliminates points in vectorised rounds and finishes with the
+monotone chain after a fixed number of rounds; it must give the hull of the
+one-point-at-a-time chain kept in conftest.  `TailModel.count_quotients_below`
+and `TailModel.log_value` work on arrays and must agree with scalar math
+evaluations of the same formulas, at the quotients themselves too.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ultraweight as uw
+from ultraweight import convexify, functions
+from ultraweight.sequences import TailModel
+from ultraweight.specio import make_function
+
+from conftest import (reference_lower_hull, scalar_count_quotients_below,
+                      scalar_log_quotient, scalar_log_value)
+
+SETTINGS = dict(max_examples=25, deadline=None)
+
+
+def assert_same_hull(xs: np.ndarray, vals: np.ndarray) -> None:
+    pl, defect = convexify(xs, vals)
+    hx, hv, ref_defect = reference_lower_hull(xs, vals)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    ref = np.interp(xs, hx, hv)
+    assert np.all(np.abs(pl(xs) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert abs(defect - ref_defect) <= 1e-12 * scale
+    assert pl.xs[0] == xs[0] and pl.xs[-1] == xs[-1]
+
+
+class TestConvexifyMatchesChain:
+    @settings(**SETTINGS)
+    @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=5.0),
+                              st.floats(min_value=-100.0, max_value=100.0)),
+                    min_size=2, max_size=400))
+    def test_random_points(self, pts):
+        xs = np.cumsum([dx for dx, _ in pts])
+        vals = np.array([v for _, v in pts])
+        assert_same_hull(xs, vals)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(min_value=0.5, max_value=3.0),
+           st.integers(min_value=100, max_value=20000),
+           st.floats(min_value=5.0, max_value=60.0))
+    def test_associated_profile_on_linspace(self, s, n, y_max):
+        # phi(y) = omega(e^y) of a sup transform is piecewise linear in y, so
+        # a linspace sample has long runs of (nearly) collinear points
+        y = np.linspace(0.0, y_max, n)
+        assert_same_hull(y, make_function(f"assoc(gevrey:{s})").eval(np.exp(y)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=3, max_value=10),
+           st.integers(min_value=2, max_value=5))
+    def test_more_rounds_than_the_cap(self, depth, tail):
+        # a very low first point ahead of a convex parabola: each round drops
+        # only the point next to it, until the tangent point at x = k
+        k = depth * functions._HULL_ROUNDS
+        xs = np.arange(tail * k, dtype=float)
+        vals = xs ** 2
+        vals[0] = -float(k * k)
+        with mock.patch.object(functions, "_monotone_chain",
+                               wraps=functions._monotone_chain) as chain:
+            assert_same_hull(xs, vals)
+        assert chain.called
+        pl, _ = convexify(xs, vals)
+        assert pl.xs[1] == k
+
+    def test_convex_input_keeps_every_vertex(self):
+        xs = np.linspace(0.0, 3.0, 1000)
+        pl, defect = convexify(xs, np.exp(xs))
+        assert len(pl.xs) == 1000 and defect == 0.0
+
+
+POWER_MODELS = [TailModel.power(1.0), TailModel.power(1.5),
+                TailModel.power(0.6), TailModel.power(2.0, 3.0),
+                TailModel.power(0.7, 0.25)]
+LOGLINEAR_MODELS = [TailModel.log_linear(2.0 * math.log(2.0), -math.log(2.0)),
+                    TailModel.log_linear(0.3, 0.1, 0.7),
+                    TailModel.log_linear(1e-4, -5e-5, 1.5)]
+
+
+class TestTailArrays:
+    def check_counts(self, tm, log_t):
+        got = tm.count_quotients_below(log_t)
+        want = [scalar_count_quotients_below(tm, float(lt)) for lt in log_t]
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_counts_match_scalar_off_the_quotients(self):
+        log_t = np.random.default_rng(3).uniform(0.0, 14.0, 4000)
+        for tm in POWER_MODELS + LOGLINEAR_MODELS:
+            self.check_counts(tm, log_t)
+
+    def test_counts_exactly_at_a_quotient(self):
+        p = np.arange(1, 3001)
+        for tm in POWER_MODELS + LOGLINEAR_MODELS:
+            at = np.array([scalar_log_quotient(tm, int(k)) for k in p])
+            np.testing.assert_array_equal(self.check_counts(tm, at), p)
+            # just below a quotient the count drops by one
+            np.testing.assert_array_equal(
+                self.check_counts(tm, np.nextafter(at, -np.inf)), p - 1)
+
+    def test_counts_below_the_first_quotient_are_zero(self):
+        tm = TailModel.power(2.0, 3.0)
+        np.testing.assert_array_equal(
+            tm.count_quotients_below(np.array([-5.0, 0.0, 1.0])), [0, 0, 0])
+
+    def test_log_values_match_lgamma(self):
+        p = np.concatenate([np.arange(0, 500), [1e4, 3e6, 1e9, 1e15, 1e20]])
+        for tm in POWER_MODELS + LOGLINEAR_MODELS:
+            got = tm.log_value(p)
+            want = np.array([scalar_log_value(tm, int(k)) for k in p])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_scalar_closed_form_stays_a_float(self):
+        M = uw.gevrey(1.5)
+        v = M.log_value_closed(7)
+        assert type(v) is float
+        assert v == scalar_log_value(M.tail_model, 7)
+
+
+class TestAssociatedBeyondTable:
+    def test_power_tail_matches_local_sup(self):
+        s = 0.7
+        t = np.geomspace(1e3, 1e12, 3000)  # quotients of the table end near 900
+        got = uw.associated_eval(uw.gevrey(s), t)
+        for ti, g in zip(t[::97], got[::97]):
+            p0 = math.floor(ti ** (1.0 / s))
+            want = max(p * math.log(ti) - s * math.lgamma(p + 1)
+                       for p in range(max(p0 - 1, 0), p0 + 2))
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_loglinear_tail_matches_local_sup(self):
+        lq = math.log(1.0001)  # quotients q**(2p-1) stay below 27 in the table
+        t = np.geomspace(30.0, 1e12, 2000)
+        got = uw.associated_eval(uw.qgevrey(1.0001), t)
+        for ti, g in zip(t[::53], got[::53]):
+            p0 = math.floor((math.log(ti) + lq) / (2.0 * lq))
+            want = max(p * math.log(ti) - p * p * lq
+                       for p in range(max(p0 - 1, 0), p0 + 2))
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-9)
