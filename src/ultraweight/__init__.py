@@ -21,13 +21,13 @@ from .sequences import (TailModel, WeightSequence, check_beta1, check_beta3,
                         check_nq_r, check_slc, compare, explicit,
                         factorial_shift, from_quotients, gevrey, hat, power,
                         qgevrey)
-from .functions import (AssociatedOf, ConjugateResult, ConvexPL, KappaPower,
+from .functions import (AssociatedOf, ConvexPL, KappaPower,
                         LogPower, NormalizedShift, PiecewiseGlue, PowerLaw,
                         PowerSubst, WeightFunction, biconjugate,
                         check_omega_condition, check_omega_nq_r, compare_o,
                         compare_preceq, conjugate_pl, convexify,
                         equivalent_fun, normalize, power_substitute,
-                        young_conjugate, young_conjugate_of)
+                        young_conjugate)
 from .indices import (Gamma1Witness, IndexEstimate, find_gamma1_witness,
                       gamma_index_fun, gamma_index_seq, mixed_condition_fun,
                       mixed_condition_seq, mu_fun, mu_seq)
@@ -41,7 +41,7 @@ from .specio import make_function, make_sequence, spec_of
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociatedOf", "ConditionVerdict", "ConjugateResult", "ConvexPL",
+    "AssociatedOf", "ConditionVerdict", "ConvexPL",
     "ConvexityViolation", "DescendantPair", "DivergentAssociated",
     "EvaluationRangeError", "Gamma1Witness", "GammaNotAboveOne", "Grid",
     "GridTooCoarse", "IndexEstimate", "InternalInconsistency",
@@ -60,5 +60,5 @@ __all__ = [
     "kappa", "kappa_power_normalized", "make_function", "make_sequence",
     "mixed_condition_fun", "mixed_condition_seq", "mu_fun", "mu_seq",
     "normalize", "omega_hat", "power", "power_substitute", "qgevrey",
-    "reduction_build", "spec_of", "young_conjugate", "young_conjugate_of",
+    "reduction_build", "spec_of", "young_conjugate",
 ]

@@ -30,6 +30,10 @@ from .verdict import (ConditionVerdict, ConvexityViolation, EvaluationRangeError
                       RunConfig, YGrid)
 
 _ASSOC_TABLE_CAP = 1 << 21
+# a sequence with an exact closed form is tabulated up to this index at most:
+# its tail model serves every index past it
+_ASSOC_CLOSED_READ = 1 << 14
+_ASSOC_TABLE_START = 4096  # first table size `maximizers` tries
 _HULL_ROUNDS = 32
 _REL_MARGIN = 1.01
 
@@ -236,7 +240,10 @@ class AssociatedOf(WeightFunction):
     Inside the tabulated quotient range the maximizer is found by bisection on
     the (nondecreasing) quotients; beyond it an exact tail model continues the
     evaluation in closed form, a finite list keeps its last index, and
-    otherwise the argument range is capped.
+    otherwise the argument range is capped.  A sequence with an exact closed
+    form is tabulated only up to 2**14 quotients: past them both the
+    maximizer and log M_p come from the tail model.  `table_cap` bounds the
+    table only of sequences without one.
     """
 
     def __init__(self, seq: WeightSequence, table_cap: int = _ASSOC_TABLE_CAP):
@@ -260,11 +267,16 @@ class AssociatedOf(WeightFunction):
             return self.seq.finite_size
         return self.table_cap
 
+    def _read_limit(self) -> int:
+        """Last index read from the table; the exact tail model serves the rest."""
+        if self._closed:
+            return min(_ASSOC_CLOSED_READ, self._table_limit())
+        return self._table_limit()
+
     def maximizers(self, log_t: np.ndarray) -> np.ndarray:
         """Index p* with quotient_{p*} <= t < quotient_{p*+1} (0 when t < quotient_1)."""
-        # with an exact tail model the table never needs to chase the argument
-        limit = min(1 << 14, self._table_limit()) if self._closed else self._table_limit()
-        P = min(4096, limit)
+        limit = self._read_limit()
+        P = min(_ASSOC_TABLE_START, limit)
         self.seq.ensure(P)
         log_mu = self.seq.log_quotients(P)
         top = float(log_t.max(initial=-math.inf))
@@ -295,7 +307,7 @@ class AssociatedOf(WeightFunction):
         t = np.asarray(t, dtype=float)
         log_t = np.log(np.maximum(t, 1e-300))
         p_star = self.maximizers(log_t)
-        P = int(min(p_star.max(initial=0), self._table_limit()))
+        P = int(min(p_star.max(initial=0), self._read_limit()))
         self.seq.ensure(max(P, 1))
         log_M = self.seq.log_values(max(P, 1))
         out = np.empty_like(log_t)
@@ -1031,38 +1043,3 @@ def young_conjugate(omega: "WeightFunction | ConvexPL",
                     (float(y[i]), float(phi[i])),
                     (float(y[hi]), float(phi[hi]))))
     return conjugate_pl(pl, tol=tol)
-
-
-@dataclass(frozen=True)
-class ConjugateResult:
-    phi: ConvexPL
-    conj: ConvexPL
-    convexity_defect: float
-    points: int
-
-
-def log_reparametrized(omega: WeightFunction, config: Optional[RunConfig] = None,
-                       *, points: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of phi(y) = omega(e^y) on the working y-grid."""
-    config = config or RunConfig()
-    y = config.ygrid.values() if points is None else np.linspace(
-        0.0, config.ygrid.y_max, points)
-    return y, omega.eval(np.exp(y))
-
-
-def young_conjugate_of(omega: WeightFunction,
-                       config: Optional[RunConfig] = None, *,
-                       points: Optional[int] = None,
-                       strict: bool = False) -> ConjugateResult:
-    """Sample phi_omega, convexify (tolerating only sampling noise unless
-    strict), and conjugate exactly."""
-    config = config or RunConfig()
-    y, phi = log_reparametrized(omega, config, points=points)
-    pl, defect = convexify(y, phi)
-    scale = max(1.0, float(np.max(np.abs(phi))))
-    if defect > 1e-8 * scale and strict:
-        raise ConvexityViolation(
-            f"phi_omega not convex: relative defect {defect / scale:.3e}")
-    conj = conjugate_pl(pl)
-    return ConjugateResult(phi=pl, conj=conj, convexity_defect=defect,
-                           points=len(y))

@@ -273,9 +273,10 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
 
     Two estimators are cross-validated: a bisection on the summability check,
     and the reciprocal of limsup_p (log p / log nu_p) over the trailing window
-    (the exponent of convergence of the quotients).  Agreement intersects the
-    brackets; disagreement beyond tolerance widens the bracket to cover both
-    and tags the method as disputed.
+    (the exponent of convergence of the quotients).  The window is an
+    estimate, not a certificate, so it may only narrow the bisection's upper
+    end, never raise its lower one; disagreement beyond tolerance widens the
+    bracket to cover both and tags the method as disputed.
     """
     config = config or RunConfig()
     lcv = check_lc(N, min(config.p_max, 20000))
@@ -297,10 +298,9 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
     b_hi = INDEX_CAP if mu_est >= INDEX_CAP - 1e-9 else min(INDEX_CAP, mu_est + tol)
     merged = dict(est.diagnostics)
     merged["exponent_of_convergence"] = {**b_info, "mu": mu_est}
-    inter_lo = max(est.lower, b_lo)
     inter_hi = min(est.upper, b_hi)
-    if inter_lo <= inter_hi + 1e-12:
-        lower, upper = inter_lo, max(inter_lo, inter_hi)
+    if est.lower <= inter_hi + 1e-12:
+        lower, upper = est.lower, max(est.lower, inter_hi)
         method = "bisection+exponent-of-convergence"
     else:
         lower, upper = min(est.lower, b_lo), max(est.upper, b_hi)

@@ -26,13 +26,12 @@ from scipy.special import gammaln, zeta as hurwitz_zeta
 from .verdict import (
     ConditionVerdict,
     EvaluationRangeError,
+    InternalInconsistency,
     InvalidArgument,
     InvalidSpec,
     Verdict,
     stabilized,
 )
-
-RelationVerdict = ConditionVerdict
 
 DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
@@ -198,10 +197,6 @@ class TailModel:
         return None
 
 
-class InternalError(EvaluationRangeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # the sequence object
 # ---------------------------------------------------------------------------
@@ -257,7 +252,7 @@ class WeightSequence:
                 target = min(target, self.finite_size)
             chunk = np.asarray(self._fn(have, target - 1), dtype=float)
             if len(chunk) != target - have:
-                raise InternalError("quotient generator returned a wrong-sized chunk")
+                raise InternalInconsistency("quotient generator returned a wrong-sized chunk")
             new_mu = np.concatenate([log_mu, chunk])
             new_M = np.concatenate([log_M, log_M[-1] + np.cumsum(chunk)])
             # single assignment keeps concurrent readers on a consistent prefix
@@ -758,7 +753,7 @@ _RELATIONS = ("precsim", "vartriangleleft", "equivalent")
 
 
 def compare(M: WeightSequence, N: WeightSequence, relation: str,
-            P: int = DEFAULT_P_MAX) -> RelationVerdict:
+            P: int = DEFAULT_P_MAX) -> ConditionVerdict:
     """Compare two sequences through d_p = log(M_p/N_p)/p.
 
     precsim:         sup_p (M_p/N_p)**(1/p) finite

@@ -159,6 +159,19 @@ class TestIndexCommand:
         est = rep["results"]["estimate"]
         assert est["lower"] <= 2.02 and est["upper"] >= 1.98
 
+    def test_mu_of_a_short_list(self, capsys):
+        # every probe is Inconclusive on six values: the exponent-of-convergence
+        # window used to raise the lower end above them (exit 70)
+        code, rep = run_json(capsys, "index", "mu", "--sequence",
+                             "explicit:1,1,2,6,24,120")
+        assert code == cli.EXIT_OK
+        assert validate_report(rep) == []
+        est = rep["results"]["estimate"]
+        assert 0.0 <= est["lower"] <= est["upper"]
+        for sample in est["samples"]:
+            if sample["verdict"] != "satisfied":
+                assert sample["r"] >= est["lower"]
+
     def test_index_needs_an_input(self, capsys):
         assert run(capsys, "index", "gamma")[0] == cli.EXIT_USAGE
 

@@ -100,6 +100,14 @@ class TestMuSeq:
         diag = est.diagnostics
         assert "exponent_of_convergence" in diag or diag, diag
 
+    def test_short_list_keeps_the_bisection_lower_end(self):
+        # the trailing window estimates mu near 1 from six values, but no probe
+        # is Satisfied: it may narrow the upper end, never raise the lower one
+        est = uw.mu_seq(uw.explicit([1, 1, 2, 6, 24, 120]))
+        assert est.lower == 0.0
+        assert est.upper == pytest.approx(1.0 + uw.RunConfig().index_tol)
+        assert all(v.is_inconclusive for _, v in est.r_samples)
+
     def test_diagonal_mixed_index_below_order(self, gevrey2):
         gamma = uw.gamma_index_seq(gevrey2, config=FAST)
         mu = uw.mu_seq(gevrey2, config=FAST)

@@ -5,18 +5,22 @@ monotone chain after a fixed number of rounds; it must give the hull of the
 one-point-at-a-time chain kept in conftest.  `TailModel.count_quotients_below`
 and `TailModel.log_value` work on arrays and must agree with scalar math
 evaluations of the same formulas, at the quotients themselves too.
+`AssociatedOf` tabulates a closed-form sequence only up to its read limit and
+takes everything past it from the tail model; other sequences keep the table.
 """
 
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ultraweight as uw
 from ultraweight import convexify, functions
-from ultraweight.sequences import TailModel
+from ultraweight.sequences import TailModel, WeightSequence
+from ultraweight.verdict import EvaluationRangeError
 from ultraweight.specio import make_function
 
 from conftest import (reference_lower_hull, scalar_count_quotients_below,
@@ -146,3 +150,57 @@ class TestAssociatedBeyondTable:
             want = max(p * math.log(ti) - p * p * lq
                        for p in range(max(p0 - 1, 0), p0 + 2))
             assert g == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+
+def gevrey_like(s: float, **kwargs) -> WeightSequence:
+    return WeightSequence("gevrey-like", lambda lo, hi: s * np.log(
+        np.arange(lo, hi + 1, dtype=float)), **kwargs)
+
+
+def table_size(f: uw.AssociatedOf) -> int:
+    return len(f.seq._data[0])
+
+
+class TestAssociatedReadLimit:
+    def test_closed_form_table_stops_at_the_read_limit(self):
+        f = make_function("assoc(gevrey:2)")
+        f.eval(np.array([1e30]))  # maximizer near 1e15
+        assert table_size(f) <= (1 << 15) + 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(min_value=0.5, max_value=3.0),
+           st.floats(min_value=10.0, max_value=22.0),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_mpmath_on_both_sides_of_the_limit(self, s, log2_p, frac):
+        # log t between the quotients of p and p + 1, so p is the maximizer
+        p = math.floor(2.0 ** log2_p)
+        log_t = s * (math.log(p) + frac * math.log1p(1.0 / p))
+        got = float(make_function(f"assoc(gevrey:{s!r})").eval(
+            np.array([math.exp(log_t)]))[0])
+        with mpmath.workdps(40):
+            lt = mpmath.mpf(log_t)
+            want = max(k * lt - s * mpmath.loggamma(k + 1)
+                       for k in range(p - 1, p + 3))
+        assert abs(got - float(want)) <= 1e-13 * abs(float(want))
+
+    def test_inexact_tail_still_tabulates_and_raises(self):
+        f = uw.AssociatedOf(gevrey_like(1.5, tail_model=TailModel.power(
+            1.5, exact=False)), table_cap=1 << 15)
+        t = 20000.5 ** 1.5
+        got = float(f.eval(np.array([t]))[0])
+        assert table_size(f) > 20000
+        want = 20000 * math.log(t) - 1.5 * math.lgamma(20001)
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(EvaluationRangeError):
+            f.eval(np.array([40000.0 ** 1.5]))
+
+    def test_nonzero_log_m0_still_tabulates_and_raises(self):
+        f = uw.AssociatedOf(gevrey_like(1.5, tail_model=TailModel.power(1.5),
+                                        log_m0=0.5), table_cap=1 << 15)
+        t = 20000.5 ** 1.5
+        got = float(f.eval(np.array([t]))[0])
+        assert table_size(f) > 20000
+        want = 20000 * math.log(t) - 0.5 - 1.5 * math.lgamma(20001)
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(EvaluationRangeError):
+            f.eval(np.array([40000.0 ** 1.5]))
