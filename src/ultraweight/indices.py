@@ -274,9 +274,10 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
     Two estimators are cross-validated: a bisection on the summability check,
     and the reciprocal of limsup_p (log p / log nu_p) over the trailing window
     (the exponent of convergence of the quotients).  The window is an
-    estimate, not a certificate, so it may only narrow the bisection's upper
-    end, never raise its lower one; disagreement beyond tolerance widens the
-    bracket to cover both and tags the method as disputed.
+    estimate, not a certificate: it never raises the bisection's lower end,
+    and it narrows the upper end only when some probe is Violated.
+    Disagreement beyond tolerance widens the bracket to cover both and tags
+    the method as disputed.
     """
     config = config or RunConfig()
     lcv = check_lc(N, min(config.p_max, 20000))
@@ -298,10 +299,16 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
     b_hi = INDEX_CAP if mu_est >= INDEX_CAP - 1e-9 else min(INDEX_CAP, mu_est + tol)
     merged = dict(est.diagnostics)
     merged["exponent_of_convergence"] = {**b_info, "mu": mu_est}
+    inter_lo = max(est.lower, b_lo)
     inter_hi = min(est.upper, b_hi)
-    if est.lower <= inter_hi + 1e-12:
-        lower, upper = est.lower, max(est.lower, inter_hi)
-        method = "bisection+exponent-of-convergence"
+    if inter_lo <= inter_hi + 1e-12:
+        if inter_hi < est.upper and not any(v.is_violated for _, v in est.r_samples):
+            # no probe refutes any order: the window alone may not lower the cap
+            lower, upper, method = est.lower, est.upper, est.method
+            merged["exponent_of_convergence"]["applied"] = False
+        else:
+            lower, upper = est.lower, max(est.lower, inter_hi)
+            method = "bisection+exponent-of-convergence"
     else:
         lower, upper = min(est.lower, b_lo), max(est.upper, b_hi)
         method = "disputed"

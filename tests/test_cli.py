@@ -15,7 +15,7 @@ import ultraweight as uw
 from ultraweight import cli
 from ultraweight.report import validate_report
 from ultraweight.specio import make_function, make_sequence
-from ultraweight.verdict import GRID_POINTS_ENV
+from ultraweight.verdict import GRID_POINTS_ENV, INDEX_CAP
 
 
 def run(capsys, *argv):
@@ -167,7 +167,7 @@ class TestIndexCommand:
         assert code == cli.EXIT_OK
         assert validate_report(rep) == []
         est = rep["results"]["estimate"]
-        assert 0.0 <= est["lower"] <= est["upper"]
+        assert (est["lower"], est["upper"]) == (0.0, INDEX_CAP)
         for sample in est["samples"]:
             if sample["verdict"] != "satisfied":
                 assert sample["r"] >= est["lower"]

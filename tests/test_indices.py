@@ -100,13 +100,25 @@ class TestMuSeq:
         diag = est.diagnostics
         assert "exponent_of_convergence" in diag or diag, diag
 
-    def test_short_list_keeps_the_bisection_lower_end(self):
-        # the trailing window estimates mu near 1 from six values, but no probe
-        # is Satisfied: it may narrow the upper end, never raise the lower one
+    def test_short_list_keeps_the_bisection_bracket(self):
+        # the trailing window estimates mu near 1 from six values, but every
+        # probe is Inconclusive: the window certifies neither end
         est = uw.mu_seq(uw.explicit([1, 1, 2, 6, 24, 120]))
-        assert est.lower == 0.0
-        assert est.upper == pytest.approx(1.0 + uw.RunConfig().index_tol)
         assert all(v.is_inconclusive for _, v in est.r_samples)
+        assert (est.lower, est.upper) == (0.0, INDEX_CAP)
+        assert est.method == "bisection+undecided"
+        assert est.diagnostics["exponent_of_convergence"]["applied"] is False
+
+    def test_window_above_a_refuted_order_is_disputed(self, gevrey2, monkeypatch):
+        # a window estimate beyond a Violated probe contradicts the bisection
+        monkeypatch.setattr(uw.indices, "_exponent_of_convergence",
+                            lambda N, config: (5.0, {}))
+        est = uw.mu_seq(gevrey2, config=FAST)
+        lo, hi = est.diagnostics["bisection_bracket"]
+        assert hi <= 2.0 + FAST.index_tol
+        assert est.method == "disputed"
+        assert est.lower == pytest.approx(lo)
+        assert est.upper == pytest.approx(5.0 + FAST.index_tol)
 
     def test_diagonal_mixed_index_below_order(self, gevrey2):
         gamma = uw.gamma_index_seq(gevrey2, config=FAST)

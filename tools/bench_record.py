@@ -1,19 +1,21 @@
 """Record one perf point: the benchmark on a base commit and on a change.
 
-    python3 tools/bench_record.py --base REV [--head REV] --out BENCH_N.json
+    python3 tools/bench_record.py --base REV --out BENCH_N.json
 
-Both revisions are exported with `git archive` (committed files only) and
-measured with `perfbench/run.py`: untraced on every workload for each seed,
-base and head alternating (base first on odd seeds), then one traced run per
-workload at seed 1.  The output holds per-metric medians and quartiles, the
-failed shares, the seeds on which the head beat the base, the traced work
-counters and the environment.
+REV and HEAD are exported with `git archive` (committed files only) and
+measured with `perfbench/run.py` for BENCHMARK.json's `run_seconds`: untraced
+on every workload for each of SEEDS, base and head alternating (base first on
+odd seeds), then one traced run per workload at seed 1.  The output holds
+per-metric medians and quartiles, the failed shares summed over the runs, the
+seeds on which the head beat the base, the traced work counters and the
+environment.
 """
 
 import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -27,7 +29,9 @@ WORKLOADS = ("cli-cold", "index-brackets", "constructions")
 COUNTERS = ("indices.probes", "functions.assoc_eval_calls",
             "functions.assoc_eval_points", "quadrature.integrand_points",
             "sequences.quotients_generated", "sequences.ensure_ms")
+SEEDS = tuple(range(21, 31))
 TRACE_SECONDS = 20
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def git(*args: str) -> str:
@@ -53,15 +57,15 @@ def summary(runs: list[dict]) -> dict:
         metrics[name] = {"median": statistics.median(vals), "q1": q1, "q3": q3,
                          "unit": runs[0]["metrics"][name]["unit"]}
     return {"runs": len(runs), "correct": all(r["correct"] for r in runs),
-            "failed_share": f"{runs[0]['failed']}/{runs[0]['attempted']}",
+            "failed_share": f"{sum(r['failed'] for r in runs)}/"
+                            f"{sum(r['attempted'] for r in runs)}",
             "metrics": metrics}
 
 
 def pairs_better(base: list[dict], head: list[dict]) -> dict:
     """Per end-to-end metric, the seeds on which the head beat the base."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     out = {}
-    for m in spec:
+    for m in BENCHMARK["end_to_end"]:
         pairs = [(b["metrics"][m["name"]]["value"], h["metrics"][m["name"]]["value"])
                  for b, h in zip(base, head) if m["name"] in h["metrics"]]
         wins = sum((h < b) if m["better"] == "lower" else (h > b) for b, h in pairs)
@@ -72,29 +76,29 @@ def pairs_better(base: list[dict], head: list[dict]) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True)
-    ap.add_argument("--head", default="HEAD")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(21, 31)))
-    ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args()
-    commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
+    seconds = BENCHMARK["run_seconds"]
+    commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
     work = ROOT / ".bench_build" / "record"
     trees = {side: work / side for side in commits}
     for side, tree in trees.items():
-        subprocess.run(f"rm -rf {tree} && mkdir -p {tree} && git archive "
-                       f"{commits[side]} | tar -x -C {tree}", shell=True,
-                       cwd=ROOT, check=True)
-    result = {"commits": commits, "seeds": args.seeds, "seconds": args.seconds,
+        shutil.rmtree(tree, ignore_errors=True)
+        tree.mkdir(parents=True)
+        archive = subprocess.run(["git", "archive", commits[side]], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    result = {"commits": commits, "seeds": list(SEEDS), "seconds": seconds,
               "environment": {"nproc": len(os.sched_getaffinity(0)),
                               "python": platform.python_version(),
                               "numpy": numpy.__version__, "scipy": scipy.__version__},
               "workloads": {}}
     for wl in WORKLOADS:
         runs = {side: [] for side in commits}
-        for seed in args.seeds:
+        for seed in SEEDS:
             order = ("base", "head") if seed % 2 else ("head", "base")
             for side in order:
-                runs[side].append(bench(trees[side], wl, seed, args.seconds, 0))
+                runs[side].append(bench(trees[side], wl, seed, seconds, 0))
         traced = {side: bench(trees[side], wl, 1, TRACE_SECONDS, 1)["metrics"]
                   for side in commits}
         result["workloads"][wl] = {
