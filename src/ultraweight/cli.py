@@ -46,7 +46,7 @@ def _config(args) -> RunConfig:
     grid = Grid(t_min=args.tmin, t_max=args.tmax,
                 points=args.points if args.points else 0)
     return RunConfig(grid=grid, p_max=args.pmax or 10 ** 5,
-                     index_tol=args.tol, seed=args.seed)
+                     index_tol=args.tol)
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -114,7 +114,7 @@ def cmd_check(args) -> int:
     else:
         raise InvalidSpec("check needs --sequence or --omega")
     report = Report("check", inputs={**echo, "conditions": wanted,
-                                     "r": args.r, "seed": args.seed},
+                                     "r": args.r},
                     results=results)
     _emit(report, started, args.out)
     return exit_code_for(results)
@@ -123,7 +123,7 @@ def cmd_check(args) -> int:
 def cmd_index(args) -> int:
     started = time.perf_counter()
     config = _config(args)
-    inputs = {"kind": args.kind, "seed": args.seed}
+    inputs = {"kind": args.kind}
     if args.kind == "mu":
         if args.sequence or args.M:
             M = make_sequence(args.sequence or args.M)
@@ -169,8 +169,7 @@ def cmd_descend(args) -> int:
         dump_spec(pair.L, f"{prefix}.L.json")
     results = pair.to_dict()
     report = Report("descend",
-                    inputs={"sequence": N.spec or N.label, "r": args.r,
-                            "seed": args.seed},
+                    inputs={"sequence": N.spec or N.label, "r": args.r},
                     results=results,
                     diagnostics={"spec_files": [f"{prefix}.S.json",
                                                 f"{prefix}.L.json"]
@@ -193,8 +192,7 @@ def cmd_reduce(args) -> int:
     results = result.to_dict()
     report = Report("reduce",
                     inputs={"sigma": spec_of(sigma), "omega": spec_of(omega),
-                            "f": spec_of(f), "n_break": args.n,
-                            "seed": args.seed},
+                            "f": spec_of(f), "n_break": args.n},
                     results=results,
                     diagnostics={"spec_files": [f"{prefix}.omega_tilde.json",
                                                 f"{prefix}.sigma_tilde.json"]
@@ -219,7 +217,7 @@ def cmd_matrix(args) -> int:
     results = matrix.to_dict()
     report = Report("matrix",
                     inputs={"omega": spec_of(fn), "levels": list(levels),
-                            "j_max": args.jmax, "seed": args.seed},
+                            "j_max": args.jmax},
                     results=results,
                     diagnostics={"csv_file": csv_path})
     _emit(report, started, args.out)
@@ -245,8 +243,7 @@ def cmd_kappa(args) -> int:
                            for t, v in zip(ts, built.eval(ts))],
                "spec": spec_of(built)}
     report = Report("kappa",
-                    inputs={"omega": spec_of(fn), "r": args.r,
-                            "seed": args.seed},
+                    inputs={"omega": spec_of(fn), "r": args.r},
                     results=results,
                     diagnostics={"spec_files": [f"{prefix}.kappa.json"]
                                  if prefix else []})
@@ -308,8 +305,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="evaluation grid upper end")
     p.add_argument("--points", type=int, default=0,
                    help="evaluation grid size (0 = default / env)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps")
     p.add_argument("--out", default=None, help="write output to this path")
 
 

@@ -241,16 +241,12 @@ class RunConfig:
     ygrid: YGrid = field(default_factory=YGrid)
     p_max: int = 10 ** 5
     index_tol: float = DEFAULT_INDEX_TOL
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.index_tol <= 0:
             raise InvalidArgument("tolerance must be positive")
         if self.p_max < 4:
             raise InvalidArgument("p_max must be at least 4")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def stabilized(running_values: np.ndarray, rel: float = STABILIZE_REL) -> bool:
