@@ -13,18 +13,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
+from . import __version__
 from .verdict import _jsonify
 
 SCHEMA_VERSION = "1"
 TOOL_NAME = "ultraweight"
-
-
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version(TOOL_NAME)
-    except Exception:
-        return "unknown"
 
 
 @dataclass
@@ -45,7 +38,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "tool": {"name": TOOL_NAME, "version": _tool_version()},
+            "tool": {"name": TOOL_NAME, "version": __version__},
             "command": self.command,
             "inputs": _jsonify(self.inputs),
             "results": _jsonify(self.results),
