@@ -92,12 +92,8 @@ def cmd_check(args) -> int:
                 if args.r is None:
                     raise InvalidSpec("condition nq_r needs --r")
                 verdict = seq_mod.check_nq_r(M, args.r, **pkw)
-            elif cond in ("beta1", "beta3"):
-                verdict = getattr(seq_mod, f"check_{cond}")(M, **pkw)
-            elif cond in ("nq", "gamma1"):
-                verdict = getattr(seq_mod, f"check_{cond}")(M, **pkw)
             else:
-                verdict = getattr(seq_mod, f"check_{cond}")(M)
+                verdict = getattr(seq_mod, f"check_{cond}")(M, **pkw)
             results[cond] = verdict.to_dict()
     elif args.omega:
         fn = make_function(args.omega)

@@ -565,14 +565,15 @@ def _monotone_satisfied(M: WeightSequence, cond: str, P: int, shift: float) -> C
         note="no model certifies behaviour beyond the computed range")
 
 
-def check_mg(M: WeightSequence, P: int = 512) -> ConditionVerdict:
+def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
     """Moderate growth: M_{p+q} <= C**(p+q) M_p M_q for some C.
 
-    An existential constant can never be refuted from finite data, so the
+    P is the largest index probed, so p and q run up to P // 2.  An
+    existential constant can never be refuted from finite data, so the
     verdict is Satisfied (running max of the normalized defect stabilizes)
     or Inconclusive, never Violated.
     """
-    P = M._capped(2 * P) // 2
+    P = M._capped(P) // 2
     if P < 8:
         return ConditionVerdict.inconclusive("mg", {"checked_up_to": P},
                                              note="range too short")

@@ -132,6 +132,15 @@ class TestCheckDefaults:
         assert code == cli.EXIT_OK
         assert rep["results"]["omega_nq_r"]["status"] == "satisfied"
 
+    def test_pmax_bounds_every_sequence_condition(self, capsys):
+        _, rep = run_json(capsys, "check", "--sequence", "gevrey:2",
+                          "--conditions", "lc,slc,mg,nq", "--pmax", "50")
+        witness = {c: v["witness"] for c, v in rep["results"].items()}
+        assert witness["lc"]["checked_up_to"] == 50
+        assert witness["slc"]["checked_up_to"] == 50
+        assert witness["mg"]["checked_up_to"] == 25  # pairs p, q <= 50 // 2
+        assert witness["nq"]["partial_terms"] == 50
+
     def test_order_condition_requires_r(self, capsys):
         code, _, err = run(capsys, "check", "--omega", "power:0.5",
                            "--conditions", "omega_nq_r")
