@@ -19,8 +19,8 @@ import numpy as np
 
 from .verdict import (DEFAULT_INDEX_TOL, Grid, InvalidArgument, InvalidSpec,
                       PreconditionError, RunConfig, UltraweightError)
-from . import sequences as seq_mod
-from .functions import check_omega_condition
+from .sequences import SEQUENCE_CHECKS
+from .functions import OMEGA_CHECKS, check_omega_condition
 from .indices import (find_gamma1_witness, gamma_index_fun, gamma_index_seq,
                       mu_fun, mu_seq)
 from .constructions import (DEFAULT_J_MAX, DEFAULT_LEVELS, associated_matrix,
@@ -36,10 +36,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_PRECONDITION = 65
 EXIT_SOFTWARE = 70
-
-_SEQ_CONDITIONS = ("lc", "slc", "mg", "nq", "nq_r", "beta1", "beta3", "gamma1")
-_FUN_CONDITIONS = ("omega1", "omega2", "omega3", "omega4", "omega5", "omega6",
-                   "omega_nq", "omega_snq", "omega_nq_r")
 
 
 def _config(args) -> RunConfig:
@@ -76,39 +72,36 @@ def _spec_prefix(args) -> Optional[str]:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     config = _config(args)
-    wanted = [c.strip() for c in args.conditions.split(",")] if args.conditions \
-        else None
-    results = {}
     if args.sequence:
         M = make_sequence(args.sequence)
         echo = {"sequence": M.spec or M.label}
-        wanted = wanted or ["lc", "mg", "nq"]
+        domain, table = "sequence", SEQUENCE_CHECKS
+        default = ["lc", "mg", "nq"]
         pkw = {} if args.pmax is None else {"P": args.pmax}
-        for cond in wanted:
-            if cond not in _SEQ_CONDITIONS:
-                raise InvalidSpec(f"unknown sequence condition {cond!r} "
-                                  f"(choose from {', '.join(_SEQ_CONDITIONS)})")
-            if cond == "nq_r":
-                if args.r is None:
-                    raise InvalidSpec("condition nq_r needs --r")
-                verdict = seq_mod.check_nq_r(M, args.r, **pkw)
-            else:
-                verdict = getattr(seq_mod, f"check_{cond}")(M, **pkw)
-            results[cond] = verdict.to_dict()
+
+        def run(cond):
+            order = (args.r,) if cond.endswith("_r") else ()
+            return table[cond](M, *order, **pkw)
     elif args.omega:
         fn = make_function(args.omega)
         echo = {"omega": spec_of(fn)}
-        wanted = wanted or ["omega1", "omega3", "omega4", "omega_nq"]
-        for cond in wanted:
-            if cond not in _FUN_CONDITIONS:
-                raise InvalidSpec(f"unknown function condition {cond!r} "
-                                  f"(choose from {', '.join(_FUN_CONDITIONS)})")
-            if cond == "omega_nq_r" and args.r is None:
-                raise InvalidSpec("condition omega_nq_r needs --r")
-            verdict = check_omega_condition(fn, cond, r=args.r, config=config)
-            results[cond] = verdict.to_dict()
+        domain, table = "function", OMEGA_CHECKS
+        default = ["omega1", "omega3", "omega4", "omega_nq"]
+
+        def run(cond):
+            return check_omega_condition(fn, cond, r=args.r, config=config)
     else:
         raise InvalidSpec("check needs --sequence or --omega")
+    wanted = [c.strip() for c in args.conditions.split(",")] \
+        if args.conditions else default
+    results = {}
+    for cond in wanted:
+        if cond not in table:
+            raise InvalidSpec(f"unknown {domain} condition {cond!r} "
+                              f"(choose from {', '.join(table)})")
+        if cond.endswith("_r") and args.r is None:
+            raise InvalidSpec(f"condition {cond} needs --r")
+        results[cond] = run(cond).to_dict()
     report = Report("check", inputs={**echo, "conditions": wanted,
                                      "r": args.r},
                     results=results)

@@ -743,7 +743,9 @@ def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdic
                                          note="ratio trend unclear")
 
 
-_CHECKS = {
+# condition name -> checker(omega, config); one whose name ends in "_r" takes
+# the order r before config
+OMEGA_CHECKS = {
     "omega1": check_omega1,
     "omega2": check_omega2,
     "omega3": check_omega3,
@@ -752,9 +754,8 @@ _CHECKS = {
     "omega6": check_omega6,
     "omega_nq": check_omega_nq,
     "omega_snq": check_omega_snq,
+    "omega_nq_r": check_omega_nq_r,
 }
-
-OMEGA_CONDITIONS = tuple(_CHECKS) + ("omega_nq_r",)
 
 
 def check_omega_condition(omega: WeightFunction, cond: str, *,
@@ -765,14 +766,14 @@ def check_omega_condition(omega: WeightFunction, cond: str, *,
     key = (cond, r, config)
     if key in omega._verdicts:
         return omega._verdicts[key]
-    if cond == "omega_nq_r":
-        if r is None:
-            raise InvalidArgument("omega_nq_r needs the order r")
-        verdict = check_omega_nq_r(omega, r, config)
-    elif cond in _CHECKS:
-        verdict = _CHECKS[cond](omega, config)
-    else:
+    if cond not in OMEGA_CHECKS:
         raise InvalidArgument(f"unknown condition {cond!r}")
+    if not cond.endswith("_r"):
+        verdict = OMEGA_CHECKS[cond](omega, config)
+    elif r is None:
+        raise InvalidArgument(f"{cond} needs the order r")
+    else:
+        verdict = OMEGA_CHECKS[cond](omega, r, config)
     verdict = _apply_chain(omega, cond, verdict, config)
     omega._verdicts[key] = verdict
     return verdict

@@ -746,6 +746,20 @@ def finish_sup_verdict(cond: str, sweep: dict) -> ConditionVerdict:
         note="running sup still moving at range end")
 
 
+# condition name -> checker; every checker takes P, the largest index probed,
+# and one whose name ends in "_r" takes the order r before it
+SEQUENCE_CHECKS = {
+    "lc": check_lc,
+    "slc": check_slc,
+    "mg": check_mg,
+    "nq": check_nq,
+    "nq_r": check_nq_r,
+    "beta1": check_beta1,
+    "beta3": check_beta3,
+    "gamma1": check_gamma1,
+}
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
