@@ -36,9 +36,9 @@ from .indices import (Gamma1Witness, find_gamma1_witness, mixed_condition_fun,
                       mixed_condition_seq)
 from .sequences import (TailModel, WeightSequence, check_lc, check_mg,
                         check_nq_r, check_slc, hat, power, suffix_power_sums)
-from .verdict import (ConditionVerdict, DivergentAssociated, GammaNotAboveOne,
-                      GridTooCoarse, InternalInconsistency, InvalidArgument,
-                      NotLogConvex, NotNonQuasianalytic,
+from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
+                      GammaNotAboveOne, GridTooCoarse, InternalInconsistency,
+                      InvalidArgument, NotLogConvex, NotNonQuasianalytic,
                       PreconditionInconclusive, RunConfig, _jsonify,
                       stabilized)
 
@@ -536,7 +536,7 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     if s_tail is not None and tm is not None and tm.kind == "power":
         model_limit = float(np.exp(r * math.log(central) - math.log(tm.c_hi)))
     sup = float(np.exp(running[-1]))
-    lam = max(sup, model_limit or 0.0) * 1.01
+    lam = max(sup, model_limit or 0.0) * REL_MARGIN
 
     diagnostics = {
         "P": P,
@@ -593,7 +593,7 @@ def check_descendant_mg(N: WeightSequence, r: float = 1.0, *,
             raise InternalInconsistency(
                 "descendant ratio bounded but L failed moderate growth")
         status = "skipped" if cross is None else cross.status.value
-        return ConditionVerdict.satisfied(cond, {"C": sup * 1.01, **info},
+        return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info},
                                           cross_check_mg_L=status)
     note = ("ratio trace not stabilized" if sweep.converges is True
             else "tail sums uncertified beyond the computed range")

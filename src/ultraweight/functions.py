@@ -25,9 +25,12 @@ import numpy as np
 from .quadrature import (integral_to_infinity, kernel_window, power_log_tail,
                          suffix_integral_grid)
 from .sequences import WeightSequence
-from .verdict import (ConditionVerdict, ConvexityViolation, EvaluationRangeError,
-                      GridTooCoarse, InternalInconsistency, InvalidArgument,
-                      RunConfig, YGrid)
+from .verdict import (LOG_RATIO_FLAT, LOG_RATIO_GROW, NOT_VANISH,
+                      RATIO_TREND_FLAT, REL_MARGIN, VANISH, WINDOW_DECAY,
+                      WINDOW_FLAT, ConditionVerdict, ConvexityViolation,
+                      EvaluationRangeError, GridTooCoarse,
+                      InternalInconsistency, InvalidArgument, RunConfig, YGrid,
+                      _trend_call)
 
 _ASSOC_TABLE_CAP = 1 << 21
 # a sequence with an exact closed form is tabulated up to this index at most:
@@ -35,7 +38,6 @@ _ASSOC_TABLE_CAP = 1 << 21
 _ASSOC_CLOSED_READ = 1 << 14
 _ASSOC_TABLE_START = 4096  # first table size `maximizers` tries
 _HULL_ROUNDS = 32
-_REL_MARGIN = 1.01
 
 
 @dataclass(frozen=True)
@@ -444,20 +446,6 @@ def _sweep(omega: WeightFunction, config: RunConfig):
     return ts, omega.eval(ts)
 
 
-def _trend_call(running: np.ndarray, grow: float = 1.05, flat: float = 1.0005):
-    """Classify a running sup: 'stable', 'growing', or 'unclear'."""
-    n = len(running)
-    if n < 8:
-        return "unclear", {}
-    last, mid, quarter = running[-1], running[n // 2], running[n // 4]
-    if mid > 0 and last <= flat * mid:
-        return "stable", {"sup": float(last)}
-    if quarter > 0 and mid >= grow * quarter and last >= grow * mid:
-        return "growing", {"sup_quarter": float(quarter), "sup_mid": float(mid),
-                           "sup_last": float(last)}
-    return "unclear", {"sup_mid": float(mid), "sup_last": float(last)}
-
-
 def check_omega1(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     ts, vals = _sweep(omega, config)
     ratio = omega.eval(2.0 * ts) / (vals + 1.0)
@@ -467,11 +455,11 @@ def check_omega1(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         limit = omega.model.ratio_limit(2.0)
         if math.isfinite(limit):
             return ConditionVerdict.satisfied("omega1",
-                {"C": max(sup, limit) * _REL_MARGIN, "grid_sup": sup,
+                {"C": max(sup, limit) * REL_MARGIN, "grid_sup": sup,
                  "model_limit": limit})
     call, info = _trend_call(running)
     if call == "stable":
-        return ConditionVerdict.satisfied("omega1", {"C": sup * _REL_MARGIN,
+        return ConditionVerdict.satisfied("omega1", {"C": sup * REL_MARGIN,
                                                      "grid_sup": sup,
                                                      "grid_only": True})
     if call == "growing":
@@ -492,7 +480,7 @@ def _linear_bound_check(cond: str, omega: WeightFunction, config: RunConfig,
         if a < 1.0 or (a == 1.0 and (k < 0.0 if little_o else k <= 0.0)):
             w = {"ratio_at_tmax": float(ratio[-1]), "model_exponent": a}
             if not little_o:
-                w["C"] = float(np.max(ratio)) * _REL_MARGIN
+                w["C"] = float(np.max(ratio)) * REL_MARGIN
             return ConditionVerdict.satisfied(cond, w)
         reason = ("limit of omega(t)/t is positive" if (a == 1.0 and k == 0.0)
                   else "omega(t)/t grows without bound")
@@ -506,16 +494,16 @@ def _linear_bound_check(cond: str, omega: WeightFunction, config: RunConfig,
                                                 "trend": "ratio to t keeps growing",
                                                 **info})
     if call == "stable" and not little_o:
-        return ConditionVerdict.satisfied(cond, {"C": float(running[-1]) * _REL_MARGIN,
+        return ConditionVerdict.satisfied(cond, {"C": float(running[-1]) * REL_MARGIN,
                                                  "grid_only": True})
     if little_o:
         n = len(ratio)
         tail, mid = ratio[-1], ratio[n // 2]
-        if mid > 0 and tail <= 0.5 * mid:
+        if mid > 0 and tail <= VANISH * mid:
             return ConditionVerdict.satisfied(cond, {"ratio_at_tmax": float(tail),
                                                      "trend": "ratio halves per sweep",
                                                      "grid_only": True})
-        if mid > 0 and tail >= 0.98 * mid:
+        if mid > 0 and tail >= NOT_VANISH * mid:
             return ConditionVerdict.violated(cond, {"t": float(ts[-1]),
                                                     "ratio": float(tail),
                                                     "trend": "ratio to t not vanishing"})
@@ -548,11 +536,11 @@ def check_omega3(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
              **({"limit": limit} if limit is not None else {})})
     n = len(ratio)
     last, mid = ratio[-1], ratio[n // 2]
-    if mid > 0 and last >= 1.2 * mid:
+    if mid > 0 and last >= LOG_RATIO_GROW * mid:
         return ConditionVerdict.satisfied("omega3", {"ratio_at_tmax": float(last),
                                                      "trend": "ratio keeps growing",
                                                      "grid_only": True})
-    if mid > 0 and last <= 1.02 * mid:
+    if mid > 0 and last <= LOG_RATIO_FLAT * mid:
         return ConditionVerdict.violated("omega3", {"t": float(ts[-1]),
                                                     "ratio": float(last),
                                                     "trend": "ratio flat on grid"})
@@ -649,7 +637,11 @@ def check_omega6(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
 
 
 def _integral_trend(omega: WeightFunction, s: float, config: RunConfig):
-    """Window integrals of omega * u**(-s) over [1, Y] at doubling cutoffs."""
+    """Window integrals of omega * u**(-s) over [1, Y] at doubling cutoffs.
+
+    Returns the integrals and whether their last increment decays and
+    whether it stays flat, per WINDOW_DECAY and WINDOW_FLAT.
+    """
     cuts = [10.0 ** e for e in (2, 4, 6, 8, 10, 12)]
     windows = []
     total = 0.0
@@ -658,7 +650,10 @@ def _integral_trend(omega: WeightFunction, s: float, config: RunConfig):
         total += kernel_window(omega.eval, lo, hi, s, kinks=omega.kinks)
         windows.append(total)
         lo = hi
-    return np.asarray(windows)
+    inc = np.diff(windows)
+    decays = len(inc) >= 2 and inc[-1] <= WINDOW_DECAY * inc[-2]
+    flat = len(inc) >= 2 and inc[-1] >= WINDOW_FLAT * inc[-2]
+    return np.asarray(windows), decays, flat
 
 
 def check_omega_nq_r(omega: WeightFunction, r: float,
@@ -681,13 +676,12 @@ def check_omega_nq_r(omega: WeightFunction, r: float,
             return ConditionVerdict.satisfied(cond,
                 {"integral": None, "r": r,
                  "note": "model certifies convergence; tail fit unstable"})
-    windows = _integral_trend(omega, s, config)
-    inc = np.diff(windows)
+    windows, decays, flat = _integral_trend(omega, s, config)
     if conv is False:
         return ConditionVerdict.violated(cond,
             {"partial_integrals": [round(w, 6) for w in windows.tolist()],
              "trend": "model exponent at or above kernel order", "r": r})
-    if len(inc) >= 2 and inc[-1] <= 0.7 * inc[-2]:
+    if decays:
         try:
             res = integral_to_infinity(omega.eval, 1.0, s, kinks=omega.kinks)
             return ConditionVerdict.satisfied(cond,
@@ -695,7 +689,7 @@ def check_omega_nq_r(omega: WeightFunction, r: float,
                  "grid_only": True})
         except GridTooCoarse:
             pass
-    if len(inc) >= 2 and inc[-1] >= 0.9 * inc[-2]:
+    if flat:
         return ConditionVerdict.violated(cond,
             {"partial_integrals": [round(w, 6) for w in windows.tolist()],
              "trend": "window increments not decaying", "r": r})
@@ -705,8 +699,7 @@ def check_omega_nq_r(omega: WeightFunction, r: float,
 
 
 def check_omega_nq(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
-    v = check_omega_nq_r(omega, 1.0, config, cond="omega_nq")
-    return v
+    return check_omega_nq_r(omega, 1.0, config, cond="omega_nq")
 
 
 def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
@@ -729,12 +722,12 @@ def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdic
         if m.exponent > 0 or m.log_power >= 0:
             limit = 1.0 / (1.0 - m.exponent)
         return ConditionVerdict.satisfied("omega_snq",
-            {"C": max(sup, limit or 0.0) * _REL_MARGIN, "grid_sup": sup,
+            {"C": max(sup, limit or 0.0) * REL_MARGIN, "grid_sup": sup,
              **({"model_ratio_limit": limit} if limit else {})})
     call, info = _trend_call(running)
     if call == "stable":
         return ConditionVerdict.satisfied("omega_snq",
-            {"C": sup * _REL_MARGIN, "grid_sup": sup, "grid_only": True})
+            {"C": sup * REL_MARGIN, "grid_sup": sup, "grid_only": True})
     if call == "growing":
         return ConditionVerdict.violated("omega_snq",
             {"t": float(ts[-1]), "ratio": sup,
@@ -745,17 +738,11 @@ def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdic
 
 # condition name -> checker(omega, config); one whose name ends in "_r" takes
 # the order r before config
-OMEGA_CHECKS = {
-    "omega1": check_omega1,
-    "omega2": check_omega2,
-    "omega3": check_omega3,
-    "omega4": check_omega4,
-    "omega5": check_omega5,
-    "omega6": check_omega6,
-    "omega_nq": check_omega_nq,
-    "omega_snq": check_omega_snq,
-    "omega_nq_r": check_omega_nq_r,
-}
+OMEGA_CHECKS = {"omega1": check_omega1, "omega2": check_omega2,
+                "omega3": check_omega3, "omega4": check_omega4,
+                "omega5": check_omega5, "omega6": check_omega6,
+                "omega_nq": check_omega_nq, "omega_snq": check_omega_snq,
+                "omega_nq_r": check_omega_nq_r}
 
 
 def check_omega_condition(omega: WeightFunction, cond: str, *,
@@ -825,7 +812,7 @@ def _ratio_verdict(cond: str, num: WeightFunction, den: WeightFunction,
             if want_vanishing:
                 return ConditionVerdict.satisfied(cond, info)
             return ConditionVerdict.satisfied(cond,
-                {"C": float(running[-1]) * _REL_MARGIN, **info})
+                {"C": float(running[-1]) * REL_MARGIN, **info})
         if c > 0:
             return ConditionVerdict.violated(cond,
                 {"t": float(ts[-1]), **info, "trend": "ratio grows without bound"})
@@ -837,23 +824,21 @@ def _ratio_verdict(cond: str, num: WeightFunction, den: WeightFunction,
         if num.model.coeff is not None and den.model.coeff is not None:
             limit = num.model.coeff / den.model.coeff
             return ConditionVerdict.satisfied(cond,
-                {"C": max(float(running[-1]), limit) * _REL_MARGIN,
+                {"C": max(float(running[-1]), limit) * REL_MARGIN,
                  "model_ratio_limit": limit, **info})
-    # a ratio drifting gently toward a constant is still a bounded ratio, so
-    # the flat margin here is looser than for sup-style traces
-    call, tr = _trend_call(running, flat=1.02)
+    call, tr = _trend_call(running, flat=RATIO_TREND_FLAT)
     if call == "growing":
         return ConditionVerdict.violated(cond, {"t": float(ts[-1]), **info, **tr,
                                                 "trend": "grid ratio keeps growing"})
     if want_vanishing:
         n = len(ratio)
-        if ratio[n // 2] > 0 and ratio[-1] <= 0.5 * ratio[n // 2]:
+        if ratio[n // 2] > 0 and ratio[-1] <= VANISH * ratio[n // 2]:
             return ConditionVerdict.satisfied(cond, {**info, "grid_only": True})
         return ConditionVerdict.inconclusive(cond, info,
                                              note="vanishing not certified")
     if call == "stable":
         return ConditionVerdict.satisfied(cond,
-            {"C": float(running[-1]) * _REL_MARGIN, "grid_only": True, **info})
+            {"C": float(running[-1]) * REL_MARGIN, "grid_only": True, **info})
     return ConditionVerdict.inconclusive(cond, info,
                                          note="no model; grid trend unclear")
 

@@ -22,17 +22,17 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from .functions import (GrowthModel, WeightFunction, _integral_trend,
-                        _shape_cmp, _trend_call, check_omega_condition)
+                        _shape_cmp, check_omega_condition)
 from .quadrature import power_log_tail, suffix_integral_grid
 from .sequences import (WeightSequence, check_lc, check_nq_r,
                         finish_sup_verdict, sup_ratio_sweep)
-from .verdict import (INDEX_CAP, ConditionVerdict, GridTooCoarse,
-                      InternalInconsistency, InvalidArgument, NotLogConvex,
-                      RunConfig, _jsonify, stabilized)
+from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
+                      ConditionVerdict, GridTooCoarse, InternalInconsistency,
+                      InvalidArgument, NotLogConvex, RunConfig, _jsonify,
+                      _trend_call, stabilized)
 
 INDEX_FLOOR = 1.0 / 64.0  # smallest order probed while expanding downward
 _PROBE_BUDGET = 40
-_REL_MARGIN = 1.01
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,8 @@ def _quotient_ratio_bounded(M: WeightSequence, N: WeightSequence,
     running = np.maximum.accumulate(d)
     last, half = float(running[-1]), float(running[len(running) // 2])
     info = {"max_log_ratio": last, "P": P}
-    if last > half + max(0.05, 0.05 * abs(half)):
+    step = QUOTIENT_RATIO_STEP
+    if last > half + max(step, step * abs(half)):
         p_at = int(np.argmax(d)) + 1
         info.update({"p": p_at, "ratio": math.exp(float(d[p_at - 1]))})
         return False, info
@@ -377,9 +378,8 @@ def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] =
         G = suffix_integral_grid(omega.eval, ts, s, model_tail=tail,
                                  kinks=omega.kinks)
     except GridTooCoarse:
-        windows = _integral_trend(omega, s, config)
-        inc = np.diff(windows)
-        if len(inc) >= 2 and inc[-1] >= 0.9 * inc[-2]:
+        windows, _, flat = _integral_trend(omega, s, config)
+        if flat:
             return ConditionVerdict.violated(cond, {"t": float(ts[0]), "r": r,
                 "partial_integrals": [round(float(w), 6) for w in windows]},
                 reason="kernel integral fails to converge numerically")
@@ -398,22 +398,22 @@ def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] =
         c = _shape_cmp(m, sigma.model)  # c <= 0 at this point
         if c < 0:
             return ConditionVerdict.satisfied(cond,
-                {"C": sup * _REL_MARGIN, **info},
+                {"C": sup * REL_MARGIN, **info},
                 note="ratio to sigma vanishes at infinity")
         limit = None
         if m.coeff is not None and sigma.model.coeff is not None:
             denom = 1.0 / r - m.exponent
             if denom > 0:
                 limit = m.coeff / (denom * sigma.model.coeff)
-        C = max(sup, limit if limit is not None else 0.0) * _REL_MARGIN
+        C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
         return ConditionVerdict.satisfied(cond, {"C": C, **info},
             **({"model_ratio_limit": limit} if limit is not None else {}))
 
     call, tr = _trend_call(running)
     if call == "stable" and conv is True:
-        return ConditionVerdict.satisfied(cond, {"C": sup * _REL_MARGIN, **info})
+        return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info})
     if call == "stable":
-        return ConditionVerdict.satisfied(cond, {"C": sup * _REL_MARGIN, **info,
+        return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info,
                                                  "grid_only": True})
     if call == "growing":
         return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,

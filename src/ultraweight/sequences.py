@@ -23,15 +23,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln, zeta as hurwitz_zeta
 
-from .verdict import (
-    ConditionVerdict,
-    EvaluationRangeError,
-    InternalInconsistency,
-    InvalidArgument,
-    InvalidSpec,
-    Verdict,
-    stabilized,
-)
+from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
+                      ConditionVerdict, EvaluationRangeError,
+                      InternalInconsistency, InvalidArgument, InvalidSpec,
+                      Verdict, stabilized)
 
 DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
@@ -647,7 +642,7 @@ def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> Condition
     s4, s2, s1 = (math.exp(partial[P // 4 - 1]), math.exp(partial[P // 2 - 1]),
                   math.exp(partial[-1]))
     d_prev, d_last = s2 - s4, s1 - s2
-    if d_last > 0.5 * d_prev and d_last > 1e-12 * s1:
+    if d_last > SUM_UNDIMINISHED * d_prev and d_last > 1e-12 * s1:
         return ConditionVerdict.violated(cond, {
             "partial_sum": s1, "at_p": P,
             "increment_last_doubling": d_last, "increment_previous": d_prev},
@@ -748,16 +743,9 @@ def finish_sup_verdict(cond: str, sweep: dict) -> ConditionVerdict:
 
 # condition name -> checker; every checker takes P, the largest index probed,
 # and one whose name ends in "_r" takes the order r before it
-SEQUENCE_CHECKS = {
-    "lc": check_lc,
-    "slc": check_slc,
-    "mg": check_mg,
-    "nq": check_nq,
-    "nq_r": check_nq_r,
-    "beta1": check_beta1,
-    "beta3": check_beta3,
-    "gamma1": check_gamma1,
-}
+SEQUENCE_CHECKS = {"lc": check_lc, "slc": check_slc, "mg": check_mg,
+                   "nq": check_nq, "nq_r": check_nq_r, "beta1": check_beta1,
+                   "beta3": check_beta3, "gamma1": check_gamma1}
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +795,7 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
                 "p": P, "ratio_root": math.exp(float(d[-1]))},
                 reason="model: (M_p/N_p)^(1/p) diverges")
         slope = float(win[-1] - win[0])
-        if slope <= 1e-3 * max(1.0, abs(sup_d)):
+        if slope <= COMPARE_SLOPE * max(1.0, abs(sup_d)):
             return ConditionVerdict.satisfied("precsim", {"sup": math.exp(sup_d)},
                                               certified="grid-only", grid_only=True)
         return ConditionVerdict.inconclusive("precsim", trend)
@@ -821,7 +809,7 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
             "p": P, "ratio_root": math.exp(float(win[-1])),
             "limit": math.exp(limit) if limit < 700 else math.inf},
             reason="model: ratio root does not vanish")
-    if float(win[-1]) < float(win[0]) and win[-1] < math.log(0.5):
+    if float(win[-1]) < float(win[0]) and win[-1] < math.log(COMPARE_ROOT):
         return ConditionVerdict.satisfied("vartriangleleft",
                                           {"limit_bound": math.exp(float(win[-1]))},
                                           certified="grid-only", grid_only=True)
