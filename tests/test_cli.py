@@ -13,7 +13,9 @@ import pytest
 
 import ultraweight as uw
 from ultraweight import cli
+from ultraweight.functions import OMEGA_CHECKS
 from ultraweight.report import validate_report
+from ultraweight.sequences import SEQUENCE_CHECKS
 from ultraweight.specio import make_function, make_sequence
 from ultraweight.verdict import GRID_POINTS_ENV, INDEX_CAP
 
@@ -145,6 +147,44 @@ class TestCheckDefaults:
         code, _, err = run(capsys, "check", "--omega", "power:0.5",
                            "--conditions", "omega_nq_r")
         assert code == cli.EXIT_USAGE
+
+
+_TABLES = [("--sequence", "gevrey:2", SEQUENCE_CHECKS),
+           ("--omega", "power:0.5", OMEGA_CHECKS)]
+_REGISTRY = [(flag, subject, name) for flag, subject, table in _TABLES
+             for name in table]
+
+
+class TestConditionRegistry:
+    """Every name in a condition table reaches the CLI, and only those."""
+
+    @pytest.mark.parametrize("flag,subject,name", _REGISTRY)
+    def test_every_condition_runs_through_check(self, capsys, flag, subject,
+                                                name):
+        order = ["--r", "2"] if name.endswith("_r") else []
+        code, rep = run_json(capsys, "check", flag, subject,
+                             "--conditions", name, *order)
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_INCONCLUSIVE)
+        assert rep["results"][name]["status"] in ("satisfied", "violated",
+                                                  "inconclusive")
+
+    @pytest.mark.parametrize("flag,subject,name",
+                             [c for c in _REGISTRY if c[2].endswith("_r")])
+    def test_order_conditions_need_r(self, capsys, flag, subject, name):
+        code, out, err = run(capsys, "check", flag, subject,
+                             "--conditions", name)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--r" in err
+
+    @pytest.mark.parametrize("flag,subject,table", _TABLES)
+    def test_unknown_condition_lists_the_table(self, capsys, flag, subject,
+                                               table):
+        code, out, err = run(capsys, "check", flag, subject,
+                             "--conditions", "no_such_condition")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.split("(choose from ")[1].rstrip(")\n").split(", ") \
+            == list(table)
 
 
 class TestIndexCommand:
