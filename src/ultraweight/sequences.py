@@ -30,6 +30,7 @@ from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
 
 DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
+_BETA_P_CAP = 20000  # beta1/beta3 read mu_{Qp}/mu_p for p up to this
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +665,19 @@ def _window(values: np.ndarray, fraction: float = 0.1) -> np.ndarray:
 
 def _check_beta(M: WeightSequence, threshold: str, Q_max: int,
                 P: int) -> ConditionVerdict:
-    """Shared body for beta_1 (liminf mu_{Qp}/mu_p > Q) and beta_3 (> 1)."""
+    """Shared body for beta_1 (liminf mu_{Qp}/mu_p > Q) and beta_3 (> 1).
+
+    Each Q reads mu_{Qp}/mu_p for p <= min(P // Q, _BETA_P_CAP); the scan
+    stops at a Q with fewer than eight such p.
+    """
     cond = "beta1" if threshold == "Q" else "beta3"
     tm = M.tail_model
     P = M._capped(P)
     evidence = {}
     for Q in range(2, Q_max + 1):
-        if M.finite_size is not None and Q * 8 >= M.finite_size:
+        if Q * 8 > P:
             break
-        top = M._capped(Q * P)
+        top = min(P, Q * _BETA_P_CAP)
         log_mu = M.log_quotients(top)
         p_hi = top // Q
         p = np.arange(1, p_hi + 1)
@@ -701,11 +706,11 @@ def _check_beta(M: WeightSequence, threshold: str, Q_max: int,
                                          note="no model certifies the liminf")
 
 
-def check_beta1(M: WeightSequence, Q_max: int = 8, P: int = 20000) -> ConditionVerdict:
+def check_beta1(M: WeightSequence, Q_max: int = 8, P: int = 160000) -> ConditionVerdict:
     return _check_beta(M, "Q", Q_max, P)
 
 
-def check_beta3(M: WeightSequence, Q_max: int = 8, P: int = 20000) -> ConditionVerdict:
+def check_beta3(M: WeightSequence, Q_max: int = 8, P: int = 160000) -> ConditionVerdict:
     return _check_beta(M, "1", Q_max, P)
 
 

@@ -10,6 +10,7 @@ from ultraweight import (check_beta1, check_beta3, check_gamma1, check_lc,
                          check_mg, check_nq, check_nq_r, check_slc, compare,
                          explicit, factorial_shift, gevrey, hat, power,
                          qgevrey)
+from ultraweight.sequences import SEQUENCE_CHECKS
 
 from conftest import assert_status
 
@@ -229,3 +230,20 @@ class TestCompare:
     def test_unknown_relation_rejected(self):
         with pytest.raises(uw.InvalidArgument):
             compare(gevrey(1.0), gevrey(2.0), "interleaved")
+
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_CHECKS))
+@pytest.mark.parametrize("make", [lambda: gevrey(2.0),
+                                  lambda: explicit(np.arange(1.0, 200.0))],
+                         ids=["gevrey", "explicit"])
+def test_checker_probes_no_index_past_P(name, make, monkeypatch):
+    M = make()
+    asked = []
+    for attr in ("log_quotients", "log_values"):
+        method = getattr(M, attr)
+        monkeypatch.setattr(M, attr,
+                            lambda p, _m=method: asked.append(p) or _m(p))
+    order = (1.5,) if name.endswith("_r") else ()
+    SEQUENCE_CHECKS[name](M, *order, P=64)
+    assert asked and max(asked) <= 64
