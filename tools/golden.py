@@ -1,7 +1,6 @@
 """Golden CLI reports: the fixed command matrix and its rendering.
 
-    PYTHONPATH=src python3 tools/golden.py          # rewrite tests/golden/
-    PYTHONPATH=src python3 tools/golden.py NAME...  # rewrite only these cases
+    PYTHONPATH=src python3 tools/golden.py   # rewrite tests/golden/
 
 Each case is a list of `ultraweight` command lines, run in-process through
 `cli.main` in a fresh empty working directory with ULTRAWEIGHT_GRID_POINTS
@@ -19,9 +18,11 @@ import io
 import json
 import os
 import shlex
-import sys
 import tempfile
 from pathlib import Path
+
+from ultraweight import cli
+from ultraweight.verdict import GRID_POINTS_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -101,7 +102,6 @@ def _strip_wall_time(text: str) -> str:
 
 def render(commands: list[str]) -> str:
     """Run the commands in the current directory and render their outcome."""
-    from ultraweight import cli
     parts = []
     for line in commands:
         argv = shlex.split(line)
@@ -122,24 +122,19 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.txt"
 
 
-def main(names: list[str]) -> int:
-    unknown = [n for n in names if n not in CASES]
-    if unknown:
-        print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    os.environ.pop("ULTRAWEIGHT_GRID_POINTS", None)
+def main() -> None:
+    os.environ.pop(GRID_POINTS_ENV, None)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     home = os.getcwd()
-    for name in names or CASES:
+    for name, commands in CASES.items():
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
-                text = render(CASES[name])
+                text = render(commands)
             finally:
                 os.chdir(home)
         golden_path(name).write_text(text)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
