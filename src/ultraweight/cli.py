@@ -41,8 +41,8 @@ EXIT_SOFTWARE = 70
 def _config(args) -> RunConfig:
     grid = Grid(t_min=args.tmin, t_max=args.tmax,
                 points=args.points if args.points else 0)
-    return RunConfig(grid=grid, p_max=args.pmax or 10 ** 5,
-                     index_tol=args.tol)
+    p_max = 10 ** 5 if args.pmax is None else args.pmax
+    return RunConfig(grid=grid, p_max=p_max, index_tol=args.tol)
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:

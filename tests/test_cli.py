@@ -143,6 +143,13 @@ class TestCheckDefaults:
         assert witness["mg"]["checked_up_to"] == 25  # pairs p, q <= 50 // 2
         assert witness["nq"]["partial_terms"] == 50
 
+    def test_pmax_below_four_is_a_usage_error(self, capsys):
+        for pmax in ("0", "3"):
+            code, out, err = run(capsys, "check", "--sequence", "gevrey:2",
+                                 "--conditions", "slc,nq", "--pmax", pmax)
+            assert code == cli.EXIT_USAGE, err
+            assert out == "" and "p_max" in err
+
     def test_order_condition_requires_r(self, capsys):
         code, _, err = run(capsys, "check", "--omega", "power:0.5",
                            "--conditions", "omega_nq_r")
