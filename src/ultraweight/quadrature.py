@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
+from .special import gammaincc, gammaln
 from .verdict import GridTooCoarse, InvalidArgument
 
 Y_CUT = 1e8

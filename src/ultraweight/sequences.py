@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, zeta as hurwitz_zeta
 
+from .special import gammaln, hurwitz_zeta
 from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
                       ConditionVerdict, EvaluationRangeError,
                       InternalInconsistency, InvalidArgument, InvalidSpec,
