@@ -567,7 +567,9 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
     P is the largest index probed, so p and q run up to P // 2.  An
     existential constant can never be refuted from finite data, so the
     verdict is Satisfied (running max of the normalized defect stabilizes)
-    or Inconclusive, never Violated.
+    or Inconclusive, never Violated.  The witness `C` is that running max;
+    on an exact power tail from index 1 with M_0 >= 1 it is at least 2**e,
+    which bounds the defect for every p and q, not only on the probed range.
     """
     P = M._capped(P) // 2
     if P < 8:
@@ -598,6 +600,11 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
             "model": "quotients grow supra-polynomially; no constant can work"})
     if stabilized(np.array(running)) or model_bounded:
         C = math.exp(running[-1])
+        if tm is not None and tm.kind == "power" and tm.exact and tm.start == 1 \
+                and M.log_m0 >= 0:
+            # M_{p+q} / (M_p M_q) = binom(p+q, p)**e / M_0 <= 2**(e (p+q))
+            # for every p, q, also past the probed range
+            C = max(C, 2.0 ** max(tm.e_hi, 0.0))
         return ConditionVerdict.satisfied("mg", {"C": C, "checked_up_to": P},
                                           certified="tail-model" if model_bounded else "range-stabilized")
     return ConditionVerdict.inconclusive("mg", {

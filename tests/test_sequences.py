@@ -138,6 +138,14 @@ class TestModerateGrowth:
             assert_status(v, "satisfied")
             assert v.witness["C"] <= 2.0 ** s * (1 + 1e-9)
 
+    def test_gevrey_witness_holds_past_the_probed_range(self):
+        # log M_p = 2 lgamma(p + 1); binom(2n, n)**(1/n) rises toward 4, so
+        # the largest defect on p, q <= 512 (3.971) fails at n = 1000
+        C = check_mg(gevrey(2.0)).witness["C"]
+        n = 5000
+        log_ratio = 2.0 * (math.lgamma(2 * n + 1) - 2.0 * math.lgamma(n + 1))
+        assert log_ratio <= 2 * n * math.log(C)
+
     def test_qgevrey_does_not_stabilize(self):
         v = check_mg(qgevrey(2.0))
         assert v.status.value == "inconclusive"
