@@ -750,7 +750,7 @@ def check_omega_condition(omega: WeightFunction, cond: str, *,
                           config: Optional[RunConfig] = None) -> ConditionVerdict:
     """Dispatch a condition check with caching and implication bookkeeping."""
     config = config or RunConfig()
-    key = (cond, r, config)
+    key = (cond, r if cond.endswith("_r") else None, config)
     if key in omega._verdicts:
         return omega._verdicts[key]
     if cond not in OMEGA_CHECKS:

@@ -10,6 +10,7 @@ from ultraweight import (LogPower, PowerLaw, check_omega_condition,
                          check_omega_nq_r, compare_o, compare_preceq,
                          equivalent_fun, normalize, power_substitute)
 
+from ultraweight import functions
 from ultraweight.specio import make_function
 
 from conftest import assert_status
@@ -160,6 +161,19 @@ class TestOmegaConditions:
         assert (second.counterexample["triple_y"]
                 != first.counterexample["triple_y"])
         assert check_omega_condition(fn, "omega4", config=coarse) is second
+
+    def test_order_keys_only_conditions_that_take_it(self):
+        # the CLI passes --r to every condition; omega_nq takes no order, so
+        # its verdict must land where omega_snq and the implication chain
+        # look it up
+        fn = make_function("logpower:2")
+        cfg = uw.RunConfig()
+        first = check_omega_condition(fn, "omega_nq", r=2.0)
+        assert functions._cached(fn, "omega_nq", cfg) is first
+        assert check_omega_condition(fn, "omega_nq") is first
+        with_r = check_omega_condition(fn, "omega_nq_r", r=2.0)
+        assert check_omega_condition(fn, "omega_nq_r", r=2.0) is with_r
+        assert check_omega_condition(fn, "omega_nq_r", r=3.0) is not with_r
 
     def test_unknown_condition_rejected(self):
         with pytest.raises(uw.InvalidArgument):
