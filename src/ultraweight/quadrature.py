@@ -75,7 +75,7 @@ def power_log_tail(c: float, a: float, k: float, off: float, s: float,
     if k == 0:
         main = c * math.exp(-lam * L) / lam
     else:
-        main = c * math.exp(gammaln(k + 1.0)) * float(gammaincc(k + 1.0, lam * L)) \
+        main = c * math.exp(gammaln(k + 1.0)) * gammaincc(k + 1.0, lam * L) \
             / lam ** (k + 1.0)
     if off:
         if s <= 1:

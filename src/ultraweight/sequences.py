@@ -175,8 +175,8 @@ class TailModel:
         x_hi = self.e_hi * inv_r
         x_lo = self.e_lo * inv_r
         # upper quotient bound gives the sum's lower bound and vice versa
-        lo = float(self.c_hi ** (-inv_r) * hurwitz_zeta(x_hi, s)) if x_hi > 1 else math.inf
-        hi = float(self.c_lo ** (-inv_r) * hurwitz_zeta(x_lo, s)) if x_lo > 1 else math.inf
+        lo = self.c_hi ** (-inv_r) * hurwitz_zeta(x_hi, s)
+        hi = self.c_lo ** (-inv_r) * hurwitz_zeta(x_lo, s)
         if math.isinf(lo):
             # divergence certain: terms are >= a divergent p-series
             return (math.inf, math.inf)

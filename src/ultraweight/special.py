@@ -47,21 +47,17 @@ def _stirling(x: np.ndarray) -> np.ndarray:
         return (x - 0.5) * (np.log(x) - 1.0) + (_HALF_LOG_2PI_MINUS_HALF + series)
 
 
-def _lgamma(v: float) -> float:
-    try:
-        return math.lgamma(v)
-    except ValueError:  # the poles 0, -1, -2, ...
-        return math.inf
-
-
 def gammaln(x):
-    """log |Gamma(x)|, elementwise; a scalar for a scalar argument."""
+    """log |Gamma(x)|, elementwise; a scalar for a scalar argument.
+
+    Raises ValueError at the poles 0, -1, -2, ...
+    """
     x = np.asarray(x, dtype=float)
     small = ~(x >= _STIRLING_MIN)  # nan goes to math.lgamma as well
     if not small.any():
         return _stirling(x)[()]
     out = np.asarray(_stirling(np.where(small, _STIRLING_MIN, x)))
-    out[small] = [_lgamma(v) for v in x[small].tolist()]
+    out[small] = [math.lgamma(v) for v in x[small].tolist()]
     return out[()]
 
 
