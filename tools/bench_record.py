@@ -7,8 +7,9 @@ measured with `perfbench/run.py` for BENCHMARK.json's `run_seconds`: untraced
 on every workload for each of SEEDS, base and head alternating (base first on
 odd seeds), then one traced run per workload at seed 1.  The output holds
 per-metric medians and quartiles, the failed shares summed over the runs, the
-seeds on which the head beat the base, the traced work counters and the
-environment.
+seeds on which the head beat the base, every per-layer metric BENCHMARK.json
+names from the traced run (import times, work counters, layer timings) and
+the environment.
 """
 
 import argparse
@@ -26,12 +27,11 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli-cold", "index-brackets", "constructions")
-COUNTERS = ("indices.probes", "functions.assoc_eval_calls",
-            "functions.assoc_eval_points", "quadrature.integrand_points",
-            "sequences.quotients_generated", "sequences.ensure_ms")
 SEEDS = tuple(range(21, 31))
 TRACE_SECONDS = 20
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+# every per-layer metric of the traced run: import times, work counters, spans
+TRACED = tuple(m["name"] for m in BENCHMARK["per_layer"])
 
 
 def git(*args: str) -> str:
@@ -103,7 +103,7 @@ def main() -> int:
                   for side in commits}
         result["workloads"][wl] = {
             side: {**summary(runs[side]),
-                   "traced_seed_1": {c: traced[side][c]["value"] for c in COUNTERS
+                   "traced_seed_1": {c: traced[side][c]["value"] for c in TRACED
                                      if c in traced[side]}}
             for side in commits}
         result["workloads"][wl]["head_better"] = pairs_better(runs["base"], runs["head"])
