@@ -31,6 +31,8 @@ from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
 DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
 _BETA_P_CAP = 20000  # beta1/beta3 read mu_{Qp}/mu_p for p up to this
+_SUM_BLOCK = 1024  # log_suffix_sums: terms per block sharing one scale
+_MIN_SCALED_SUM = math.exp(-600.0)  # smallest scaled block suffix kept blocked
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +446,61 @@ class SuffixSweep:
     P: int
 
 
+def log_sum_exp(x: np.ndarray) -> float:
+    """log sum_k exp(x_k), shifted by the max term; -inf for no terms.
+
+    The shift keeps every exponential in [0, 1] with the largest equal to 1,
+    so the sum neither overflows nor loses its leading term (Blanchard,
+    Higham & Higham, IMA J. Numer. Anal. 41, 2021).
+    """
+    if len(x) == 0:
+        return -math.inf
+    m = float(np.max(x))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(x - m))))
+
+
+def log_suffix_sums(x: np.ndarray, seed: float = -math.inf) -> np.ndarray:
+    """out[i] = log(sum_{k>=i} exp(x_k) + exp(seed)), by blocked scaled cumsums.
+
+    The terms are cut into blocks of `_SUM_BLOCK`, the first one padded in
+    front.  The carry into a block, the log-sum of every later block plus the
+    seed, is one running logaddexp over the block totals.  Each block is
+    scaled by the larger of its max and its carry, so one reversed cumsum,
+    one `exp` and one `log` give its suffix sums.  A block whose smallest
+    scaled suffix (its last) falls below `_MIN_SCALED_SUM`, that is one
+    spanning more than about 600 nats from its scale, or one holding +inf or
+    nan, is summed exactly by a running logaddexp seeded with its carry.
+    """
+    n = len(x)
+    if n == 0:
+        return np.empty(0)
+    nb = -(-n // _SUM_BLOCK)
+    pad = nb * _SUM_BLOCK - n
+    xb = np.concatenate([np.full(pad, -math.inf), x]).reshape(nb, _SUM_BLOCK)
+    top = np.max(xb, axis=1)
+    shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf block sums to 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.subtract(xb, shift[:, None])
+        np.exp(out, out=out)
+        np.cumsum(out[:, ::-1], axis=1, out=out[:, ::-1])  # out[j, i] = sum of i..
+        totals = shift + np.log(out[:, 0])
+        carry = np.logaddexp.accumulate(np.concatenate([[seed], totals[::-1]]))[nb - 1::-1]
+        scale = np.maximum(shift, carry)
+        out *= np.exp(shift - scale)[:, None]
+        out += np.exp(carry - scale)[:, None]
+        exact = out[:, -1] < _MIN_SCALED_SUM
+        np.log(out, out=out)
+    out += scale[:, None]
+    diverged = carry == math.inf
+    out[diverged] = math.inf
+    exact |= (top == math.inf) | np.isnan(top)
+    for j in np.flatnonzero(exact & ~diverged):
+        out[j] = np.logaddexp.accumulate(np.concatenate([[carry[j]], xb[j, ::-1]]))[:0:-1]
+    return out.reshape(-1)[pad:]
+
+
 def suffix_power_sums(N: WeightSequence, inv_r: float, P: int) -> SuffixSweep:
     """Backward-accumulated suffix sums of nu_k**(-inv_r), tail-completed."""
     if inv_r <= 0:
@@ -463,9 +520,7 @@ def suffix_power_sums(N: WeightSequence, inv_r: float, P: int) -> SuffixSweep:
             seed = -math.inf  # straddling bracket: keep the finite partial sums
         elif tail[1] > 0:
             seed = math.log(tail[1])
-    full = np.concatenate([terms, [seed]])
-    rev = np.logaddexp.accumulate(full[::-1])[::-1][:P]  # rev[i] = logsum(terms[i:]) + seed
-    log_T = np.concatenate([[math.nan], rev])
+    log_T = np.concatenate([[math.nan], log_suffix_sums(terms, seed)])
     return SuffixSweep(log_T=log_T, tail_bracket=tail, converges=converges, P=P)
 
 
@@ -612,12 +667,6 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
         "note": "running max still growing at range end"})
 
 
-def _partial_log_sums(N: WeightSequence, inv_r: float, P: int) -> np.ndarray:
-    """log of the running partial sums of nu_k**(-inv_r), k = 1..P."""
-    log_mu = N.log_quotients(P)
-    return np.logaddexp.accumulate(-inv_r * log_mu[1:])
-
-
 def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
     """Non-quasianalyticity of order r: sum mu_p**(-1/r) < infinity."""
     if r <= 0:
@@ -625,30 +674,33 @@ def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> Condition
     inv_r = 1.0 / r
     cond = "nq" if r == 1.0 else f"nq_{r:g}"
     P = M._capped(P)
-    partial = _partial_log_sums(M, inv_r, P)
+    terms = -inv_r * M.log_quotients(P)[1:]
+    # log partial sums over k <= P // 4, P // 2 and P, one shifted sum per span
+    log_s4 = log_sum_exp(terms[: P // 4])
+    log_s2 = float(np.logaddexp(log_s4, log_sum_exp(terms[P // 4: P // 2])))
+    log_s1 = float(np.logaddexp(log_s2, log_sum_exp(terms[P // 2:])))
     tm = M.tail_model
     if tm is not None and tm.start <= P + 1:
         conv = tm.tail_sum_converges(inv_r)
         if conv is True:
             lo_t, hi_t = tm.tail_power_sum(inv_r, P + 1)
-            total_hi = float(np.logaddexp(partial[-1], math.log(hi_t) if hi_t > 0 else -math.inf))
-            total_lo = float(np.logaddexp(partial[-1], math.log(lo_t) if lo_t > 0 else -math.inf))
+            total_hi = float(np.logaddexp(log_s1, math.log(hi_t) if hi_t > 0 else -math.inf))
+            total_lo = float(np.logaddexp(log_s1, math.log(lo_t) if lo_t > 0 else -math.inf))
             return ConditionVerdict.satisfied(cond, {
                 "sum": math.exp(total_hi),
                 "sum_lower": math.exp(total_lo),
                 "partial_terms": P}, certified="tail-model")
         if conv is False:
             return ConditionVerdict.violated(cond, {
-                "partial_sum": math.exp(partial[-1]), "at_p": P,
+                "partial_sum": math.exp(log_s1), "at_p": P,
                 "tail_exponent": tm.e_hi * inv_r if tm.kind == "power" else math.inf},
                 reason="tail model certifies a divergent minorant p-series")
     # no usable model: look at the partial-sum trend over successive doublings
     if P < 8:
         return ConditionVerdict.inconclusive(cond, {
-            "partial_sum": math.exp(partial[-1]), "at_p": P},
+            "partial_sum": math.exp(log_s1), "at_p": P},
             note="range too short for a trend call")
-    s4, s2, s1 = (math.exp(partial[P // 4 - 1]), math.exp(partial[P // 2 - 1]),
-                  math.exp(partial[-1]))
+    s4, s2, s1 = math.exp(log_s4), math.exp(log_s2), math.exp(log_s1)
     d_prev, d_last = s2 - s4, s1 - s2
     if d_last > SUM_UNDIMINISHED * d_prev and d_last > 1e-12 * s1:
         return ConditionVerdict.violated(cond, {

@@ -82,6 +82,18 @@ def reference_lower_hull(xs: np.ndarray, vals: np.ndarray):
     return hx, hv, float(np.max(vals - np.interp(xs, hx, hv)))
 
 
+def reference_log_suffix_sums(x: np.ndarray, seed: float = -math.inf) -> np.ndarray:
+    """log(sum_{k>=i} exp(x_k) + exp(seed)) for every i, one term at a time
+    by a sequential running logaddexp from the end."""
+    full = np.concatenate([np.asarray(x, dtype=float), [seed]])
+    return np.logaddexp.accumulate(full[::-1])[::-1][:len(x)]
+
+
+def reference_log_sum_exp(x: np.ndarray) -> float:
+    """log sum_k exp(x_k) by the same sequential running logaddexp."""
+    return float(reference_log_suffix_sums(x)[0]) if len(x) else -math.inf
+
+
 def scalar_log_quotient(tm, p: int) -> float:
     """log mu_p of an exact tail model, in scalar math."""
     if tm.kind == "power":

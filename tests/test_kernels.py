@@ -7,6 +7,9 @@ and `TailModel.log_value` work on arrays and must agree with scalar math
 evaluations of the same formulas, at the quotients themselves too.
 `AssociatedOf` tabulates a closed-form sequence only up to its read limit and
 takes everything past it from the tail model; other sequences keep the table.
+`log_suffix_sums` sums in scaled blocks and `log_sum_exp` in one shifted pass;
+both must agree with the sequential running logaddexp kept in conftest and with
+mpmath, to 1e-12 times max(1, |value|) in the log.
 """
 
 import math
@@ -18,13 +21,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ultraweight as uw
-from ultraweight import convexify, functions
-from ultraweight.sequences import TailModel, WeightSequence
+from ultraweight import convexify, functions, sequences
+from ultraweight.sequences import (TailModel, WeightSequence, log_sum_exp,
+                                   log_suffix_sums)
 from ultraweight.verdict import EvaluationRangeError
 from ultraweight.specio import make_function
 
-from conftest import (reference_lower_hull, scalar_count_quotients_below,
-                      scalar_log_quotient, scalar_log_value)
+from conftest import (reference_log_suffix_sums, reference_lower_hull,
+                      scalar_count_quotients_below, scalar_log_quotient,
+                      scalar_log_value)
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -80,6 +85,110 @@ class TestConvexifyMatchesChain:
         xs = np.linspace(0.0, 3.0, 1000)
         pl, defect = convexify(xs, np.exp(xs))
         assert len(pl.xs) == 1000 and defect == 0.0
+
+
+B = sequences._SUM_BLOCK
+SUM_LENGTHS = [0, 1, B - 1, B, B + 1, 3 * B + 7]
+# a qgevrey:s term at order r falls by 2 log(q) / r per index: up to about
+# 140 nats at s = 3, r = 1/64, far past the span one block scale can hold
+SLOPE_MAX = 64 * 2 * math.log(3.0)
+
+
+def mp_log_suffix_sums(x: np.ndarray, seed: float) -> list[float]:
+    """The same suffix sums in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        total = mpmath.exp(mpmath.mpf(seed)) if seed > -math.inf else mpmath.mpf(0)
+        out = []
+        for v in x[::-1]:
+            total += mpmath.exp(mpmath.mpf(float(v)))
+            out.append(float(mpmath.log(total)) if total > 0 else -math.inf)
+        return out[::-1]
+
+
+def assert_log_close(got, want) -> None:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want[finite]))), float(np.max(err))
+
+
+@st.composite
+def term_arrays(draw):
+    n = draw(st.sampled_from(SUM_LENGTHS))
+    k = np.arange(n, dtype=float)
+    shape = draw(st.sampled_from(["linear", "log", "noise"]))
+    if shape == "linear":  # increasing or decreasing, up to the qgevrey slope
+        x = draw(st.floats(-SLOPE_MAX, SLOPE_MAX)) * k + draw(st.floats(-50.0, 50.0))
+    elif shape == "log":  # -a log k, a gevrey-like term
+        x = -draw(st.floats(0.01, 200.0)) * np.log1p(k)
+    else:
+        x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(
+            0.0, draw(st.floats(0.1, 400.0)), n)
+    seed = draw(st.one_of(st.sampled_from([-math.inf, math.inf]),
+                          st.floats(-2000.0, 2000.0)))
+    return x, seed
+
+
+class TestLogSuffixSums:
+    @settings(max_examples=40, deadline=None)
+    @given(term_arrays())
+    def test_matches_sequential_reference(self, case):
+        x, seed = case
+        assert_log_close(log_suffix_sums(x, seed), reference_log_suffix_sums(x, seed))
+
+    @settings(max_examples=15, deadline=None)
+    @given(term_arrays())
+    def test_matches_mpmath(self, case):
+        x, seed = case
+        assert_log_close(log_suffix_sums(x, seed), mp_log_suffix_sums(x, seed))
+
+    @pytest.mark.parametrize("n", SUM_LENGTHS)
+    def test_every_length_slope_and_seed(self, n):
+        for slope in [-SLOPE_MAX, -1.0, 0.0, 1.0, SLOPE_MAX]:
+            for seed in [-math.inf, 3.0, math.inf]:
+                x = slope * np.arange(n, dtype=float)
+                got = log_suffix_sums(x, seed)
+                assert_log_close(got, reference_log_suffix_sums(x, seed))
+                assert_log_close(got, mp_log_suffix_sums(x, seed))
+
+    def test_wide_decreasing_blocks_are_summed_exactly(self):
+        x = -SLOPE_MAX * np.arange(3 * B + 7, dtype=float)
+        with mock.patch.object(sequences, "_MIN_SCALED_SUM", 0.0):
+            blocked = log_suffix_sums(x)
+        # with the fallback switched off the far end of each block underflows
+        assert np.isinf(blocked).any()
+        assert_log_close(log_suffix_sums(x), reference_log_suffix_sums(x))
+
+    def test_infinite_term_and_all_minus_inf(self):
+        x = np.zeros(2 * B + 5)
+        x[B + 2] = math.inf
+        got = log_suffix_sums(x)
+        assert np.all(got[: B + 3] == math.inf) and np.all(np.isfinite(got[B + 3:]))
+        assert_log_close(got, reference_log_suffix_sums(x))
+        empty = np.full(B + 1, -math.inf)
+        assert np.all(log_suffix_sums(empty) == -math.inf)
+        assert_log_close(log_suffix_sums(empty, 2.0), np.full(B + 1, 2.0))
+
+
+class TestLogSumExp:
+    @settings(max_examples=40, deadline=None)
+    @given(term_arrays())
+    def test_matches_fsum_and_reference(self, case):
+        x, _ = case
+        got = log_sum_exp(x)
+        want = reference_log_suffix_sums(x)[0] if len(x) else -math.inf
+        assert_log_close([got], [want])
+        if len(x):
+            m = float(np.max(x))
+            fsum = m + math.log(math.fsum(math.exp(v - m) for v in x))
+            assert_log_close([got], [fsum])
+
+    def test_empty_and_infinite(self):
+        assert log_sum_exp(np.empty(0)) == -math.inf
+        assert log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
+        assert log_sum_exp(np.array([1.0, math.inf])) == math.inf
 
 
 POWER_MODELS = [TailModel.power(1.0), TailModel.power(1.5),

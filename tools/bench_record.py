@@ -9,7 +9,9 @@ odd seeds), then one traced run per workload at seed 1.  The output holds
 per-metric medians and quartiles, the failed shares summed over the runs, the
 seeds on which the head beat the base, every per-layer metric BENCHMARK.json
 names from the traced run (import times, work counters, layer timings) and
-the environment.
+the environment.  The deterministic work counters of EXACT_COUNTERS are written
+per workload as base, head and `equal`; every traced counter that differs
+between base and head is printed on stderr.
 """
 
 import argparse
@@ -32,6 +34,10 @@ TRACE_SECONDS = 20
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # every per-layer metric of the traced run: import times, work counters, spans
 TRACED = tuple(m["name"] for m in BENCHMARK["per_layer"])
+COUNTERS = tuple(m["name"] for m in BENCHMARK["per_layer"] if m["unit"] == "count")
+# counters that a change may move only with a stated reason
+EXACT_COUNTERS = ("indices.probes", "functions.assoc_eval_points",
+                  "quadrature.integrand_points", "functions.convexify_points")
 
 
 def git(*args: str) -> str:
@@ -73,6 +79,20 @@ def pairs_better(base: list[dict], head: list[dict]) -> dict:
     return out
 
 
+def compare_counters(wl: str, traced: dict) -> dict:
+    """EXACT_COUNTERS as base, head and `equal`; report every counter that moved."""
+    value = {side: {c: m[c]["value"] for c in COUNTERS if c in m}
+             for side, m in traced.items()}
+    for c in COUNTERS:
+        b, h = value["base"].get(c), value["head"].get(c)
+        if b != h:
+            tag = "exact counter" if c in EXACT_COUNTERS else "counter"
+            print(f"{wl}: {tag} {c} differs: base {b}, head {h}", file=sys.stderr)
+    return {c: {"base": value["base"].get(c), "head": value["head"].get(c),
+                "equal": value["base"].get(c) == value["head"].get(c)}
+            for c in EXACT_COUNTERS}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True)
@@ -107,6 +127,7 @@ def main() -> int:
                                      if c in traced[side]}}
             for side in commits}
         result["workloads"][wl]["head_better"] = pairs_better(runs["base"], runs["head"])
+        result["workloads"][wl]["exact_counters"] = compare_counters(wl, traced)
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -1,6 +1,7 @@
 """Golden CLI reports: the fixed command matrix and its rendering.
 
     PYTHONPATH=src python3 tools/golden.py   # rewrite tests/golden/
+    PYTHONPATH=src python3 tools/golden.py --against REV
 
 Each case is a list of `ultraweight` command lines, run in-process through
 `cli.main` in a fresh empty working directory with ULTRAWEIGHT_GRID_POINTS
@@ -9,15 +10,27 @@ per command, its exit code and its stdout, then every file the case left in
 the directory.  A JSON report loses its `wall_time`, the one field that
 differs between runs.  tests/test_golden.py compares the rendering of every
 case with tests/golden/NAME.txt byte for byte.
+
+`--against REV` writes nothing: it renders every case and compares it with
+tests/golden/ as committed at REV, for a change that moves last-digit
+numerics.  It passes only if the case files, line counts and all text (keys,
+verdict statuses) are identical, every integer (exit codes, counts) and every
+bracket endpoint or probed order (`lower`, `upper`, `r`) is identical, and
+every other number is within `REL_TOL` relative.  It prints each changed
+number with its file, line and key, and exits 1 if any check fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -122,19 +135,97 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.txt"
 
 
-def main() -> None:
-    os.environ.pop(GRID_POINTS_ENV, None)
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+REL_TOL = 1e-12
+# numbers that must not move at all: bracket endpoints and probed orders
+EXACT_KEYS = frozenset({"lower", "upper", "r"})
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+_KEY = re.compile(r'^\s*"([^"]+)":')
+
+
+def render_case(name: str) -> str:
+    """The rendering of one case, run in a fresh empty directory."""
     home = os.getcwd()
-    for name, commands in CASES.items():
-        with tempfile.TemporaryDirectory() as work:
-            os.chdir(work)
-            try:
-                text = render(commands)
-            finally:
-                os.chdir(home)
-        golden_path(name).write_text(text)
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            return render(CASES[name])
+        finally:
+            os.chdir(home)
+
+
+def compare_line(where: str, old: str, new: str) -> tuple[list[str], list[str], float]:
+    """Changed numbers, failures and the worst accepted relative change."""
+    if old == new:
+        return [], [], 0.0
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return [], [f"{where}: text differs\n  - {old}\n  + {new}"], 0.0
+    key = _KEY.match(new)
+    key = key.group(1) if key else "-"
+    changed, failed, worst = [], [], 0.0
+    for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)):
+        if a == b:
+            continue
+        line = f"{where} {key}: {a} -> {b}"
+        exact = key in EXACT_KEYS or not any(c in a + b for c in ".eE")
+        x, y = float(a), float(b)
+        rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+        if exact or rel > REL_TOL:
+            failed.append(f"{line} (relative {rel:.2g}, "
+                          f"{'must be identical' if exact else 'over tolerance'})")
+        else:
+            changed.append(f"{line} (relative {rel:.2g})")
+            worst = max(worst, rel)
+    return changed, failed, worst
+
+
+def compare_against(rev: str) -> int:
+    """Render every case and compare it with tests/golden/ at `rev`."""
+    listing = subprocess.run(
+        ["git", "ls-tree", "--name-only", rev, "tests/golden/"], cwd=ROOT,
+        check=True, capture_output=True, text=True).stdout.split()
+    stored = {Path(f).stem for f in listing if f.endswith(".txt")}
+    failed = [f"case {n}: in tests/golden at {rev} only" for n in sorted(stored - set(CASES))]
+    failed += [f"case {n}: not in tests/golden at {rev}" for n in sorted(set(CASES) - stored)]
+    changed_files, worst = [], 0.0
+    for name in sorted(stored & set(CASES)):
+        old = subprocess.run(["git", "show", f"{rev}:tests/golden/{name}.txt"], cwd=ROOT,
+                             check=True, capture_output=True, text=True).stdout
+        new = render_case(name)
+        if old == new:
+            continue
+        changed_files.append(name)
+        old_lines, new_lines = old.splitlines(), new.splitlines()
+        if len(old_lines) != len(new_lines):
+            failed.append(f"{name}: {len(old_lines)} lines -> {len(new_lines)}")
+            continue
+        for i, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
+            changed, bad, rel = compare_line(f"{name}.txt:{i}", a, b)
+            for line in changed:
+                print(line)
+            failed += bad
+            worst = max(worst, rel)
+    for line in failed:
+        print(f"FAIL {line}")
+    print(f"{len(changed_files)} of {len(stored | set(CASES))} cases changed"
+          f"{': ' + ', '.join(changed_files) if changed_files else ''}; "
+          f"worst relative change {worst:.2g} (tolerance {REL_TOL:g}); "
+          f"{'FAILED' if failed else 'accepted'}")
+    return 1 if failed else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="REV",
+                    help="compare with tests/golden/ at REV instead of rewriting")
+    args = ap.parse_args()
+    os.environ.pop(GRID_POINTS_ENV, None)
+    if args.against:
+        return compare_against(args.against)
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name in CASES:
+        golden_path(name).write_text(render_case(name))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
