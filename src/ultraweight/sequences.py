@@ -32,7 +32,7 @@ DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
 _BETA_P_CAP = 20000  # beta1/beta3 read mu_{Qp}/mu_p for p up to this
 _SUM_BLOCK = 1024  # log_suffix_sums: terms per block sharing one scale
-_MIN_SCALED_SUM = math.exp(-600.0)  # smallest scaled block suffix kept blocked
+_MAX_BLOCK_SPAN = 600.0  # nats from a block's max to its min that one scale holds
 
 
 # ---------------------------------------------------------------------------
@@ -458,47 +458,63 @@ def log_sum_exp(x: np.ndarray) -> float:
     m = float(np.max(x))
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(x - m))))
+    e = np.subtract(x, m)
+    return m + math.log(float(np.sum(np.exp(e, out=e))))
+
+
+def _running_log_suffix_sums(x: np.ndarray, seed: float) -> np.ndarray:
+    """log_suffix_sums by one running logaddexp from the end, term by term."""
+    acc = np.empty(len(x) + 1)
+    acc[0] = seed
+    acc[1:] = x[::-1]
+    np.logaddexp.accumulate(acc, out=acc)
+    return acc[:0:-1]
 
 
 def log_suffix_sums(x: np.ndarray, seed: float = -math.inf) -> np.ndarray:
     """out[i] = log(sum_{k>=i} exp(x_k) + exp(seed)), by blocked scaled cumsums.
 
-    The terms are cut into blocks of `_SUM_BLOCK`, the first one padded in
-    front.  The carry into a block, the log-sum of every later block plus the
-    seed, is one running logaddexp over the block totals.  Each block is
-    scaled by the larger of its max and its carry, so one reversed cumsum,
-    one `exp` and one `log` give its suffix sums.  A block whose smallest
-    scaled suffix (its last) falls below `_MIN_SCALED_SUM`, that is one
-    spanning more than about 600 nats from its scale, or one holding +inf or
-    nan, is summed exactly by a running logaddexp seeded with its carry.
+    The terms past the first len(x) % `_SUM_BLOCK` are cut into blocks of
+    `_SUM_BLOCK`.  The carry into a block, the log-sum of every later block
+    plus the seed, is one running logaddexp over the block totals.  Each block
+    is scaled by the larger of its max and its carry, so one reversed cumsum,
+    one `exp` and one `log` give its suffix sums; every scaled suffix is then
+    at least exp(-_MAX_BLOCK_SPAN), far from underflow.  A block whose terms
+    span more than `_MAX_BLOCK_SPAN` nats, or that holds an infinite or nan
+    term, is summed exactly by a running logaddexp seeded with its carry, and
+    so are the leading terms before the first block; when most blocks are
+    that wide, so are all the terms.
     """
-    n = len(x)
-    if n == 0:
-        return np.empty(0)
-    nb = -(-n // _SUM_BLOCK)
-    pad = nb * _SUM_BLOCK - n
-    xb = np.concatenate([np.full(pad, -math.inf), x]).reshape(nb, _SUM_BLOCK)
+    x = np.asarray(x, dtype=float)
+    nb, lead = divmod(len(x), _SUM_BLOCK)
+    if nb == 0:
+        return _running_log_suffix_sums(x, seed)
+    xb = x[lead:].reshape(nb, _SUM_BLOCK)
     top = np.max(xb, axis=1)
-    shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf block sums to 0
+    with np.errstate(invalid="ignore"):
+        wide = ~(top - np.min(xb, axis=1) <= _MAX_BLOCK_SPAN)
+    if 2 * np.count_nonzero(wide) > nb:
+        return _running_log_suffix_sums(x, seed)
+    out = np.empty(len(x))
+    ob = out[lead:].reshape(nb, _SUM_BLOCK)
+    shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.subtract(xb, shift[:, None])
-        np.exp(out, out=out)
-        np.cumsum(out[:, ::-1], axis=1, out=out[:, ::-1])  # out[j, i] = sum of i..
-        totals = shift + np.log(out[:, 0])
-        carry = np.logaddexp.accumulate(np.concatenate([[seed], totals[::-1]]))[nb - 1::-1]
+        np.subtract(xb, shift[:, None], out=ob)
+        np.exp(ob, out=ob)
+        np.cumsum(ob[:, ::-1], axis=1, out=ob[:, ::-1])  # ob[j, i]: block sum from i
+        totals = shift + np.log(ob[:, 0])
+        carry = np.append(_running_log_suffix_sums(totals[1:], seed), seed)
         scale = np.maximum(shift, carry)
-        out *= np.exp(shift - scale)[:, None]
-        out += np.exp(carry - scale)[:, None]
-        exact = out[:, -1] < _MIN_SCALED_SUM
-        np.log(out, out=out)
-    out += scale[:, None]
+        ob *= np.exp(shift - scale)[:, None]
+        ob += np.exp(carry - scale)[:, None]
+        np.log(ob, out=ob)
+    ob += scale[:, None]
     diverged = carry == math.inf
-    out[diverged] = math.inf
-    exact |= (top == math.inf) | np.isnan(top)
-    for j in np.flatnonzero(exact & ~diverged):
-        out[j] = np.logaddexp.accumulate(np.concatenate([[carry[j]], xb[j, ::-1]]))[:0:-1]
-    return out.reshape(-1)[pad:]
+    ob[diverged] = math.inf
+    for j in np.flatnonzero(wide & ~diverged):
+        ob[j] = _running_log_suffix_sums(xb[j], carry[j])
+    out[:lead] = _running_log_suffix_sums(x[:lead], float(np.logaddexp(totals[0], carry[0])))
+    return out
 
 
 def suffix_power_sums(N: WeightSequence, inv_r: float, P: int) -> SuffixSweep:

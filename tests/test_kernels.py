@@ -118,11 +118,14 @@ def assert_log_close(got, want) -> None:
 def term_arrays(draw):
     n = draw(st.sampled_from(SUM_LENGTHS))
     k = np.arange(n, dtype=float)
-    shape = draw(st.sampled_from(["linear", "log", "noise"]))
+    shape = draw(st.sampled_from(["linear", "log", "kinked", "noise"]))
     if shape == "linear":  # increasing or decreasing, up to the qgevrey slope
         x = draw(st.floats(-SLOPE_MAX, SLOPE_MAX)) * k + draw(st.floats(-50.0, 50.0))
     elif shape == "log":  # -a log k, a gevrey-like term
         x = -draw(st.floats(0.01, 200.0)) * np.log1p(k)
+    elif shape == "kinked":  # gevrey-like, then falling steeply from index m on
+        m = draw(st.integers(0, max(n, 1)))
+        x = -np.log1p(k) - draw(st.floats(0.0, SLOPE_MAX)) * np.maximum(k - m, 0.0)
     else:
         x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(
             0.0, draw(st.floats(0.1, 400.0)), n)
@@ -153,11 +156,14 @@ class TestLogSuffixSums:
                 assert_log_close(got, reference_log_suffix_sums(x, seed))
                 assert_log_close(got, mp_log_suffix_sums(x, seed))
 
-    def test_wide_decreasing_blocks_are_summed_exactly(self):
-        x = -SLOPE_MAX * np.arange(3 * B + 7, dtype=float)
-        with mock.patch.object(sequences, "_MIN_SCALED_SUM", 0.0):
+    @pytest.mark.parametrize("wide_blocks", [1, 3])
+    def test_wide_blocks_are_summed_exactly(self, wide_blocks):
+        # of four blocks, the last one or three fall too steeply for one scale
+        k = np.arange(4 * B, dtype=float)
+        x = -np.log1p(k) - SLOPE_MAX * np.maximum(k - (4 - wide_blocks) * B, 0.0)
+        with mock.patch.object(sequences, "_MAX_BLOCK_SPAN", math.inf):
             blocked = log_suffix_sums(x)
-        # with the fallback switched off the far end of each block underflows
+        # summed in one scale, the far end of a steep block underflows
         assert np.isinf(blocked).any()
         assert_log_close(log_suffix_sums(x), reference_log_suffix_sums(x))
 
