@@ -482,8 +482,8 @@ def log_suffix_sums(x: np.ndarray, seed: float = -math.inf) -> np.ndarray:
     at least exp(-_MAX_BLOCK_SPAN), far from underflow.  A block whose terms
     span more than `_MAX_BLOCK_SPAN` nats, or that holds an infinite or nan
     term, is summed exactly by a running logaddexp seeded with its carry, and
-    so are the leading terms before the first block; when most blocks are
-    that wide, so are all the terms.
+    so are the leading terms before the first block.  When most blocks are
+    that wide, one running logaddexp sums all the terms.
     """
     x = np.asarray(x, dtype=float)
     nb, lead = divmod(len(x), _SUM_BLOCK)
