@@ -21,8 +21,7 @@ from .verdict import (DEFAULT_INDEX_TOL, Grid, InvalidArgument, InvalidSpec,
                       PreconditionError, RunConfig, UltraweightError)
 from .sequences import SEQUENCE_CHECKS
 from .functions import OMEGA_CHECKS, check_omega_condition
-from .indices import (find_gamma1_witness, gamma_index_fun, gamma_index_seq,
-                      mu_fun, mu_seq)
+from .indices import gamma_index_fun, gamma_index_seq, mu_fun, mu_seq
 from .constructions import (DEFAULT_J_MAX, DEFAULT_LEVELS, associated_matrix,
                             descendant, kappa, kappa_power_normalized,
                             reduction_build)
@@ -38,40 +37,38 @@ EXIT_PRECONDITION = 65
 EXIT_SOFTWARE = 70
 
 
+def _grid(args) -> Grid:
+    return Grid(t_min=args.tmin, t_max=args.tmax, points=args.points)
+
+
 def _config(args) -> RunConfig:
-    grid = Grid(t_min=args.tmin, t_max=args.tmax,
-                points=args.points if args.points else 0)
     p_max = 10 ** 5 if args.pmax is None else args.pmax
-    return RunConfig(grid=grid, p_max=p_max, index_tol=args.tol)
+    return RunConfig(grid=_grid(args), p_max=p_max, index_tol=args.tol)
 
 
-def _emit_text(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit(report: Report, started: float, out: Optional[str]) -> None:
-    report.wall_time = time.perf_counter() - started
-    _emit_text(report.to_json(), out)
-
-
-def _spec_prefix(args) -> Optional[str]:
-    if getattr(args, "spec_out", None):
-        return args.spec_out
-    if args.out:
-        path = Path(args.out)
-        return str(path.with_suffix("")) if path.suffix else str(path)
-    return None
+def _dump_specs(args, objs: dict) -> list:
+    """Write each object's descriptor to PREFIX.NAME.json, where PREFIX is
+    --spec-out or else --out without its suffix; the paths written."""
+    prefix = args.spec_out or (args.out and str(Path(args.out).with_suffix("")))
+    if not prefix:
+        return []
+    paths = [f"{prefix}.{name}.json" for name in objs]
+    for path, obj in zip(paths, objs.values()):
+        dump_spec(obj, path)
+    return paths
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (args, config) -> Report (CSV text for sample)
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    config = _config(args)
+def cmd_check(args, config: RunConfig) -> Report:
     if args.sequence:
         M = make_sequence(args.sequence)
         echo = {"sequence": M.spec or M.label}
@@ -102,16 +99,11 @@ def cmd_check(args) -> int:
         if cond.endswith("_r") and args.r is None:
             raise InvalidSpec(f"condition {cond} needs --r")
         results[cond] = run(cond).to_dict()
-    report = Report("check", inputs={**echo, "conditions": wanted,
-                                     "r": args.r},
-                    results=results)
-    _emit(report, started, args.out)
-    return exit_code_for(results)
+    return Report("check", inputs={**echo, "conditions": wanted, "r": args.r},
+                  results=results)
 
 
-def cmd_index(args) -> int:
-    started = time.perf_counter()
-    config = _config(args)
+def cmd_index(args, config: RunConfig) -> Report:
     inputs = {"kind": args.kind}
     if args.kind == "mu":
         if args.sequence or args.M:
@@ -141,58 +133,33 @@ def cmd_index(args) -> int:
             estimate = gamma_index_fun(sigma, omega, config=config)
         else:
             raise InvalidSpec("index gamma needs --M [--N] or --sigma [--omega]")
-    report = Report("index", inputs=inputs,
-                    results={"estimate": estimate.to_dict()})
-    _emit(report, started, args.out)
-    return EXIT_OK
+    return Report("index", inputs=inputs,
+                  results={"estimate": estimate.to_dict()})
 
 
-def cmd_descend(args) -> int:
-    started = time.perf_counter()
-    config = _config(args)
+def cmd_descend(args, config: RunConfig) -> Report:
     N = make_sequence(args.sequence or args.N)
     pair = descendant(N, args.r, config=config)
-    prefix = _spec_prefix(args)
-    if prefix:
-        dump_spec(pair.S, f"{prefix}.S.json")
-        dump_spec(pair.L, f"{prefix}.L.json")
-    results = pair.to_dict()
-    report = Report("descend",
-                    inputs={"sequence": N.spec or N.label, "r": args.r},
-                    results=results,
-                    diagnostics={"spec_files": [f"{prefix}.S.json",
-                                                f"{prefix}.L.json"]
-                                 if prefix else []})
-    _emit(report, started, args.out)
-    return exit_code_for(results)
+    files = _dump_specs(args, {"S": pair.S, "L": pair.L})
+    return Report("descend",
+                  inputs={"sequence": N.spec or N.label, "r": args.r},
+                  results=pair.to_dict(), diagnostics={"spec_files": files})
 
 
-def cmd_reduce(args) -> int:
-    started = time.perf_counter()
-    config = _config(args)
+def cmd_reduce(args, config: RunConfig) -> Report:
     sigma = make_function(args.sigma)
     omega = make_function(args.omega)
     f = make_function(args.f)
     result = reduction_build(sigma, omega, f, args.n, config=config)
-    prefix = _spec_prefix(args)
-    if prefix:
-        dump_spec(result.omega_tilde, f"{prefix}.omega_tilde.json")
-        dump_spec(result.sigma_tilde, f"{prefix}.sigma_tilde.json")
-    results = result.to_dict()
-    report = Report("reduce",
-                    inputs={"sigma": spec_of(sigma), "omega": spec_of(omega),
-                            "f": spec_of(f), "n_break": args.n},
-                    results=results,
-                    diagnostics={"spec_files": [f"{prefix}.omega_tilde.json",
-                                                f"{prefix}.sigma_tilde.json"]
-                                 if prefix else []})
-    _emit(report, started, args.out)
-    return exit_code_for(results)
+    files = _dump_specs(args, {"omega_tilde": result.omega_tilde,
+                               "sigma_tilde": result.sigma_tilde})
+    return Report("reduce",
+                  inputs={"sigma": spec_of(sigma), "omega": spec_of(omega),
+                          "f": spec_of(f), "n_break": args.n},
+                  results=result.to_dict(), diagnostics={"spec_files": files})
 
 
-def cmd_matrix(args) -> int:
-    started = time.perf_counter()
-    config = _config(args)
+def cmd_matrix(args, config: RunConfig) -> Report:
     fn = make_function(args.omega)
     levels = tuple(float(v) for v in args.levels.split(",")) if args.levels \
         else DEFAULT_LEVELS
@@ -203,19 +170,13 @@ def cmd_matrix(args) -> int:
         csv_path = str(Path(args.out).with_suffix(".csv"))
     if csv_path:
         Path(csv_path).write_text(matrix_csv(matrix))
-    results = matrix.to_dict()
-    report = Report("matrix",
-                    inputs={"omega": spec_of(fn), "levels": list(levels),
-                            "j_max": args.jmax},
-                    results=results,
-                    diagnostics={"csv_file": csv_path})
-    _emit(report, started, args.out)
-    return exit_code_for(results)
+    return Report("matrix",
+                  inputs={"omega": spec_of(fn), "levels": list(levels),
+                          "j_max": args.jmax},
+                  results=matrix.to_dict(), diagnostics={"csv_file": csv_path})
 
 
-def cmd_kappa(args) -> int:
-    started = time.perf_counter()
-    config = _config(args)
+def cmd_kappa(args, config: RunConfig) -> Report:
     fn = make_function(args.omega)
     if args.r is not None and args.r != 1.0:
         built = kappa_power_normalized(fn, args.r, config=config)
@@ -223,41 +184,26 @@ def cmd_kappa(args) -> int:
     else:
         built = kappa(fn, config=config)
         check = built.precondition.to_dict()
-    prefix = _spec_prefix(args)
-    if prefix:
-        dump_spec(built, f"{prefix}.kappa.json")
+    files = _dump_specs(args, {"kappa": built})
     ts = np.geomspace(max(args.tmin, 1.0), args.tmax, 16)
     results = {"check": check,
                "samples": [{"t": float(t), "value": float(v)}
                            for t, v in zip(ts, built.eval(ts))],
                "spec": spec_of(built)}
-    report = Report("kappa",
-                    inputs={"omega": spec_of(fn), "r": args.r},
-                    results=results,
-                    diagnostics={"spec_files": [f"{prefix}.kappa.json"]
-                                 if prefix else []})
-    _emit(report, started, args.out)
-    return exit_code_for(results)
+    return Report("kappa", inputs={"omega": spec_of(fn), "r": args.r},
+                  results=results, diagnostics={"spec_files": files})
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, config) -> str:
     if args.sequence:
-        M = make_sequence(args.sequence)
-        text = sequence_csv(M, args.pmax or 200)
-    elif args.omega:
-        fn = make_function(args.omega)
-        grid = Grid(t_min=args.tmin, t_max=args.tmax,
-                    points=args.points if args.points else 0)
-        text = function_csv(fn, grid.geometric())
-    else:
-        raise InvalidSpec("sample needs --sequence or --omega")
-    _emit_text(text, args.out)
-    return EXIT_OK
+        return sequence_csv(make_sequence(args.sequence), args.pmax or 200)
+    if args.omega:
+        return function_csv(make_function(args.omega), _grid(args).geometric())
+    raise InvalidSpec("sample needs --sequence or --omega")
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, config) -> Report:
     import json
-    started = time.perf_counter()
     path = args.path
     if path.startswith("@"):
         path = path[1:]
@@ -268,16 +214,14 @@ def cmd_report(args) -> int:
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"report {path!r} is not valid JSON: {exc}") from None
     problems = validate_report(data)
+    for p in problems:
+        print(f"invalid report: {p}", file=sys.stderr)
     if problems:
-        for p in problems:
-            print(f"invalid report: {p}", file=sys.stderr)
-        return EXIT_SOFTWARE
-    report = Report("report",
-                    inputs={"path": path, "command": data.get("command")},
-                    results=data.get("results", {}),
-                    diagnostics={"validated": True})
-    _emit(report, started, args.out)
-    return exit_code_for(data.get("results", {}))
+        raise UltraweightError(f"report {path!r} fails validation")
+    return Report("report",
+                  inputs={"path": path, "command": data.get("command")},
+                  results=data.get("results", {}),
+                  diagnostics={"validated": True})
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +325,17 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
-        return args.handler(args)
+        started = time.perf_counter()
+        # sample and report compute nothing a RunConfig bounds, and sample
+        # takes a --pmax below the RunConfig floor of 4
+        config = None if args.command in ("sample", "report") else _config(args)
+        out = args.handler(args, config)
+        if isinstance(out, str):
+            _emit(out, args.out)
+            return EXIT_OK
+        out.wall_time = time.perf_counter() - started
+        _emit(out.to_json(), args.out)
+        return exit_code_for(out.results)
     except (InvalidSpec, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -305,11 +305,6 @@ class WeightSequence:
         self._check_range(p)
         return self.log_value(p)
 
-    @property
-    def has_closed_form(self) -> bool:
-        tm = self.tail_model
-        return tm is not None and tm.exact and tm.start == 1
-
     # -- structure ---------------------------------------------------------
 
     @property

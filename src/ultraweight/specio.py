@@ -11,20 +11,25 @@ Two descriptor forms are accepted everywhere an input is expected:
   ``NAME(arg, ...)``, e.g. ``gevrey:2``, ``power:0.5``, ``assoc(gevrey:1)``,
   ``shift(gevrey(2), 0.5)``.  Inside parentheses the colon form binds a
   single number; use the parenthesized form for multi-number arguments
-  there (``explicit(1,4,8,32)``).
+  there (``explicit(1,4,8,32)``).  The arguments fill the same fields the
+  mapping names, in table order; a trailing list field takes the rest.
 
-Objects built here evaluate identically to the originals that emitted the
-descriptor; re-parsing an emitted descriptor is the supported way to move
-constructions between runs.
+Both forms share one table per domain (``_SEQUENCES``, ``_FUNCTIONS``) with
+the same defaults, and every number must be finite.  Objects built here
+evaluate identically to the originals that emitted the descriptor;
+re-parsing an emitted descriptor is the supported way to move constructions
+between runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -120,69 +125,112 @@ def parse_inline(text: str) -> _Node:
 # ---------------------------------------------------------------------------
 # builders
 
-def _numbers(node: _Node, count: int, at_least: bool = False) -> list:
-    vals = node.args
-    ok = len(vals) >= count if at_least else len(vals) == count
-    if not ok or not all(isinstance(v, float) for v in vals):
-        raise InvalidSpec(f"{node.name} expects "
-                          f"{'at least ' if at_least else ''}{count} number(s)")
-    return vals
-
-
 def _descendant_seq(base: WeightSequence, r: float) -> WeightSequence:
     from .constructions import descendant
     return descendant(base, r).S
 
 
-def _seq_from_node(node: _Node) -> WeightSequence:
+def _associated(seq: WeightSequence) -> WeightFunction:
+    from .constructions import associated_function
+    return associated_function(seq)
+
+
+# family or kind -> (constructor, {field: default, None where required}),
+# fields in inline order.  A field "base" holds a descriptor of the same
+# domain, "sequence" a sequence descriptor, one of _LISTS a list of numbers,
+# any other field a number.  Factory functions are called through their
+# module-level names (hence the lambdas), which per-layer tracing re-points.
+_SEQUENCES = {
+    "gevrey": (lambda s: gevrey(s), {"s": None}),
+    "qgevrey": (lambda q: qgevrey(q), {"q": None}),
+    "explicit": (lambda values: explicit(values), {"values": None}),
+    "power": (lambda base, r: power(base, r), {"base": None, "r": None}),
+    "shift": (lambda base, eps: factorial_shift(base, eps),
+              {"base": None, "eps": None}),
+    "hat": (lambda base: hat(base), {"base": None}),
+    "descendant": (_descendant_seq, {"base": None, "r": None}),
+}
+_FUNCTIONS = {
+    "power": (PowerLaw, {"a": None, "c": 1.0}),
+    "logpower": (LogPower, {"k": None, "c": 1.0}),
+    "assoc": (_associated, {"sequence": None}),
+    "subst": (lambda base, r: power_substitute(base, r),
+              {"base": None, "r": None}),
+    "kappa": (KappaPower, {"base": None, "r": 1.0}),
+    "normalized": (NormalizedShift, {"base": None}),
+    "glue": (PiecewiseGlue, {"base": None, "breakpoints": None,
+                             "multipliers": None, "offsets": None}),
+}
+_FUNCTIONS["norm"] = _FUNCTIONS["normalized"]
+_LISTS = ("values", "breakpoints", "multipliers", "offsets")
+_DOMAINS = {WeightSequence: ("sequence", "family", _SEQUENCES),
+            WeightFunction: ("function", "kind", _FUNCTIONS)}
+
+
+def _number(field: str, value: Any) -> float:
+    """The one reader of descriptor numbers: finite reals only."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise InvalidSpec(f"field {field!r} must be a finite number, "
+                          f"not {value!r}")
+    return float(value)
+
+
+def _from_node(node: _Node, key: str, table: Mapping) -> dict:
+    """The mapping an inline node stands for: its arguments fill the fields
+    in order, and a trailing list field takes all that remain."""
     name = node.name.lower()
-    if name == "gevrey":
-        return gevrey(_numbers(node, 1)[0])
-    if name == "qgevrey":
-        return qgevrey(_numbers(node, 1)[0])
-    if name == "explicit":
-        return explicit(_numbers(node, 2, at_least=True))
-    if name in ("power", "shift", "descendant"):
-        if len(node.args) != 2 or not isinstance(node.args[0], _Node) \
-                or not isinstance(node.args[1], float):
-            raise InvalidSpec(f"{name} expects (base-sequence, number)")
-        base = _seq_from_node(node.args[0])
-        x = node.args[1]
-        if name == "power":
-            return power(base, x)
-        if name == "shift":
-            return factorial_shift(base, x)
-        return _descendant_seq(base, x)
-    if name == "hat":
-        if len(node.args) != 1 or not isinstance(node.args[0], _Node):
-            raise InvalidSpec("hat expects a single base sequence")
-        return hat(_seq_from_node(node.args[0]))
-    raise InvalidSpec(f"unknown sequence family {node.name!r}")
+    spec, args = {key: name}, list(node.args)
+    if name not in table:
+        return spec  # the builder names the unknown family or kind
+    fields = list(table[name][1])
+    for field in fields:
+        if field in _LISTS and field != fields[-1]:
+            raise InvalidSpec(f"{name} carries several lists; pass it as a "
+                              "JSON descriptor (@file or inline JSON)")
+        if field in _LISTS:
+            spec[field], args = args, []
+        elif args:
+            spec[field] = args.pop(0)
+    if args:
+        raise InvalidSpec(f"{name} takes at most {len(fields)} argument(s)")
+    return spec
 
 
-def _seq_from_mapping(m: Mapping[str, Any]) -> WeightSequence:
-    try:
-        family = m["family"]
-    except (KeyError, TypeError):
-        raise InvalidSpec("sequence descriptor needs a 'family' key") from None
-    try:
-        if family == "gevrey":
-            return gevrey(float(m["s"]))
-        if family == "qgevrey":
-            return qgevrey(float(m["q"]))
-        if family == "explicit":
-            return explicit([float(v) for v in m["values"]])
-        if family == "power":
-            return power(_seq_from_spec(m["base"]), float(m["r"]))
-        if family == "shift":
-            return factorial_shift(_seq_from_spec(m["base"]), float(m["eps"]))
-        if family == "hat":
-            return hat(_seq_from_spec(m["base"]))
-        if family == "descendant":
-            return _descendant_seq(_seq_from_spec(m["base"]), float(m["r"]))
-    except KeyError as exc:
-        raise InvalidSpec(f"sequence family {family!r} lacks field {exc}") from None
-    raise InvalidSpec(f"unknown sequence family {family!r}")
+def _build(spec: Any, cls: type):
+    """An object of `cls` (WeightSequence or WeightFunction) from any
+    descriptor form; nested descriptors recurse through here."""
+    if isinstance(spec, cls):
+        return spec
+    noun, key, table = _DOMAINS[cls]
+    if isinstance(spec, str):
+        text = spec.strip()
+        spec = (_load_mapping(text[1:]) if text.startswith("@")
+                else _loads(text) if text.startswith("{")
+                else parse_inline(text))
+    if isinstance(spec, _Node):
+        spec = _from_node(spec, key, table)
+    if not isinstance(spec, Mapping):
+        raise InvalidSpec(f"cannot build a {noun} from {type(spec).__name__}")
+    name = spec.get(key)
+    if not isinstance(name, str) or name not in table:
+        raise InvalidSpec(f"unknown {noun} {key} {name!r}" if name is not None
+                          else f"{noun} descriptor needs a {key!r} key")
+    make, fields = table[name]
+    args = []
+    for field, default in fields.items():
+        value = spec.get(field, default)
+        if value is None:
+            raise InvalidSpec(f"{noun} {key} {name!r} lacks field {field!r}")
+        if field in ("base", "sequence"):
+            args.append(_build(value, cls if field == "base" else WeightSequence))
+        elif field in _LISTS:
+            if not isinstance(value, (list, tuple)):
+                raise InvalidSpec(f"field {field!r} must be a list of numbers")
+            args.append([_number(field, v) for v in value])
+        else:
+            args.append(_number(field, value))
+    return make(*args)
 
 
 def _load_mapping(path: str) -> Mapping[str, Any]:
@@ -203,112 +251,14 @@ def _loads(text: str) -> Mapping[str, Any]:
     return data
 
 
-def _seq_from_spec(spec: SpecLike) -> WeightSequence:
-    if isinstance(spec, WeightSequence):
-        return spec
-    if isinstance(spec, Mapping):
-        return _seq_from_mapping(spec)
-    if isinstance(spec, str):
-        text = spec.strip()
-        if text.startswith("@"):
-            return _seq_from_mapping(_load_mapping(text[1:]))
-        if text.startswith("{"):
-            return _seq_from_mapping(_loads(text))
-        return _seq_from_node(parse_inline(text))
-    raise InvalidSpec(f"cannot build a sequence from {type(spec).__name__}")
-
-
 def make_sequence(spec: SpecLike) -> WeightSequence:
     """Weight sequence from a descriptor (mapping, JSON text, @file, inline)."""
-    return _seq_from_spec(spec)
-
-
-def _fun_from_node(node: _Node) -> WeightFunction:
-    name = node.name.lower()
-    if name == "power":
-        vals = _numbers(node, 1, at_least=True)
-        if len(vals) > 2:
-            raise InvalidSpec("power expects exponent and optional coefficient")
-        return PowerLaw(*vals)
-    if name == "logpower":
-        vals = _numbers(node, 1, at_least=True)
-        if len(vals) > 2:
-            raise InvalidSpec("logpower expects power and optional coefficient")
-        return LogPower(*vals)
-    if name == "assoc":
-        if len(node.args) != 1 or not isinstance(node.args[0], _Node):
-            raise InvalidSpec("assoc expects a single sequence argument")
-        from .constructions import associated_function
-        return associated_function(_seq_from_node(node.args[0]))
-    if name in ("subst", "kappa"):
-        if not node.args or not isinstance(node.args[0], _Node):
-            raise InvalidSpec(f"{name} expects (base-function, number)")
-        base = _fun_from_node(node.args[0])
-        rest = node.args[1:]
-        if not all(isinstance(v, float) for v in rest) or len(rest) > 1:
-            raise InvalidSpec(f"{name} expects (base-function, number)")
-        if name == "subst":
-            if not rest:
-                raise InvalidSpec("subst needs the substitution exponent")
-            return power_substitute(base, rest[0])
-        return KappaPower(base, rest[0] if rest else 1.0)
-    if name in ("normalized", "norm"):
-        if len(node.args) != 1 or not isinstance(node.args[0], _Node):
-            raise InvalidSpec("normalized expects a single base function")
-        return NormalizedShift(_fun_from_node(node.args[0]))
-    if name == "glue":
-        raise InvalidSpec("glued functions carry arrays; pass them as JSON "
-                          "descriptors (@file or inline JSON)")
-    raise InvalidSpec(f"unknown function kind {node.name!r}")
-
-
-def _fun_from_mapping(m: Mapping[str, Any]) -> WeightFunction:
-    try:
-        kind = m["kind"]
-    except (KeyError, TypeError):
-        raise InvalidSpec("function descriptor needs a 'kind' key") from None
-    try:
-        if kind == "power":
-            return PowerLaw(float(m["a"]), float(m.get("c", 1.0)))
-        if kind == "logpower":
-            return LogPower(float(m["k"]), float(m.get("c", 1.0)))
-        if kind == "subst":
-            return power_substitute(_fun_from_spec(m["base"]), float(m["r"]))
-        if kind == "assoc":
-            from .constructions import associated_function
-            return associated_function(_seq_from_spec(m["sequence"]))
-        if kind == "kappa":
-            return KappaPower(_fun_from_spec(m["base"]), float(m["r"]))
-        if kind == "normalized":
-            return NormalizedShift(_fun_from_spec(m["base"]))
-        if kind == "glue":
-            return PiecewiseGlue(_fun_from_spec(m["base"]),
-                                 [float(v) for v in m["breakpoints"]],
-                                 [float(v) for v in m["multipliers"]],
-                                 [float(v) for v in m["offsets"]])
-    except KeyError as exc:
-        raise InvalidSpec(f"function kind {kind!r} lacks field {exc}") from None
-    raise InvalidSpec(f"unknown function kind {kind!r}")
-
-
-def _fun_from_spec(spec: SpecLike) -> WeightFunction:
-    if isinstance(spec, WeightFunction):
-        return spec
-    if isinstance(spec, Mapping):
-        return _fun_from_mapping(spec)
-    if isinstance(spec, str):
-        text = spec.strip()
-        if text.startswith("@"):
-            return _fun_from_mapping(_load_mapping(text[1:]))
-        if text.startswith("{"):
-            return _fun_from_mapping(_loads(text))
-        return _fun_from_node(parse_inline(text))
-    raise InvalidSpec(f"cannot build a function from {type(spec).__name__}")
+    return _build(spec, WeightSequence)
 
 
 def make_function(spec: SpecLike) -> WeightFunction:
     """Weight function from a descriptor (mapping, JSON text, @file, inline)."""
-    return _fun_from_spec(spec)
+    return _build(spec, WeightFunction)
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.points == 0:
             object.__setattr__(self, "points", _default_points(600))
-        if not (0 < self.t_min < self.t_max):
-            raise InvalidArgument("grid needs 0 < t_min < t_max")
+        if not (0 < self.t_min < self.t_max < math.inf):
+            raise InvalidArgument("grid needs finite 0 < t_min < t_max")
         if self.points < 16:
             raise InvalidArgument("grid needs at least 16 points")
 
@@ -242,7 +242,7 @@ class RunConfig:
     index_tol: float = DEFAULT_INDEX_TOL
 
     def __post_init__(self) -> None:
-        if self.index_tol <= 0:
+        if not self.index_tol > 0:  # NaN included
             raise InvalidArgument("tolerance must be positive")
         if self.p_max < 4:
             raise InvalidArgument("p_max must be at least 4")

@@ -77,6 +77,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "descend", "--sequence", "gevrey:1")
         assert code == cli.EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("flag,text", [
+        ("--sequence", '{"family": "gevrey", "s": "2"}'),
+        ("--sequence", '{"family": "gevrey", "s": [2]}'),
+        ("--sequence", '{"family": "gevrey", "s": null}'),
+        ("--sequence", '{"family": "gevrey", "s": NaN}'),
+        ("--sequence", '{"family": "gevrey", "s": Infinity}'),
+        ("--sequence", '{"family": "explicit", "values": 5}'),
+        ("--sequence", "gevrey:1e400"),
+        ("--sequence", "gevrey(gevrey:1)"),
+        ("--sequence", '{"family": "hat"}'),
+        ("--omega", "glue(power:0.5, 1, 2, 3)"),
+        ("--omega", '{"kind": "power", "a": "x"}'),
+    ])
+    def test_malformed_descriptor_is_a_usage_error(self, capsys, flag, text):
+        code, out, err = run(capsys, "check", flag, text)
+        assert code == cli.EXIT_USAGE, err
+        assert out == "" and err.startswith("error:")
+
 
 class TestReportContract:
     def test_schema_and_determinism(self, capsys, tmp_path):
@@ -306,6 +324,14 @@ class TestArtifactFiles:
         assert float(lines[-1].split(",")[1]) == pytest.approx(
             math.log(720.0))
 
+    def test_sample_takes_a_pmax_below_four(self, capsys):
+        # sampling bounds nothing a RunConfig checks: p = 0..2 is a valid CSV
+        code, out, err = run(capsys, "sample", "--sequence", "gevrey:2",
+                             "--pmax", "2")
+        assert code == cli.EXIT_OK, err
+        assert [l.split(",")[0] for l in out.strip().split("\n")] == \
+            ["p", "0", "1", "2"]
+
 
 class TestGridEnvironment:
     def test_grid_points_env_override(self, monkeypatch):
@@ -319,3 +345,18 @@ class TestGridEnvironment:
             uw.Grid(points=4)
         with pytest.raises(uw.InvalidArgument):
             uw.RunConfig(index_tol=0.0)
+
+    @pytest.mark.parametrize("end", [math.inf, math.nan])
+    def test_non_finite_grid_end_is_refused(self, capsys, end):
+        with pytest.raises(uw.InvalidArgument):
+            uw.Grid(t_max=end)
+        code, out, err = run(capsys, "check", "--omega", "power:0.5",
+                             "--tmax", str(end))
+        assert code == cli.EXIT_USAGE and out == "" and "grid" in err
+
+    def test_nan_tolerance_is_refused(self, capsys):
+        with pytest.raises(uw.InvalidArgument):
+            uw.RunConfig(index_tol=math.nan)
+        code, out, err = run(capsys, "index", "mu", "--sequence", "gevrey:2",
+                             "--tol", "nan")
+        assert code == cli.EXIT_USAGE and out == "" and "tolerance" in err

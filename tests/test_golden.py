@@ -1,8 +1,8 @@
 """Golden CLI reports: every case of tools/golden.py, byte for byte.
 
 A refactor must leave these files unchanged.  A change that means to alter a
-report regenerates them (`PYTHONPATH=src python3 tools/golden.py [NAME...]`)
-and commits the diff on its own, where it can be read.
+report regenerates all of them (`PYTHONPATH=src python3 tools/golden.py`; it
+takes no case names) and commits the diff on its own, where it can be read.
 """
 
 import importlib.util

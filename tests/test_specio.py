@@ -107,6 +107,11 @@ class TestMappingAndJsonForms:
                            "base": {"kind": "power", "a": 0.5}, "r": 2})
         assert fun_close(f, uw.power_substitute(uw.PowerLaw(0.5), 2.0)) == 0.0
 
+    def test_json_kappa_order_defaults_to_one(self):
+        f = make_function({"kind": "kappa", "base": {"kind": "power", "a": 0.5}})
+        assert f.spec()["r"] == 1.0
+        assert fun_close(f, make_function("kappa(power:0.5)")) == 0.0
+
     def test_json_text(self):
         f = make_function(json.dumps({"kind": "power", "a": 0.5}))
         assert fun_close(f, uw.PowerLaw(0.5)) == 0.0
