@@ -33,8 +33,8 @@ from .indices import (Gamma1Witness, IndexEstimate, find_gamma1_witness,
                       mixed_condition_seq, mu_fun, mu_seq)
 from .constructions import (DescendantPair, ReductionResult, WeightMatrix,
                             associated_eval, associated_function,
-                            associated_matrix, check_descendant_mg,
-                            descendant, kappa, kappa_power_normalized,
+                            associated_matrix, descendant, kappa,
+                            kappa_power_normalized,
                             omega_hat, reduction_build)
 from .specio import make_function, make_sequence, spec_of
 
@@ -51,7 +51,7 @@ __all__ = [
     "ReductionResult", "RunConfig", "TailModel", "UltraweightError",
     "Verdict", "WeightFunction", "WeightMatrix", "WeightSequence", "YGrid",
     "associated_eval", "associated_function", "associated_matrix",
-    "biconjugate", "check_beta1", "check_beta3", "check_descendant_mg",
+    "biconjugate", "check_beta1", "check_beta3",
     "check_gamma1", "check_lc", "check_mg", "check_nq", "check_nq_r",
     "check_omega_condition", "check_omega_nq_r", "check_slc", "compare",
     "compare_o", "compare_preceq", "conjugate_pl", "convexify", "descendant",

@@ -196,7 +196,10 @@ def cmd_kappa(args, config: RunConfig) -> Report:
 
 def cmd_sample(args, config) -> str:
     if args.sequence:
-        return sequence_csv(make_sequence(args.sequence), args.pmax or 200)
+        if args.pmax is not None and args.pmax < 0:
+            raise InvalidArgument("--pmax must be >= 0")
+        return sequence_csv(make_sequence(args.sequence),
+                            200 if args.pmax is None else args.pmax)
     if args.omega:
         return function_csv(make_function(args.omega), _grid(args).geometric())
     raise InvalidSpec("sample needs --sequence or --omega")

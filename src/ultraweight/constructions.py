@@ -34,8 +34,8 @@ from .functions import (AssociatedOf, ConvexPL, KappaPower, PiecewiseGlue,
                         conjugate_pl, convexify, normalize)
 from .indices import (Gamma1Witness, find_gamma1_witness, mixed_condition_fun,
                       mixed_condition_seq)
-from .sequences import (TailModel, WeightSequence, check_lc, check_mg,
-                        check_nq_r, check_slc, hat, power, suffix_power_sums)
+from .sequences import (TailModel, WeightSequence, check_lc, check_nq_r,
+                        check_slc, hat, power, suffix_power_sums)
 from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
                       GammaNotAboveOne, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, NotNonQuasianalytic,
@@ -463,7 +463,7 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     p_arr = np.arange(1, P + 1, dtype=float)
     # log domain throughout: tau_p underflows linearly for fast bases
     log_tau = np.logaddexp(np.log(p_arr) - inv_r * log_mu[1:],
-                           sweep.log_T[1:])
+                           sweep.log_T)
     tau1 = float(np.exp(log_tau[0]))
     lsig = np.concatenate([[math.nan],
                            math.log(tau1) + np.log(p_arr) - log_tau])
@@ -549,55 +549,6 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     }
     return DescendantPair(S=S, L=L, r=r, tau_1=tau1, lambda_bound=lam,
                           checks=checks, diagnostics=diagnostics)
-
-
-def check_descendant_mg(N: WeightSequence, r: float = 1.0, *,
-                        config: Optional[RunConfig] = None) -> ConditionVerdict:
-    """Doubling-ratio criterion for moderate growth of the descendant.
-
-    sup_k of the ratio of nu_(2k)^(1/r)/nu_k^(1/r) to
-    1 + (nu_(2k)^(1/r)/(2k)) * sum_{j>=2k} nu_j^(-1/r): bounded means the
-    descendant's L has moderate growth (cross-checked on L itself).  The sup
-    is existential, so the verdict is never Violated, only Inconclusive when
-    the trace has not stabilized or the tails are uncertified.
-    """
-    cond = "descendant_mg"
-    if r <= 0:
-        raise InvalidArgument("order r must be > 0")
-    config = config or RunConfig()
-    inv_r = 1.0 / r
-    P = N._capped(int(config.p_max))
-    sweep = suffix_power_sums(N, inv_r, P)
-    if sweep.converges is False:
-        return ConditionVerdict.inconclusive(
-            cond, {"r": r, "P": P},
-            note="tail sums diverge; the ratio bound is degenerate")
-
-    ks = np.arange(1, P // 2 + 1)
-    log_mu = N.log_quotients(P)
-    num = inv_r * (log_mu[2 * ks] - log_mu[ks])
-    cross_term = inv_r * log_mu[2 * ks] - np.log(2.0 * ks) + sweep.log_T[2 * ks]
-    ratio = np.exp(num) / (1.0 + np.exp(cross_term))
-    running = np.maximum.accumulate(ratio)
-    sup = float(running[-1])
-    info = {"r": r, "k_max": int(ks[-1]), "sup": sup}
-
-    if sweep.converges is True and stabilized(running):
-        cross = None
-        try:
-            pair = descendant(N, r, config=config)
-            cross = check_mg(pair.L)
-        except (PreconditionInconclusive, NotNonQuasianalytic, NotLogConvex):
-            pass
-        if cross is not None and cross.is_violated:
-            raise InternalInconsistency(
-                "descendant ratio bounded but L failed moderate growth")
-        status = "skipped" if cross is None else cross.status.value
-        return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info},
-                                          cross_check_mg_L=status)
-    note = ("ratio trace not stabilized" if sweep.converges is True
-            else "tail sums uncertified beyond the computed range")
-    return ConditionVerdict.inconclusive(cond, info, note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import (integral_to_infinity, kernel_window, power_log_tail,
-                         suffix_integral_grid)
+from .quadrature import (PanelSamples, TailSamples, integral_to_infinity,
+                         power_log_tail, sample_window, suffix_integral_grid)
 from .sequences import WeightSequence
 from .verdict import (LOG_RATIO_FLAT, LOG_RATIO_GROW, NOT_VANISH,
                       RATIO_TREND_FLAT, REL_MARGIN, VANISH, WINDOW_DECAY,
@@ -112,6 +113,10 @@ class WeightFunction:
     growth model and kink list (non-smooth points, for quadrature panel
     alignment) are filled in at construction."""
 
+    # eval of a concatenation equals the concatenation of evals, bit for bit:
+    # each value depends on its own argument alone
+    pointwise = True
+
     def __init__(self, label: str, model: Optional[GrowthModel] = None,
                  kinks: Sequence[float] = ()):
         self.label = label
@@ -183,6 +188,7 @@ class PowerSubst(WeightFunction):
                          kinks=tuple(k ** (1.0 / r) for k in base.kinks))
         self.base = base
         self.r = r
+        self.pointwise = base.pointwise
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         return self.base.eval(np.asarray(t, dtype=float) ** self.r)
@@ -218,6 +224,7 @@ class NormalizedShift(WeightFunction):
                          kinks=tuple(sorted(set(base.kinks) | {1.0})))
         self.base = base
         self.shift = shift
+        self.pointwise = base.pointwise
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -333,6 +340,8 @@ class KappaPower(WeightFunction):
     substituted function base(u**r), evaluated at t**(1/r).
     """
 
+    pointwise = False  # one suffix integral over the sorted arguments
+
     def __init__(self, base: WeightFunction, r: float = 1.0):
         if r <= 0:
             raise InvalidArgument("kappa order must be positive")
@@ -402,6 +411,7 @@ class PiecewiseGlue(WeightFunction):
         super().__init__(f"glue({base.label},{len(bp)} pts)", model,
                          kinks=tuple(sorted(set(base.kinks) | set(bp.tolist()))))
         self.base = base
+        self.pointwise = base.pointwise
         self.breakpoints = bp
         self.multipliers = mult
         self.offsets = off
@@ -636,66 +646,90 @@ def check_omega6(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         note="no H found on the grid and no model to rule one out")
 
 
-def _integral_trend(omega: WeightFunction, s: float, config: RunConfig):
-    """Window integrals of omega * u**(-s) over [1, Y] at doubling cutoffs.
+class OmegaNodes:
+    """omega at the quadrature nodes the order-r kernel checks read.
 
-    Returns the integrals and whether their last increment decays and
-    whether it stays flat, per WINDOW_DECAY and WINDOW_FLAT.
+    Each node set is sampled on first use and kept as long as the object,
+    which one index call or one standalone check builds and drops: the probes
+    of a bisection share one sampling of omega, and each applies only the
+    kernel u**(-s) and the weights of its own order.
     """
-    cuts = [10.0 ** e for e in (2, 4, 6, 8, 10, 12)]
-    windows = []
-    total = 0.0
-    lo = 1.0
-    for hi in cuts:
-        total += kernel_window(omega.eval, lo, hi, s, kinks=omega.kinks)
-        windows.append(total)
-        lo = hi
-    inc = np.diff(windows)
-    decays = len(inc) >= 2 and inc[-1] <= WINDOW_DECAY * inc[-2]
-    flat = len(inc) >= 2 and inc[-1] >= WINDOW_FLAT * inc[-2]
-    return np.asarray(windows), decays, flat
+
+    def __init__(self, omega: WeightFunction):
+        self.omega = omega
+
+    @cached_property
+    def from_one(self) -> TailSamples:
+        """The nodes of integral_1^inf omega(u) u**(-s) du."""
+        return TailSamples(self.omega.eval, 1.0, kinks=self.omega.kinks)
+
+    @cached_property
+    def trend_windows(self) -> tuple[PanelSamples, ...]:
+        """The windows [1, 1e2], [1e2, 1e4], ..., [1e10, 1e12]."""
+        cuts = [1.0] + [10.0 ** e for e in (2, 4, 6, 8, 10, 12)]
+        return tuple(sample_window(self.omega.eval, lo, hi, kinks=self.omega.kinks)
+                     for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    def integral_trend(self, s: float):
+        """Window integrals of omega * u**(-s) over [1, Y] at doubling cutoffs.
+
+        Returns the integrals and whether their last increment decays and
+        whether it stays flat, per WINDOW_DECAY and WINDOW_FLAT.
+        """
+        windows = []
+        total = 0.0
+        for window in self.trend_windows:
+            total += window.integral(s)
+            windows.append(total)
+        inc = np.diff(windows)
+        decays = len(inc) >= 2 and inc[-1] <= WINDOW_DECAY * inc[-2]
+        flat = len(inc) >= 2 and inc[-1] >= WINDOW_FLAT * inc[-2]
+        return np.asarray(windows), decays, flat
+
+    def nq_r(self, r: float, cond: str = "omega_nq_r") -> ConditionVerdict:
+        """Does integral_1^inf omega(u) u**(-1-1/r) du converge?"""
+        if r <= 0:
+            raise InvalidArgument("order r must be positive")
+        s = 1.0 + 1.0 / r
+        m = self.omega.model
+        conv = m.converges_against(s) if m is not None else None
+        if conv is True:
+            tail = m.tail_callable(s)
+            try:
+                res = self.from_one.integral(s, tail)
+                return ConditionVerdict.satisfied(cond,
+                    {"integral": res.value, "tail": res.tail_method, "r": r})
+            except GridTooCoarse:
+                return ConditionVerdict.satisfied(cond,
+                    {"integral": None, "r": r,
+                     "note": "model certifies convergence; tail fit unstable"})
+        windows, decays, flat = self.integral_trend(s)
+        if conv is False:
+            return ConditionVerdict.violated(cond,
+                {"partial_integrals": [round(w, 6) for w in windows.tolist()],
+                 "trend": "model exponent at or above kernel order", "r": r})
+        if decays:
+            try:
+                res = self.from_one.integral(s)
+                return ConditionVerdict.satisfied(cond,
+                    {"integral": res.value, "tail": res.tail_method, "r": r,
+                     "grid_only": True})
+            except GridTooCoarse:
+                pass
+        if flat:
+            return ConditionVerdict.violated(cond,
+                {"partial_integrals": [round(w, 6) for w in windows.tolist()],
+                 "trend": "window increments not decaying", "r": r})
+        return ConditionVerdict.inconclusive(cond, {"r": r,
+            "partial_integrals": [round(w, 6) for w in windows.tolist()]},
+            note="integral trend unclear")
 
 
 def check_omega_nq_r(omega: WeightFunction, r: float,
                      config: Optional[RunConfig] = None,
                      cond: str = "omega_nq_r") -> ConditionVerdict:
-    if r <= 0:
-        raise InvalidArgument("order r must be positive")
-    config = config or RunConfig()
-    s = 1.0 + 1.0 / r
-    m = omega.model
-    conv = m.converges_against(s) if m is not None else None
-    if conv is True:
-        tail = m.tail_callable(s)
-        try:
-            res = integral_to_infinity(omega.eval, 1.0, s, model_tail=tail,
-                                       kinks=omega.kinks)
-            return ConditionVerdict.satisfied(cond,
-                {"integral": res.value, "tail": res.tail_method, "r": r})
-        except GridTooCoarse:
-            return ConditionVerdict.satisfied(cond,
-                {"integral": None, "r": r,
-                 "note": "model certifies convergence; tail fit unstable"})
-    windows, decays, flat = _integral_trend(omega, s, config)
-    if conv is False:
-        return ConditionVerdict.violated(cond,
-            {"partial_integrals": [round(w, 6) for w in windows.tolist()],
-             "trend": "model exponent at or above kernel order", "r": r})
-    if decays:
-        try:
-            res = integral_to_infinity(omega.eval, 1.0, s, kinks=omega.kinks)
-            return ConditionVerdict.satisfied(cond,
-                {"integral": res.value, "tail": res.tail_method, "r": r,
-                 "grid_only": True})
-        except GridTooCoarse:
-            pass
-    if flat:
-        return ConditionVerdict.violated(cond,
-            {"partial_integrals": [round(w, 6) for w in windows.tolist()],
-             "trend": "window increments not decaying", "r": r})
-    return ConditionVerdict.inconclusive(cond, {"r": r,
-        "partial_integrals": [round(w, 6) for w in windows.tolist()]},
-        note="integral trend unclear")
+    # config is part of the checker signature; this check reads no grid
+    return OmegaNodes(omega).nq_r(r, cond)
 
 
 def check_omega_nq(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:

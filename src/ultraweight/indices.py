@@ -17,19 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .functions import (GrowthModel, WeightFunction, _integral_trend,
-                        _shape_cmp, check_omega_condition)
-from .quadrature import power_log_tail, suffix_integral_grid
-from .sequences import (WeightSequence, check_lc, check_nq_r,
-                        finish_sup_verdict, sup_ratio_sweep)
+from .functions import GrowthModel, OmegaNodes, WeightFunction, _shape_cmp
+from .quadrature import SuffixSamples, power_log_tail
+from .sequences import (RatioSweep, WeightSequence, check_lc, check_nq_r,
+                        finish_sup_verdict)
 from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
                       ConditionVerdict, GridTooCoarse, InternalInconsistency,
-                      InvalidArgument, NotLogConvex, RunConfig, _jsonify,
-                      _trend_call, stabilized)
+                      InvalidArgument, NotLogConvex, RunConfig,
+                      UltraweightError, _jsonify, _trend_call, read_only,
+                      stabilized)
 
 INDEX_FLOOR = 1.0 / 64.0  # smallest order probed while expanding downward
 _PROBE_BUDGET = 40
@@ -206,6 +207,38 @@ def _quotient_ratio_bounded(M: WeightSequence, N: WeightSequence,
     return None, info
 
 
+class MixedSeqProbe:
+    """mixed_condition_seq for one pair (M, N) at any order r.
+
+    The quotient-ratio precondition and the sweep set-up (log quotients of M
+    and N, log p) do not depend on r: one index call computes them once for
+    all its probes.  The sweep is set up on the first order that needs it.
+    """
+
+    def __init__(self, M: WeightSequence, N: WeightSequence, config: RunConfig):
+        self.M, self.N, self.P = M, N, config.p_max
+        self.pre, self.pre_info = _quotient_ratio_bounded(M, N, min(config.p_max, 20000))
+
+    @cached_property
+    def sweep(self) -> RatioSweep:
+        return RatioSweep(self.M, self.N, self.P)
+
+    def __call__(self, r: float) -> ConditionVerdict:
+        pre, pre_info = self.pre, self.pre_info
+        if pre is False:
+            counter = {"p": pre_info.get("p", 0), "r": r,
+                       "mu_over_nu": pre_info.get("ratio", math.inf)}
+            return ConditionVerdict.violated("mixed_seq", counter,
+                reason="quotient ratio mu/nu unbounded on range (precondition)",
+                **{k: v for k, v in pre_info.items() if k not in counter})
+        verdict = finish_sup_verdict("mixed_seq", self.sweep.at(1.0 / r))
+        diag = dict(verdict.diagnostics)
+        diag["r"] = r
+        if pre is None:
+            diag["precondition"] = "quotient ratio boundedness uncertified"
+        return replace(verdict, diagnostics=diag)
+
+
 def mixed_condition_seq(M: WeightSequence, N: Optional[WeightSequence] = None,
                         r: float = 1.0, *,
                         config: Optional[RunConfig] = None) -> ConditionVerdict:
@@ -215,25 +248,9 @@ def mixed_condition_seq(M: WeightSequence, N: Optional[WeightSequence] = None,
     unbounded ratio short-circuits to a Violated verdict, since the sup is
     bounded below by (mu_p/nu_p)^{1/r} / p times a non-vanishing factor.
     """
-    config = config or RunConfig()
-    if N is None:
-        N = M
     if r <= 0:
         raise InvalidArgument("order r must be positive")
-    pre, pre_info = _quotient_ratio_bounded(M, N, min(config.p_max, 20000))
-    if pre is False:
-        counter = {"p": pre_info.get("p", 0), "r": r,
-                   "mu_over_nu": pre_info.get("ratio", math.inf)}
-        return ConditionVerdict.violated("mixed_seq", counter,
-            reason="quotient ratio mu/nu unbounded on range (precondition)",
-            **{k: v for k, v in pre_info.items() if k not in counter})
-    sweep = sup_ratio_sweep(M, N, 1.0 / r, config.p_max)
-    verdict = finish_sup_verdict("mixed_seq", sweep)
-    diag = dict(verdict.diagnostics)
-    diag["r"] = r
-    if pre is None:
-        diag["precondition"] = "quotient ratio boundedness uncertified"
-    return replace(verdict, diagnostics=diag)
+    return MixedSeqProbe(M, M if N is None else N, config or RunConfig())(r)
 
 
 def gamma_index_seq(M: WeightSequence, N: Optional[WeightSequence] = None, *,
@@ -241,10 +258,7 @@ def gamma_index_seq(M: WeightSequence, N: Optional[WeightSequence] = None, *,
     """Mixed growth index of a sequence pair (of a single sequence if N omitted)."""
     config = config or RunConfig()
     N_eff = M if N is None else N
-
-    def probe(r: float) -> ConditionVerdict:
-        return mixed_condition_seq(M, N_eff, r, config=config)
-
+    probe = MixedSeqProbe(M, N_eff, config)
     return _bisect_index("gamma_mixed", probe, tol=config.index_tol,
                          diagnostics={"domain": "sequence", "M": M.label,
                                       "N": N_eff.label})
@@ -323,6 +337,119 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
 # function-level mixed condition and indices
 # ---------------------------------------------------------------------------
 
+class MixedFunProbe:
+    """mixed_condition_fun for one pair (sigma, omega) at any order r.
+
+    sigma and omega on the grid, the ratio-trend test and omega at every
+    quadrature node do not depend on r: one index call computes each of them
+    once, on the first order that needs it, and every probe applies only its
+    own kernel.
+    """
+
+    def __init__(self, sigma: WeightFunction, omega: WeightFunction,
+                 config: RunConfig):
+        self.sigma, self.omega = sigma, omega
+        self.ts = read_only(config.grid.geometric())
+        self.sig = read_only(sigma.eval(self.ts))
+        if float(np.max(self.sig)) <= 0.0:
+            raise InvalidArgument("sigma vanishes on the whole evaluation grid")
+        self.nodes = OmegaNodes(omega)
+
+    @cached_property
+    def omega_top(self) -> float:
+        return self.omega.value(self.ts[-1])
+
+    @cached_property
+    def ratio_trend(self) -> tuple[float, str, dict]:
+        """The running max of omega / (sigma + 1) at the grid end, and its trend."""
+        lb = np.maximum.accumulate(self.omega.eval(self.ts) / (self.sig + 1.0))
+        call, info = _trend_call(lb)
+        return float(lb[-1]), call, info
+
+    @cached_property
+    def suffix(self) -> SuffixSamples:
+        return SuffixSamples(self.omega.eval, self.ts, kinks=self.omega.kinks)
+
+    def __call__(self, r: float) -> ConditionVerdict:
+        cond = "mixed_fun"
+        s = 1.0 + 1.0 / r
+        ts, sig = self.ts, self.sig
+        m, ms = self.omega.model, self.sigma.model
+        conv = m.converges_against(s) if m is not None else None
+        if conv is False:
+            return ConditionVerdict.violated(cond, {"t": 1.0, "r": r,
+                "integral": math.inf},
+                reason="kernel integral diverges at this order")
+        if m is not None and ms is not None and _shape_cmp(m, ms) > 0:
+            return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
+                "omega_over_sigma": float(self.omega_top / (sig[-1] + 1.0))},
+                reason="integral >= r*omega(t) and omega/sigma is unbounded")
+        if m is None or ms is None:
+            lb_top, call, lb_info = self.ratio_trend
+            if call == "growing":
+                return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
+                    "omega_over_sigma": lb_top},
+                    reason="integral >= r*omega(t) and omega/sigma keeps growing",
+                    **lb_info)
+
+        tail = m.tail_callable(s) if m is not None else None
+        tail_note = None
+        if tail is None and conv is True and m is not None and m.coeff is not None:
+            # no exact closed form, but the growth model certifies convergence and
+            # pins the leading coefficient; an asymptotic tail beats a blind fit
+            # near the convergence threshold
+            def tail(y_cut: float, _m: GrowthModel = m, _s: float = s) -> float:
+                return power_log_tail(_m.coeff, _m.exponent, _m.log_power,
+                                      _m.offset, _s, y_cut)
+            tail_note = "model-asymptotic"
+        try:
+            G = self.suffix.integrals(s, tail)
+        except GridTooCoarse:
+            windows, _, flat = self.nodes.integral_trend(s)
+            if flat:
+                return ConditionVerdict.violated(cond, {"t": float(ts[0]), "r": r,
+                    "partial_integrals": [round(float(w), 6) for w in windows]},
+                    reason="kernel integral fails to converge numerically")
+            return ConditionVerdict.inconclusive(cond, {"r": r,
+                "partial_integrals": [round(float(w), 6) for w in windows]},
+                note="integral tail unresolved by quadrature")
+
+        F = ts ** (1.0 / r) * G / (sig + 1.0)
+        running = np.maximum.accumulate(F)
+        sup = float(running[-1])
+        info = {"r": r, "sup": sup, "grid_points": len(ts)}
+        if tail_note is not None:
+            info["tail"] = tail_note
+
+        if m is not None and ms is not None:
+            c = _shape_cmp(m, ms)  # c <= 0 at this point
+            if c < 0:
+                return ConditionVerdict.satisfied(cond,
+                    {"C": sup * REL_MARGIN, **info},
+                    note="ratio to sigma vanishes at infinity")
+            limit = None
+            if m.coeff is not None and ms.coeff is not None:
+                denom = 1.0 / r - m.exponent
+                if denom > 0:
+                    limit = m.coeff / (denom * ms.coeff)
+            C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
+            return ConditionVerdict.satisfied(cond, {"C": C, **info},
+                **({"model_ratio_limit": limit} if limit is not None else {}))
+
+        call, tr = _trend_call(running)
+        if call == "stable" and conv is True:
+            return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info})
+        if call == "stable":
+            return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info,
+                                                     "grid_only": True})
+        if call == "growing":
+            return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
+                "ratio": float(F[-1])},
+                reason="normalized integral keeps growing along the grid", **tr)
+        return ConditionVerdict.inconclusive(cond, {**info, **tr},
+                                             note="normalized integral trend unclear")
+
+
 def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] = None,
                         r: float = 1.0, *,
                         config: Optional[RunConfig] = None) -> ConditionVerdict:
@@ -333,94 +460,10 @@ def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] =
     by sigma; incompatible growth shapes are rejected before any quadrature.
     A model-certified divergent integral is Violated outright.
     """
-    config = config or RunConfig()
-    if omega is None:
-        omega = sigma
     if r <= 0:
         raise InvalidArgument("order r must be positive")
-    cond = "mixed_fun"
-    s = 1.0 + 1.0 / r
-    ts = config.grid.geometric()
-    sig = sigma.eval(ts)
-    if float(np.max(sig)) <= 0.0:
-        raise InvalidArgument("sigma vanishes on the whole evaluation grid")
-
-    m = omega.model
-    conv = m.converges_against(s) if m is not None else None
-    if conv is False:
-        return ConditionVerdict.violated(cond, {"t": 1.0, "r": r,
-            "integral": math.inf},
-            reason="kernel integral diverges at this order")
-    if m is not None and sigma.model is not None and _shape_cmp(m, sigma.model) > 0:
-        return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
-            "omega_over_sigma": float(omega.value(ts[-1]) / (sig[-1] + 1.0))},
-            reason="integral >= r*omega(t) and omega/sigma is unbounded")
-    if m is None or sigma.model is None:
-        lb = np.maximum.accumulate(omega.eval(ts) / (sig + 1.0))
-        call, lb_info = _trend_call(lb)
-        if call == "growing":
-            return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
-                "omega_over_sigma": float(lb[-1])},
-                reason="integral >= r*omega(t) and omega/sigma keeps growing",
-                **lb_info)
-
-    tail = m.tail_callable(s) if m is not None else None
-    tail_note = None
-    if tail is None and conv is True and m is not None and m.coeff is not None:
-        # no exact closed form, but the growth model certifies convergence and
-        # pins the leading coefficient; an asymptotic tail beats a blind fit
-        # near the convergence threshold
-        def tail(y_cut: float, _m: GrowthModel = m, _s: float = s) -> float:
-            return power_log_tail(_m.coeff, _m.exponent, _m.log_power,
-                                  _m.offset, _s, y_cut)
-        tail_note = "model-asymptotic"
-    try:
-        G = suffix_integral_grid(omega.eval, ts, s, model_tail=tail,
-                                 kinks=omega.kinks)
-    except GridTooCoarse:
-        windows, _, flat = _integral_trend(omega, s, config)
-        if flat:
-            return ConditionVerdict.violated(cond, {"t": float(ts[0]), "r": r,
-                "partial_integrals": [round(float(w), 6) for w in windows]},
-                reason="kernel integral fails to converge numerically")
-        return ConditionVerdict.inconclusive(cond, {"r": r,
-            "partial_integrals": [round(float(w), 6) for w in windows]},
-            note="integral tail unresolved by quadrature")
-
-    F = ts ** (1.0 / r) * G / (sig + 1.0)
-    running = np.maximum.accumulate(F)
-    sup = float(running[-1])
-    info = {"r": r, "sup": sup, "grid_points": len(ts)}
-    if tail_note is not None:
-        info["tail"] = tail_note
-
-    if m is not None and sigma.model is not None:
-        c = _shape_cmp(m, sigma.model)  # c <= 0 at this point
-        if c < 0:
-            return ConditionVerdict.satisfied(cond,
-                {"C": sup * REL_MARGIN, **info},
-                note="ratio to sigma vanishes at infinity")
-        limit = None
-        if m.coeff is not None and sigma.model.coeff is not None:
-            denom = 1.0 / r - m.exponent
-            if denom > 0:
-                limit = m.coeff / (denom * sigma.model.coeff)
-        C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
-        return ConditionVerdict.satisfied(cond, {"C": C, **info},
-            **({"model_ratio_limit": limit} if limit is not None else {}))
-
-    call, tr = _trend_call(running)
-    if call == "stable" and conv is True:
-        return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info})
-    if call == "stable":
-        return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info,
-                                                 "grid_only": True})
-    if call == "growing":
-        return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
-            "ratio": float(F[-1])},
-            reason="normalized integral keeps growing along the grid", **tr)
-    return ConditionVerdict.inconclusive(cond, {**info, **tr},
-                                         note="normalized integral trend unclear")
+    return MixedFunProbe(sigma, sigma if omega is None else omega,
+                         config or RunConfig())(r)
 
 
 def gamma_index_fun(sigma: WeightFunction, omega: Optional[WeightFunction] = None,
@@ -428,10 +471,7 @@ def gamma_index_fun(sigma: WeightFunction, omega: Optional[WeightFunction] = Non
     """Mixed growth index of a weight-function pair (single function if omega omitted)."""
     config = config or RunConfig()
     omega_eff = sigma if omega is None else omega
-
-    def probe(r: float) -> ConditionVerdict:
-        return mixed_condition_fun(sigma, omega_eff, r, config=config)
-
+    probe = MixedFunProbe(sigma, omega_eff, config)
     return _bisect_index("gamma_mixed", probe, tol=config.index_tol,
                          diagnostics={"domain": "function", "sigma": sigma.label,
                                       "omega": omega_eff.label})
@@ -441,11 +481,7 @@ def mu_fun(omega: WeightFunction, *,
            config: Optional[RunConfig] = None) -> IndexEstimate:
     """Order of quasianalyticity sup{r > 0 : kernel integral of order r converges}."""
     config = config or RunConfig()
-
-    def probe(r: float) -> ConditionVerdict:
-        return check_omega_condition(omega, "omega_nq_r", r=r, config=config)
-
-    return _bisect_index("mu", probe, tol=config.index_tol,
+    return _bisect_index("mu", OmegaNodes(omega).nq_r, tol=config.index_tol,
                          diagnostics={"domain": "function", "omega": omega.label})
 
 
@@ -499,9 +535,22 @@ def _witness_c_needed(sigma: WeightFunction, omega: WeightFunction, K: float,
     """Smallest C making omega(K^j t) <= C H^j sigma(t) hold on the test grid."""
     ts = np.geomspace(t0, _WITNESS_T_MAX, _WITNESS_T_POINTS)
     sig = sigma.eval(ts)
+    scales = [K ** j for j in range(j_max + 1)]
+    lhs_rows = None
+    if omega.pointwise and np.all(sig > 0.0):
+        # with sigma > 0 on the grid no ratio below is infinite unless it
+        # overflows, so the loop reads every row: evaluate them in one call.
+        # A failure falls back to the loop, which stops where it always did.
+        try:
+            lhs_rows = omega.eval(np.concatenate([k * ts for k in scales]))
+        except UltraweightError:
+            pass
     needed = 0.0
-    for j in range(j_max + 1):
-        lhs = omega.eval(K ** j * ts)
+    for j, k in enumerate(scales):
+        if lhs_rows is None:
+            lhs = omega.eval(k * ts)
+        else:
+            lhs = lhs_rows[j * len(ts): (j + 1) * len(ts)]
         rhs_unit = H ** j * sig
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(lhs <= 0.0, 0.0,

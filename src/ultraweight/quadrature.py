@@ -7,6 +7,11 @@ of nodes is already exact to double precision); the stretch beyond the cutoff
 Y = max(t, 1) * Y_CUT uses a closed form when the caller supplies one and a
 fitted power-law extrapolation (flagged) otherwise.
 
+Each integral is two steps: sample f at the nodes (`PanelSamples`,
+`TailSamples`, `SuffixSamples`), then apply the kernel u**(-s) and the
+weights.  The public functions run both back to back; a caller that needs
+one window at many orders s samples f once and keeps the samples.
+
 scipy.integrate.quad is deliberately not used here so the test suite can hold
 it up as an independent oracle.
 """
@@ -15,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .special import gammaincc, gammaln
-from .verdict import GridTooCoarse, InvalidArgument
+from .verdict import GridTooCoarse, InvalidArgument, read_only
 
 Y_CUT = 1e8
 _NODES = 16
@@ -45,20 +50,43 @@ def _edges(a: float, b: float, kinks: Sequence[float]) -> np.ndarray:
     return edges
 
 
+class PanelSamples:
+    """f at the Gauss-Legendre nodes of log-axis panels: everything in the
+    panel integrals of f(u) u**(-s) du that does not depend on s.  Its arrays
+    are read-only."""
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
+                 nodes: int = _NODES):
+        x, _ = _gauss(nodes)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        self.half = read_only(0.5 * np.diff(edges))  # panel half-widths in v
+        self.v = read_only((mid[:, None] + self.half[:, None] * x[None, :]).ravel())
+        self.fv = read_only(np.asarray(f(np.exp(self.v)), dtype=float))
+        self.nodes = nodes
+
+    def panel_sums(self, s: float) -> np.ndarray:
+        """Weighted node sums per panel; times `half` they are the panel integrals."""
+        _, w = _gauss(self.nodes)
+        g = self.fv * np.exp((1.0 - s) * self.v)
+        return np.sum(g.reshape(len(self.half), self.nodes) * w[None, :], axis=1)
+
+    def integral(self, s: float) -> float:
+        return float(self.panel_sums(s) @ self.half)
+
+
+def sample_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
+                  kinks: Sequence[float] = (), nodes: int = _NODES) -> PanelSamples:
+    """f at the nodes `kernel_window` reads on [a, b], for any order s."""
+    if not (0 < a < b):
+        raise InvalidArgument("kernel_window needs 0 < a < b")
+    return PanelSamples(f, _edges(a, b, kinks), nodes)
+
+
 def kernel_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                   s: float, *, kinks: Sequence[float] = (),
                   nodes: int = _NODES) -> float:
     """integral_a^b f(u) u**(-s) du via log-axis Gauss-Legendre panels."""
-    if not (0 < a < b):
-        raise InvalidArgument("kernel_window needs 0 < a < b")
-    edges = _edges(a, b, kinks)
-    x, w = _gauss(nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    u = np.exp(v)
-    g = np.asarray(f(u), dtype=float) * np.exp((1.0 - s) * v)
-    return float(np.sum(g.reshape(len(mid), nodes) * w[None, :], axis=1) @ half)
+    return sample_window(f, a, b, kinks=kinks, nodes=nodes).integral(s)
 
 
 def power_log_tail(c: float, a: float, k: float, off: float, s: float,
@@ -93,28 +121,52 @@ class TailIntegral:
     tail_method: str  # "closed-form" | "fitted"
 
 
+class TailSamples:
+    """f at every point `integral_to_infinity` reads from t, for any order s:
+    the window [t, Y] with Y = max(t, 1) * y_cut, and Y and 2Y, where the
+    fitted tail reads f, on first use."""
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], t: float, *,
+                 kinks: Sequence[float] = (), y_cut: float = Y_CUT,
+                 nodes: int = _NODES):
+        if t <= 0:
+            raise InvalidArgument("lower limit must be positive")
+        self.cutoff = max(t, 1.0) * y_cut
+        self.window = sample_window(f, t, self.cutoff, kinks=kinks, nodes=nodes)
+        self._f = f
+
+    @cached_property
+    def far(self) -> tuple[float, float]:
+        """f(Y) and f(2Y)."""
+        fy, f2y = (float(v) for v in self._f(np.array([self.cutoff, 2.0 * self.cutoff])))
+        return fy, f2y
+
+    def integral(self, s: float, model_tail: Callable[[float], float] | None = None
+                 ) -> TailIntegral:
+        Y = self.cutoff
+        window = self.window.integral(s)
+        if model_tail is not None:
+            tail = float(model_tail(Y))
+            method = "closed-form"
+        else:
+            tail = _fitted_tail(*self.far, Y, s)
+            method = "fitted"
+        return TailIntegral(value=window + tail, window_value=window, tail_value=tail,
+                            cutoff=Y, tail_method=method)
+
+
 def integral_to_infinity(f: Callable[[np.ndarray], np.ndarray], t: float, s: float,
                          *, model_tail: Callable[[float], float] | None = None,
                          kinks: Sequence[float] = (), y_cut: float = Y_CUT,
                          nodes: int = _NODES) -> TailIntegral:
     """integral_t^inf f(u) u**(-s) du with an analytic or fitted tail."""
-    if t <= 0:
-        raise InvalidArgument("lower limit must be positive")
-    Y = max(t, 1.0) * y_cut
-    window = kernel_window(f, t, Y, s, kinks=kinks, nodes=nodes)
-    if model_tail is not None:
-        tail = float(model_tail(Y))
-        method = "closed-form"
-    else:
-        tail = _fitted_tail(f, Y, s)
-        method = "fitted"
-    return TailIntegral(value=window + tail, window_value=window, tail_value=tail,
-                        cutoff=Y, tail_method=method)
+    return TailSamples(f, t, kinks=kinks, y_cut=y_cut,
+                       nodes=nodes).integral(s, model_tail)
 
 
-def _fitted_tail(f: Callable[[np.ndarray], np.ndarray], Y: float, s: float) -> float:
-    """Extrapolate f as a power law fitted at {Y, 2Y}; caller flags this."""
-    fy, f2y = (float(v) for v in f(np.array([Y, 2.0 * Y])))
+def _fitted_tail(fy: float, f2y: float, Y: float, s: float) -> float:
+    """Extrapolate f as a power law fitted to fy = f(Y), f2y = f(2Y); caller
+    flags this."""
     if fy <= 0.0:
         return 0.0
     a_hat = math.log(max(f2y, 1e-300) / fy) / math.log(2.0)
@@ -122,6 +174,43 @@ def _fitted_tail(f: Callable[[np.ndarray], np.ndarray], Y: float, s: float) -> f
         raise GridTooCoarse(
             f"fitted tail exponent {a_hat:.3f} too close to kernel order {s - 1:.3f}")
     return fy * Y ** (1.0 - s) / (s - 1.0 - a_hat) * 1.0
+
+
+class SuffixSamples:
+    """f at every point `suffix_integral_grid` reads on one ascending grid,
+    for any order s: the panels between grid points and the closing tail."""
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], ts: np.ndarray, *,
+                 kinks: Sequence[float] = (), y_cut: float = Y_CUT,
+                 nodes: int = _NODES, sub: int = 3):
+        ts = np.asarray(ts, dtype=float)
+        if len(ts) < 2 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
+            raise InvalidArgument("suffix_integral_grid needs a positive ascending grid")
+        v_edges = np.log(ts)
+        fine = np.concatenate([
+            np.linspace(v_edges[:-1], v_edges[1:], sub + 1, axis=0).T[:, :-1].ravel(),
+            v_edges[-1:]])
+        ks = np.log([k for k in kinks if ts[0] < k < ts[-1]])
+        if len(ks):
+            fine = np.unique(np.concatenate([fine, ks]))
+        self.panels = PanelSamples(f, fine, nodes)
+        # the coarse grid segment each panel lies in
+        mid = 0.5 * (fine[1:] + fine[:-1])
+        self.segment = read_only(np.searchsorted(v_edges, mid, side="right") - 1)
+        self.closing = TailSamples(f, float(ts[-1]), kinks=kinks, y_cut=y_cut,
+                                   nodes=nodes)
+        self.size = len(ts)
+
+    def integrals(self, s: float, model_tail: Callable[[float], float] | None = None
+                  ) -> np.ndarray:
+        panel_vals = self.panels.panel_sums(s) * self.panels.half
+        seg_vals = np.zeros(self.size - 1)
+        np.add.at(seg_vals, self.segment, panel_vals)
+        closing = self.closing.integral(s, model_tail)
+        G = np.empty(self.size)
+        G[-1] = closing.value
+        G[:-1] = closing.value + np.cumsum(seg_vals[::-1])[::-1]
+        return G
 
 
 def suffix_integral_grid(f: Callable[[np.ndarray], np.ndarray], ts: np.ndarray,
@@ -134,29 +223,5 @@ def suffix_integral_grid(f: Callable[[np.ndarray], np.ndarray], ts: np.ndarray,
     panels), so the whole sweep costs a single vectorized evaluation of f plus
     one closing window and tail beyond the last point.
     """
-    ts = np.asarray(ts, dtype=float)
-    if len(ts) < 2 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
-        raise InvalidArgument("suffix_integral_grid needs a positive ascending grid")
-    v_edges = np.log(ts)
-    fine = np.concatenate([
-        np.linspace(v_edges[:-1], v_edges[1:], sub + 1, axis=0).T[:, :-1].ravel(),
-        v_edges[-1:]])
-    ks = np.log([k for k in kinks if ts[0] < k < ts[-1]])
-    if len(ks):
-        fine = np.unique(np.concatenate([fine, ks]))
-    x, w = _gauss(nodes)
-    mid = 0.5 * (fine[1:] + fine[:-1])
-    half = 0.5 * np.diff(fine)
-    v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    g = np.asarray(f(np.exp(v)), dtype=float) * np.exp((1.0 - s) * v)
-    panel_vals = np.sum(g.reshape(len(mid), nodes) * w[None, :], axis=1) * half
-    # map panels back onto the coarse grid segments
-    seg_idx = np.searchsorted(v_edges, mid, side="right") - 1
-    seg_vals = np.zeros(len(ts) - 1)
-    np.add.at(seg_vals, seg_idx, panel_vals)
-    closing = integral_to_infinity(f, float(ts[-1]), s, model_tail=model_tail,
-                                   kinks=kinks, y_cut=y_cut, nodes=nodes)
-    G = np.empty(len(ts))
-    G[-1] = closing.value
-    G[:-1] = closing.value + np.cumsum(seg_vals[::-1])[::-1]
-    return G
+    return SuffixSamples(f, ts, kinks=kinks, y_cut=y_cut, nodes=nodes,
+                         sub=sub).integrals(s, model_tail)

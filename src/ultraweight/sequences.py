@@ -26,7 +26,7 @@ from .special import gammaln, hurwitz_zeta
 from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
                       ConditionVerdict, EvaluationRangeError,
                       InternalInconsistency, InvalidArgument, InvalidSpec,
-                      Verdict, stabilized)
+                      Verdict, read_only, stabilized)
 
 DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
@@ -435,7 +435,7 @@ def hat(M: WeightSequence) -> WeightSequence:
 class SuffixSweep:
     """log T_p = log sum_{k>=p} nu_k**(-inv_r) for p = 1..P, with tail status."""
 
-    log_T: np.ndarray          # index 0 unused; entries 1..P
+    log_T: np.ndarray          # log T_p at index p - 1, p = 1..P
     tail_bracket: tuple[float, float] | None  # sum beyond P per the model
     converges: Optional[bool]  # None = unknown
     P: int
@@ -512,27 +512,69 @@ def log_suffix_sums(x: np.ndarray, seed: float = -math.inf) -> np.ndarray:
     return out
 
 
+class SuffixSums:
+    """suffix_power_sums of one sequence N up to P, at any order.
+
+    N's log quotients are read once; each order computes only its terms, its
+    tail bracket and their log suffix sums.
+    """
+
+    def __init__(self, N: WeightSequence, P: int):
+        self.N = N
+        self.P = N._capped(P)
+        self.log_nu = read_only(N.log_quotients(self.P)[1:])  # log nu_k, k = 1..P
+
+    def at(self, inv_r: float) -> SuffixSweep:
+        if inv_r <= 0:
+            raise InvalidArgument("inv_r must be > 0")
+        P, tm = self.P, self.N.tail_model
+        terms = -inv_r * self.log_nu  # log of nu_k**(-inv_r), k = 1..P
+        tail = None
+        converges: Optional[bool] = None
+        seed = -math.inf
+        if tm is not None and tm.start <= P + 1:
+            tail = tm.tail_power_sum(inv_r, P + 1)
+            converges = tm.tail_sum_converges(inv_r)
+            if converges is False:
+                seed = math.inf
+            elif math.isinf(tail[1]):
+                seed = -math.inf  # straddling bracket: keep the finite partial sums
+            elif tail[1] > 0:
+                seed = math.log(tail[1])
+        return SuffixSweep(log_T=log_suffix_sums(terms, seed), tail_bracket=tail,
+                           converges=converges, P=P)
+
+
 def suffix_power_sums(N: WeightSequence, inv_r: float, P: int) -> SuffixSweep:
     """Backward-accumulated suffix sums of nu_k**(-inv_r), tail-completed."""
-    if inv_r <= 0:
-        raise InvalidArgument("inv_r must be > 0")
-    P = N._capped(P)
-    log_mu = N.log_quotients(P)
-    terms = -inv_r * log_mu[1:]  # log of nu_k**(-inv_r), k = 1..P
-    tail = None
-    converges: Optional[bool] = None
-    seed = -math.inf
-    if N.tail_model is not None and N.tail_model.start <= P + 1:
-        tail = N.tail_model.tail_power_sum(inv_r, P + 1)
-        converges = N.tail_model.tail_sum_converges(inv_r)
-        if converges is False:
-            seed = math.inf
-        elif math.isinf(tail[1]):
-            seed = -math.inf  # straddling bracket: keep the finite partial sums
-        elif tail[1] > 0:
-            seed = math.log(tail[1])
-    log_T = np.concatenate([[math.nan], log_suffix_sums(terms, seed)])
-    return SuffixSweep(log_T=log_T, tail_bracket=tail, converges=converges, P=P)
+    return SuffixSums(N, P).at(inv_r)
+
+
+class RatioSweep:
+    """sup_ratio_sweep of one pair (M, N) up to P, at any order.
+
+    The log quotients of M and N and log p are read once; each order computes
+    only N's suffix sums, the per-p log values and their running max.
+    """
+
+    def __init__(self, M: WeightSequence, N: WeightSequence, P: int):
+        self.sums = SuffixSums(N, P)
+        self.P = min(self.sums.P, M._capped(P))
+        self.log_mu = read_only(M.log_quotients(self.P)[1: self.P + 1])
+        self.log_p = read_only(np.log(np.arange(1, self.P + 1, dtype=float)))
+
+    def at(self, inv_r: float) -> dict:
+        sweep = self.sums.at(inv_r)
+        log_F = inv_r * self.log_mu - self.log_p + sweep.log_T[: self.P]
+        running = np.maximum.accumulate(log_F)
+        return {
+            "log_F": log_F,
+            "running_sup": running,
+            "sup_log": float(running[-1]) if len(running) else math.nan,
+            "tail_converges": sweep.converges,
+            "tail_bracket": sweep.tail_bracket,
+            "P": self.P,
+        }
 
 
 def sup_ratio_sweep(M: WeightSequence, N: WeightSequence, inv_r: float,
@@ -542,20 +584,7 @@ def sup_ratio_sweep(M: WeightSequence, N: WeightSequence, inv_r: float,
     Returns the per-p log values, the running sup, and tail information; the
     caller turns this into a verdict.
     """
-    sweep = suffix_power_sums(N, inv_r, P)
-    P = min(sweep.P, M._capped(P))
-    log_mu = M.log_quotients(P)
-    p = np.arange(1, P + 1, dtype=float)
-    log_F = inv_r * log_mu[1: P + 1] - np.log(p) + sweep.log_T[1: P + 1]
-    running = np.maximum.accumulate(log_F)
-    return {
-        "log_F": log_F,
-        "running_sup": running,
-        "sup_log": float(running[-1]) if len(running) else math.nan,
-        "tail_converges": sweep.converges,
-        "tail_bracket": sweep.tail_bracket,
-        "P": P,
-    }
+    return RatioSweep(M, N, P).at(inv_r)
 
 
 # ---------------------------------------------------------------------------

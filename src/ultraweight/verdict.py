@@ -152,6 +152,13 @@ class ConditionVerdict:
         return out
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a` with writes refused: arrays shared across the probes of one index
+    call must not be changed by any of them."""
+    a.flags.writeable = False
+    return a
+
+
 def _jsonify(obj: Any) -> Any:
     """Coerce numpy scalars/arrays and non-finite floats into JSON-safe values."""
     if isinstance(obj, Mapping):

@@ -324,13 +324,20 @@ class TestArtifactFiles:
         assert float(lines[-1].split(",")[1]) == pytest.approx(
             math.log(720.0))
 
-    def test_sample_takes_a_pmax_below_four(self, capsys):
-        # sampling bounds nothing a RunConfig checks: p = 0..2 is a valid CSV
+    @pytest.mark.parametrize("pmax", [0, 2])
+    def test_sample_takes_a_pmax_below_four(self, capsys, pmax):
+        # sampling bounds nothing a RunConfig checks: p = 0..pmax is a valid CSV
         code, out, err = run(capsys, "sample", "--sequence", "gevrey:2",
-                             "--pmax", "2")
+                             "--pmax", str(pmax))
         assert code == cli.EXIT_OK, err
         assert [l.split(",")[0] for l in out.strip().split("\n")] == \
-            ["p", "0", "1", "2"]
+            ["p"] + [str(p) for p in range(pmax + 1)]
+
+    def test_sample_refuses_a_negative_pmax(self, capsys):
+        code, out, err = run(capsys, "sample", "--sequence", "gevrey:2",
+                             "--pmax", "-3")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("error:")
 
 
 class TestGridEnvironment:

@@ -300,26 +300,6 @@ class TestDescendant:
             uw.descendant(uw.explicit([1, 1, 2, 6, 24]), 1.0)
 
 
-class TestCheckDescendantMg:
-    def test_factorial_square_ratio_bound(self, gevrey2):
-        v = uw.check_descendant_mg(gevrey2, 1.0)
-        assert v.is_satisfied
-        assert v.witness["sup"] == pytest.approx(2.0, rel=1e-4)
-        assert v.diagnostics["cross_check_mg_L"] == "satisfied"
-
-    def test_order_two_closed_form_sup(self, gevrey3):
-        v = uw.check_descendant_mg(gevrey3, 2.0)
-        assert v.is_satisfied
-        assert v.witness["sup"] == pytest.approx(2.0 ** 1.5 / 3.0, rel=1e-4)
-
-    def test_divergent_tails_are_inconclusive(self, gevrey1):
-        assert_status(uw.check_descendant_mg(gevrey1, 1.0), "inconclusive")
-
-    def test_rejects_nonpositive_order(self, gevrey2):
-        with pytest.raises(uw.InvalidArgument):
-            uw.check_descendant_mg(gevrey2, 0.0)
-
-
 class TestReduction:
 
     def test_witness_constants(self, built):

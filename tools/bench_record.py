@@ -9,9 +9,12 @@ odd seeds), then one traced run per workload at seed 1.  The output holds
 per-metric medians and quartiles, the failed shares summed over the runs, the
 seeds on which the head beat the base, every per-layer metric BENCHMARK.json
 names from the traced run (import times, work counters, layer timings) and
-the environment.  The deterministic work counters of EXACT_COUNTERS are written
-per workload as base, head and `equal`; every traced counter that differs
-between base and head is printed on stderr.
+the environment, which includes PYTHONDONTWRITEBYTECODE and whether each
+measured tree held a `__pycache__` directory after its runs: both decide
+whether cold-start figures include compiling the sources.  The deterministic
+work counters of EXACT_COUNTERS are written per workload as base, head and
+`equal`; every traced counter that differs between base and head is printed
+on stderr.
 """
 
 import argparse
@@ -111,7 +114,9 @@ def main() -> int:
     result = {"commits": commits, "seeds": list(SEEDS), "seconds": seconds,
               "environment": {"nproc": len(os.sched_getaffinity(0)),
                               "python": platform.python_version(),
-                              "numpy": numpy.__version__, "scipy": scipy.__version__},
+                              "numpy": numpy.__version__, "scipy": scipy.__version__,
+                              "PYTHONDONTWRITEBYTECODE":
+                                  os.environ.get("PYTHONDONTWRITEBYTECODE")},
               "workloads": {}}
     for wl in WORKLOADS:
         runs = {side: [] for side in commits}
@@ -128,6 +133,8 @@ def main() -> int:
             for side in commits}
         result["workloads"][wl]["head_better"] = pairs_better(runs["base"], runs["head"])
         result["workloads"][wl]["exact_counters"] = compare_counters(wl, traced)
+    result["environment"]["tree_has_pycache"] = {
+        side: any(tree.rglob("__pycache__")) for side, tree in trees.items()}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 
