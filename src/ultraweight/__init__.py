@@ -23,7 +23,7 @@ from .sequences import (TailModel, WeightSequence, check_beta1, check_beta3,
                         qgevrey)
 from .functions import (AssociatedOf, ConvexPL, KappaPower,
                         LogPower, NormalizedShift, PiecewiseGlue, PowerLaw,
-                        PowerSubst, WeightFunction, biconjugate,
+                        PowerSubst, WeightFunction,
                         check_omega_condition, check_omega_nq_r, compare_o,
                         compare_preceq, conjugate_pl, convexify,
                         equivalent_fun, normalize, power_substitute,
@@ -51,7 +51,7 @@ __all__ = [
     "ReductionResult", "RunConfig", "TailModel", "UltraweightError",
     "Verdict", "WeightFunction", "WeightMatrix", "WeightSequence", "YGrid",
     "associated_eval", "associated_function", "associated_matrix",
-    "biconjugate", "check_beta1", "check_beta3",
+    "check_beta1", "check_beta3",
     "check_gamma1", "check_lc", "check_mg", "check_nq", "check_nq_r",
     "check_omega_condition", "check_omega_nq_r", "check_slc", "compare",
     "compare_o", "compare_preceq", "conjugate_pl", "convexify", "descendant",

@@ -4,9 +4,10 @@ A weight function here is a node tree: closed-form power and log-power laws,
 the counting function associated with a weight sequence, argument
 substitutions t -> t**r, normalization (clamp to 0 on [0, 1]), the kernel
 transform kappa, and piecewise glues used by the reduction builder.  Each node
-carries an optional GrowthModel describing its large-t shape; checks combine a
-grid sweep with the model so that Satisfied/Violated verdicts never rest on a
-finite window alone.
+carries an optional GrowthModel describing its large-t shape.  Where neither
+the model nor the node's structure decides a check, the check reads the trend
+on the finite grid through one shared step, and the verdict, in any status,
+says `grid_only`: it rests on the finite window alone.
 
 Condition names: omega1 (doubling), omega2 (at most linear), omega3 (beats
 log), omega4 (convexity in log coordinates), omega5 (sublinear, little-o),
@@ -19,19 +20,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .quadrature import (PanelSamples, TailSamples, integral_to_infinity,
                          power_log_tail, sample_window, suffix_integral_grid)
 from .sequences import WeightSequence
-from .verdict import (LOG_RATIO_FLAT, LOG_RATIO_GROW, NOT_VANISH,
-                      RATIO_TREND_FLAT, REL_MARGIN, VANISH, WINDOW_DECAY,
-                      WINDOW_FLAT, ConditionVerdict, ConvexityViolation,
+from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
+                      NOT_VANISH, RATIO_TREND_FLAT, REL_MARGIN, TREND_FLAT,
+                      TREND_GROW, VANISH, WINDOW_DECAY, WINDOW_FLAT,
+                      ConditionVerdict, ConvexityViolation,
                       EvaluationRangeError, GridTooCoarse,
-                      InternalInconsistency, InvalidArgument, RunConfig, YGrid,
-                      _trend_call)
+                      InternalInconsistency, InvalidArgument, RunConfig,
+                      Verdict, YGrid)
 
 _ASSOC_TABLE_CAP = 1 << 21
 # a sequence with an exact closed form is tabulated up to this index at most:
@@ -446,9 +448,75 @@ class PiecewiseGlue(WeightFunction):
 
 
 # ---------------------------------------------------------------------------
+# the grid trend: how a check decides where no model does
+
+_EVIDENCE = {Verdict.SATISFIED: "witness", Verdict.VIOLATED: "counterexample",
+             Verdict.INCONCLUSIVE: "trend"}
+
+
+def grid_decided(cond: str, status: Verdict, rule: str,
+                 evidence: Mapping[str, Any]) -> ConditionVerdict:
+    """A verdict the finite grid decided alone, with no model behind it: the
+    one writer of `grid_only`, which the evidence of its status carries
+    together with the rule that decided."""
+    return ConditionVerdict(cond, status, **{_EVIDENCE[status]: {
+        "rule": rule, **evidence, "grid_only": True}})
+
+
+def _trend_call(ratio: np.ndarray, ts: np.ndarray, of: str, flat: float,
+                extra: Mapping[str, Any]) -> tuple[str, dict]:
+    """'stable', 'growing' or 'unclear' for the running sup of `ratio` along
+    the grid `ts`, and the evidence both rules report: what `of` names, the
+    grid end, `extra`, and the sup at the quarter, the middle and the end."""
+    running = np.maximum.accumulate(ratio)
+    n = len(running)
+    quarter, mid, last = running[n // 4], running[n // 2], running[-1]
+    evidence = {"of": of, "t": float(ts[-1]), **extra,
+                "sup": [float(quarter), float(mid), float(last)]}
+    if n >= 8 and mid > 0 and last <= flat * mid:
+        return "stable", evidence
+    if n >= 8 and quarter > 0 and mid >= TREND_GROW * quarter and last >= TREND_GROW * mid:
+        return "growing", evidence
+    return "unclear", evidence
+
+
+def grid_bounded(cond: str, ratio: np.ndarray, ts: np.ndarray, of: str, *,
+                 flat: float = TREND_FLAT, **extra: Any) -> ConditionVerdict:
+    """Decide "`ratio` stays bounded" on the grid.  A sup that ends within
+    `flat` of its middle value is Satisfied, with C the final sup widened by
+    REL_MARGIN; one that rises by TREND_GROW over each of its last two
+    quarters is Violated."""
+    call, evidence = _trend_call(ratio, ts, of, flat, extra)
+    if call == "stable":
+        return grid_decided(cond, Verdict.SATISFIED, "bounded",
+                            {"C": evidence["sup"][-1] * REL_MARGIN, **evidence})
+    status = Verdict.VIOLATED if call == "growing" else Verdict.INCONCLUSIVE
+    return grid_decided(cond, status, "bounded", evidence)
+
+
+def grid_vanishing(cond: str, ratio: np.ndarray, ts: np.ndarray, of: str, *,
+                   vanish: float = VANISH, stays: float = NOT_VANISH,
+                   **extra: Any) -> ConditionVerdict:
+    """Decide "`ratio` tends to 0" on the grid: Violated when its sup grows or
+    it ends at least `stays` times its middle value, Satisfied when it ends at
+    most `vanish` times that value."""
+    call, evidence = _trend_call(ratio, ts, of, TREND_FLAT, extra)
+    mid, end = float(ratio[len(ratio) // 2]), float(ratio[-1])
+    readable = 0.0 < mid < math.inf
+    if call == "growing" or (readable and end >= stays * mid):
+        status = Verdict.VIOLATED
+    elif readable and end <= vanish * mid:
+        status = Verdict.SATISFIED
+    else:
+        status = Verdict.INCONCLUSIVE
+    return grid_decided(cond, status, "vanishing", {**evidence, "ratio": [mid, end]})
+
+
+# ---------------------------------------------------------------------------
 # condition checks
 
 _CHAIN = ("omega_snq", "omega_nq", "omega5", "omega2")  # each implies the next
+_LINEAR = GrowthModel(1.0)
 
 
 def _sweep(omega: WeightFunction, config: RunConfig):
@@ -459,104 +527,63 @@ def _sweep(omega: WeightFunction, config: RunConfig):
 def check_omega1(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     ts, vals = _sweep(omega, config)
     ratio = omega.eval(2.0 * ts) / (vals + 1.0)
-    running = np.maximum.accumulate(ratio)
-    sup = float(running[-1])
-    if omega.model is not None:
-        limit = omega.model.ratio_limit(2.0)
-        if math.isfinite(limit):
-            return ConditionVerdict.satisfied("omega1",
-                {"C": max(sup, limit) * REL_MARGIN, "grid_sup": sup,
-                 "model_limit": limit})
-    call, info = _trend_call(running)
-    if call == "stable":
-        return ConditionVerdict.satisfied("omega1", {"C": sup * REL_MARGIN,
-                                                     "grid_sup": sup,
-                                                     "grid_only": True})
-    if call == "growing":
-        return ConditionVerdict.violated("omega1",
-            {"t": float(ts[-1]), "ratio": sup, "trend": "doubling ratio keeps growing",
-             **info})
-    return ConditionVerdict.inconclusive("omega1", info,
-                                         note="no model and no stable sup")
-
-
-def _linear_bound_check(cond: str, omega: WeightFunction, config: RunConfig,
-                        little_o: bool) -> ConditionVerdict:
-    ts, vals = _sweep(omega, config)
-    ratio = vals / (ts + 1.0)
-    m = omega.model
-    if m is not None:
-        a, k = m.shape
-        if a < 1.0 or (a == 1.0 and (k < 0.0 if little_o else k <= 0.0)):
-            w = {"ratio_at_tmax": float(ratio[-1]), "model_exponent": a}
-            if not little_o:
-                w["C"] = float(np.max(ratio)) * REL_MARGIN
-            return ConditionVerdict.satisfied(cond, w)
-        reason = ("limit of omega(t)/t is positive" if (a == 1.0 and k == 0.0)
-                  else "omega(t)/t grows without bound")
-        return ConditionVerdict.violated(cond,
-            {"t": float(ts[-1]), "ratio": float(ratio[-1]), "trend": reason})
-    running = np.maximum.accumulate(ratio)
-    call, info = _trend_call(running)
-    if call == "growing":
-        return ConditionVerdict.violated(cond, {"t": float(ts[-1]),
-                                                "ratio": float(ratio[-1]),
-                                                "trend": "ratio to t keeps growing",
-                                                **info})
-    if call == "stable" and not little_o:
-        return ConditionVerdict.satisfied(cond, {"C": float(running[-1]) * REL_MARGIN,
-                                                 "grid_only": True})
-    if little_o:
-        n = len(ratio)
-        tail, mid = ratio[-1], ratio[n // 2]
-        if mid > 0 and tail <= VANISH * mid:
-            return ConditionVerdict.satisfied(cond, {"ratio_at_tmax": float(tail),
-                                                     "trend": "ratio halves per sweep",
-                                                     "grid_only": True})
-        if mid > 0 and tail >= NOT_VANISH * mid:
-            return ConditionVerdict.violated(cond, {"t": float(ts[-1]),
-                                                    "ratio": float(tail),
-                                                    "trend": "ratio to t not vanishing"})
-    return ConditionVerdict.inconclusive(cond, info,
-                                         note="no model; grid trend unclear")
+    limit = omega.model.ratio_limit(2.0) if omega.model is not None else math.inf
+    if not math.isfinite(limit):
+        return grid_bounded("omega1", ratio, ts, "omega(2t)/(omega(t)+1)")
+    sup = float(np.max(ratio))
+    return ConditionVerdict.satisfied("omega1",
+        {"C": max(sup, limit) * REL_MARGIN, "grid_sup": sup, "model_limit": limit})
 
 
 def check_omega2(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
-    return _linear_bound_check("omega2", omega, config, little_o=False)
+    ts, vals = _sweep(omega, config)
+    ratio, m = vals / (ts + 1.0), omega.model
+    if m is None:
+        return grid_bounded("omega2", ratio, ts, "omega(t)/(t+1)")
+    if _shape_cmp(m, _LINEAR) > 0:
+        return ConditionVerdict.violated("omega2", {"t": float(ts[-1]),
+            "ratio": float(ratio[-1]), "trend": "omega(t)/t grows without bound"})
+    return ConditionVerdict.satisfied("omega2",
+        {"ratio_at_tmax": float(ratio[-1]), "model_exponent": m.exponent,
+         "C": float(np.max(ratio)) * REL_MARGIN})
 
 
 def check_omega5(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
-    return _linear_bound_check("omega5", omega, config, little_o=True)
+    ts, vals = _sweep(omega, config)
+    ratio, m = vals / (ts + 1.0), omega.model
+    if m is None:
+        return grid_vanishing("omega5", ratio, ts, "omega(t)/(t+1)")
+    c = _shape_cmp(m, _LINEAR)
+    if c >= 0:
+        return ConditionVerdict.violated("omega5", {"t": float(ts[-1]),
+            "ratio": float(ratio[-1]),
+            "trend": ("limit of omega(t)/t is positive" if c == 0
+                      else "omega(t)/t grows without bound")})
+    return ConditionVerdict.satisfied("omega5",
+        {"ratio_at_tmax": float(ratio[-1]), "model_exponent": m.exponent})
 
 
 def check_omega3(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     ts, vals = _sweep(omega, config)
     mask = ts >= 10.0
-    ratio = vals[mask] / np.log(ts[mask])
+    ts, vals = ts[mask], vals[mask]
     m = omega.model
-    if m is not None:
-        a, k = m.shape
-        if a > 0 or (a == 0 and k > 1):
-            return ConditionVerdict.satisfied("omega3",
-                {"ratio_at_tmax": float(ratio[-1]), "model_shape": (a, k)})
-        limit = m.coeff if (a == 0 and k == 1 and m.coeff is not None) else None
-        return ConditionVerdict.violated("omega3",
-            {"t": float(ts[-1]), "ratio": float(ratio[-1]),
-             "trend": "omega/log t stays bounded",
-             **({"limit": limit} if limit is not None else {})})
-    n = len(ratio)
-    last, mid = ratio[-1], ratio[n // 2]
-    if mid > 0 and last >= LOG_RATIO_GROW * mid:
-        return ConditionVerdict.satisfied("omega3", {"ratio_at_tmax": float(last),
-                                                     "trend": "ratio keeps growing",
-                                                     "grid_only": True})
-    if mid > 0 and last <= LOG_RATIO_FLAT * mid:
-        return ConditionVerdict.violated("omega3", {"t": float(ts[-1]),
-                                                    "ratio": float(last),
-                                                    "trend": "ratio flat on grid"})
-    return ConditionVerdict.inconclusive("omega3",
-        {"ratio_mid": float(mid), "ratio_last": float(last)},
-        note="grid trend unclear")
+    if m is None:
+        # log t = o(omega): the reciprocal ratio vanishes
+        with np.errstate(divide="ignore"):
+            inverse = np.log(ts) / np.maximum(vals, 0.0)
+        return grid_vanishing("omega3", inverse, ts, "log t/omega(t)",
+                              vanish=LOG_VANISH, stays=LOG_NOT_VANISH)
+    ratio = vals / np.log(ts)
+    a, k = m.shape
+    if a > 0 or (a == 0 and k > 1):
+        return ConditionVerdict.satisfied("omega3",
+            {"ratio_at_tmax": float(ratio[-1]), "model_shape": (a, k)})
+    limit = m.coeff if (a == 0 and k == 1 and m.coeff is not None) else None
+    return ConditionVerdict.violated("omega3",
+        {"t": float(ts[-1]), "ratio": float(ratio[-1]),
+         "trend": "omega/log t stays bounded",
+         **({"limit": limit} if limit is not None else {})})
 
 
 def _convexity_samples(omega: WeightFunction, config: RunConfig):
@@ -635,15 +662,15 @@ def check_omega6(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     tried = []
     for H in sorted(set(candidates)):
         defect = float(np.max(2.0 * vals - omega.eval(H * ts)))
-        tried.append((H, defect))
         if defect <= H:
-            w = {"H": H, "defect": defect}
-            if m is None:
-                w["grid_only"] = True
-            return ConditionVerdict.satisfied("omega6", w)
-    return ConditionVerdict.inconclusive("omega6",
-        {"tried": [(H, round(d, 6)) for H, d in tried[:6]]},
-        note="no H found on the grid and no model to rule one out")
+            status, evidence = Verdict.SATISFIED, {"H": H, "defect": defect}
+            break
+        tried.append((H, round(defect, 6)))
+    else:
+        status, evidence = Verdict.INCONCLUSIVE, {"tried": tried[:6]}
+    if m is not None and status is Verdict.SATISFIED:
+        return ConditionVerdict.satisfied("omega6", evidence)
+    return grid_decided("omega6", status, "H search", evidence)
 
 
 class OmegaNodes:
@@ -711,18 +738,20 @@ class OmegaNodes:
         if decays:
             try:
                 res = self.from_one.integral(s)
-                return ConditionVerdict.satisfied(cond,
-                    {"integral": res.value, "tail": res.tail_method, "r": r,
-                     "grid_only": True})
+                return grid_decided(cond, Verdict.SATISFIED, "window integrals",
+                    {"integral": res.value, "tail": res.tail_method, "r": r})
             except GridTooCoarse:
                 pass
-        if flat:
-            return ConditionVerdict.violated(cond,
-                {"partial_integrals": [round(w, 6) for w in windows.tolist()],
-                 "trend": "window increments not decaying", "r": r})
-        return ConditionVerdict.inconclusive(cond, {"r": r,
-            "partial_integrals": [round(w, 6) for w in windows.tolist()]},
-            note="integral trend unclear")
+        return windows_verdict(cond, r, windows, flat)
+
+
+def windows_verdict(cond: str, r: float, windows: np.ndarray,
+                    flat: bool) -> ConditionVerdict:
+    """An order-r kernel check decided by the window integrals of
+    `OmegaNodes.integral_trend` alone: Violated when they stay flat."""
+    return grid_decided(cond, Verdict.VIOLATED if flat else Verdict.INCONCLUSIVE,
+        "window integrals",
+        {"r": r, "partial_integrals": [round(w, 6) for w in windows.tolist()]})
 
 
 def check_omega_nq_r(omega: WeightFunction, r: float,
@@ -748,26 +777,16 @@ def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdic
     kap = KappaPower(omega, 1.0)
     ts = config.grid.geometric()
     ratio = kap.eval(ts) / (omega.eval(ts) + 1.0)
-    running = np.maximum.accumulate(ratio)
-    sup = float(running[-1])
     m = omega.model
-    if m is not None and m.exponent < 1.0:
-        limit = None
-        if m.exponent > 0 or m.log_power >= 0:
-            limit = 1.0 / (1.0 - m.exponent)
-        return ConditionVerdict.satisfied("omega_snq",
-            {"C": max(sup, limit or 0.0) * REL_MARGIN, "grid_sup": sup,
-             **({"model_ratio_limit": limit} if limit else {})})
-    call, info = _trend_call(running)
-    if call == "stable":
-        return ConditionVerdict.satisfied("omega_snq",
-            {"C": sup * REL_MARGIN, "grid_sup": sup, "grid_only": True})
-    if call == "growing":
-        return ConditionVerdict.violated("omega_snq",
-            {"t": float(ts[-1]), "ratio": sup,
-             "trend": "kappa/omega ratio keeps growing", **info})
-    return ConditionVerdict.inconclusive("omega_snq", info,
-                                         note="ratio trend unclear")
+    if m is None or not m.exponent < 1.0:
+        return grid_bounded("omega_snq", ratio, ts, "kappa(t)/(omega(t)+1)")
+    sup = float(np.max(ratio))
+    limit = None
+    if m.exponent > 0 or m.log_power >= 0:
+        limit = 1.0 / (1.0 - m.exponent)
+    return ConditionVerdict.satisfied("omega_snq",
+        {"C": max(sup, limit or 0.0) * REL_MARGIN, "grid_sup": sup,
+         **({"model_ratio_limit": limit} if limit else {})})
 
 
 # condition name -> checker(omega, config); one whose name ends in "_r" takes
@@ -834,61 +853,49 @@ def _apply_chain(omega: WeightFunction, cond: str, verdict: ConditionVerdict,
 # ---------------------------------------------------------------------------
 # comparisons
 
-def _ratio_verdict(cond: str, num: WeightFunction, den: WeightFunction,
-                   config: RunConfig, want_vanishing: bool) -> ConditionVerdict:
+def _gauge_ratio(num: WeightFunction, den: WeightFunction, config: RunConfig):
+    """The grid, num/(den+1) on it, its end and sup, and the models' _shape_cmp."""
     ts = config.grid.geometric()
     ratio = num.eval(ts) / (den.eval(ts) + 1.0)
-    running = np.maximum.accumulate(ratio)
-    info = {"ratio_at_tmax": float(ratio[-1]), "grid_sup": float(running[-1])}
-    if num.model is not None and den.model is not None:
-        c = _shape_cmp(num.model, den.model)
-        if c < 0:
-            if want_vanishing:
-                return ConditionVerdict.satisfied(cond, info)
-            return ConditionVerdict.satisfied(cond,
-                {"C": float(running[-1]) * REL_MARGIN, **info})
-        if c > 0:
-            return ConditionVerdict.violated(cond,
-                {"t": float(ts[-1]), **info, "trend": "ratio grows without bound"})
-        # same shape
-        if want_vanishing:
-            return ConditionVerdict.violated(cond,
-                {"t": float(ts[-1]), **info,
-                 "trend": "same growth shape, ratio does not vanish"})
-        if num.model.coeff is not None and den.model.coeff is not None:
-            limit = num.model.coeff / den.model.coeff
-            return ConditionVerdict.satisfied(cond,
-                {"C": max(float(running[-1]), limit) * REL_MARGIN,
-                 "model_ratio_limit": limit, **info})
-    call, tr = _trend_call(running, flat=RATIO_TREND_FLAT)
-    if call == "growing":
-        return ConditionVerdict.violated(cond, {"t": float(ts[-1]), **info, **tr,
-                                                "trend": "grid ratio keeps growing"})
-    if want_vanishing:
-        n = len(ratio)
-        if ratio[n // 2] > 0 and ratio[-1] <= VANISH * ratio[n // 2]:
-            return ConditionVerdict.satisfied(cond, {**info, "grid_only": True})
-        return ConditionVerdict.inconclusive(cond, info,
-                                             note="vanishing not certified")
-    if call == "stable":
-        return ConditionVerdict.satisfied(cond,
-            {"C": float(running[-1]) * REL_MARGIN, "grid_only": True, **info})
-    return ConditionVerdict.inconclusive(cond, info,
-                                         note="no model; grid trend unclear")
+    info = {"ratio_at_tmax": float(ratio[-1]), "grid_sup": float(np.max(ratio))}
+    cmp = (_shape_cmp(num.model, den.model)
+           if num.model is not None and den.model is not None else None)
+    return ts, ratio, info, cmp
 
 
 def compare_preceq(a: WeightFunction, b: WeightFunction,
                    config: Optional[RunConfig] = None) -> ConditionVerdict:
     """Is b dominated by a, i.e. b(t) <= C (a(t) + 1) for some C?"""
-    return _ratio_verdict("preceq", b, a, config or RunConfig(),
-                          want_vanishing=False)
+    cond = "preceq"
+    ts, ratio, info, cmp = _gauge_ratio(b, a, config or RunConfig())
+    if cmp is None or (cmp == 0 and None in (a.model.coeff, b.model.coeff)):
+        return grid_bounded(cond, ratio, ts, "b(t)/(a(t)+1)", flat=RATIO_TREND_FLAT)
+    if cmp > 0:
+        return ConditionVerdict.violated(cond,
+            {"t": float(ts[-1]), **info, "trend": "ratio grows without bound"})
+    if cmp < 0:
+        return ConditionVerdict.satisfied(cond,
+            {"C": info["grid_sup"] * REL_MARGIN, **info})
+    limit = b.model.coeff / a.model.coeff
+    return ConditionVerdict.satisfied(cond,
+        {"C": max(info["grid_sup"], limit) * REL_MARGIN,
+         "model_ratio_limit": limit, **info})
 
 
 def compare_o(a: WeightFunction, b: WeightFunction,
               config: Optional[RunConfig] = None) -> ConditionVerdict:
     """Is b negligible against a, i.e. b(t)/a(t) -> 0?"""
-    return _ratio_verdict("little_o", b, a, config or RunConfig(),
-                          want_vanishing=True)
+    cond = "little_o"
+    ts, ratio, info, cmp = _gauge_ratio(b, a, config or RunConfig())
+    if cmp is None:
+        return grid_vanishing(cond, ratio, ts, "b(t)/(a(t)+1)",
+                              stays=GAUGE_NOT_VANISH)
+    if cmp < 0:
+        return ConditionVerdict.satisfied(cond, info)
+    return ConditionVerdict.violated(cond,
+        {"t": float(ts[-1]), **info,
+         "trend": ("ratio grows without bound" if cmp > 0
+                   else "same growth shape, ratio does not vanish")})
 
 
 def equivalent_fun(a: WeightFunction, b: WeightFunction,
@@ -1026,10 +1033,6 @@ def conjugate_pl(pl: ConvexPL, *, tol: float = 1e-9) -> ConvexPL:
         out_x = np.concatenate([[0.0], out_x])
         out_v = np.concatenate([[-vals[0]], out_v])
     return ConvexPL(out_x, out_v, extrapolation_slope=float(xs[-1]))
-
-
-def biconjugate(pl: ConvexPL) -> ConvexPL:
-    return conjugate_pl(conjugate_pl(pl))
 
 
 def young_conjugate(omega: "WeightFunction | ConvexPL",

@@ -22,15 +22,15 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .functions import GrowthModel, OmegaNodes, WeightFunction, _shape_cmp
+from .functions import (GrowthModel, OmegaNodes, WeightFunction, _shape_cmp,
+                        grid_bounded, windows_verdict)
 from .quadrature import SuffixSamples, power_log_tail
 from .sequences import (RatioSweep, WeightSequence, check_lc, check_nq_r,
                         finish_sup_verdict)
 from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
                       ConditionVerdict, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, RunConfig,
-                      UltraweightError, _jsonify, _trend_call, read_only,
-                      stabilized)
+                      UltraweightError, _jsonify, read_only)
 
 INDEX_FLOOR = 1.0 / 64.0  # smallest order probed while expanding downward
 _PROBE_BUDGET = 40
@@ -92,14 +92,10 @@ class IndexEstimate:
     def to_dict(self) -> dict:
         samples = []
         for r, v in self.r_samples:
-            entry: dict[str, Any] = {"r": r, "verdict": v.status.value}
-            if v.witness:
-                entry["witness"] = _jsonify(v.witness)
-            if v.counterexample:
-                entry["counterexample"] = _jsonify(v.counterexample)
-            if v.trend:
-                entry["trend"] = _jsonify(v.trend)
-            samples.append(entry)
+            d = v.to_dict()  # its condition and diagnostics stay out
+            del d["condition"]
+            d.pop("diagnostics", None)
+            samples.append({"r": r, "verdict": d.pop("status"), **d})
         return {"index": self.name, "lower": self.lower, "upper": self.upper,
                 "method": self.method, "tolerance": self.tolerance,
                 "samples": samples, "diagnostics": _jsonify(dict(self.diagnostics))}
@@ -340,10 +336,10 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
 class MixedFunProbe:
     """mixed_condition_fun for one pair (sigma, omega) at any order r.
 
-    sigma and omega on the grid, the ratio-trend test and omega at every
-    quadrature node do not depend on r: one index call computes each of them
-    once, on the first order that needs it, and every probe applies only its
-    own kernel.
+    sigma and omega on the grid, the trend of omega / (sigma + 1) and omega at
+    every quadrature node do not depend on r: one index call computes each of
+    them once, on the first order that needs it, and every probe applies only
+    its own kernel.
     """
 
     def __init__(self, sigma: WeightFunction, omega: WeightFunction,
@@ -360,11 +356,11 @@ class MixedFunProbe:
         return self.omega.value(self.ts[-1])
 
     @cached_property
-    def ratio_trend(self) -> tuple[float, str, dict]:
-        """The running max of omega / (sigma + 1) at the grid end, and its trend."""
-        lb = np.maximum.accumulate(self.omega.eval(self.ts) / (self.sig + 1.0))
-        call, info = _trend_call(lb)
-        return float(lb[-1]), call, info
+    def omega_over_sigma(self) -> ConditionVerdict:
+        """Does omega / (sigma + 1) stay bounded on the grid?  The integral is
+        at least r*omega(t), so where it does not, no order satisfies."""
+        return grid_bounded("mixed_fun", self.omega.eval(self.ts) / (self.sig + 1.0),
+                            self.ts, "omega(t)/(sigma(t)+1)")
 
     @cached_property
     def suffix(self) -> SuffixSamples:
@@ -384,16 +380,11 @@ class MixedFunProbe:
             return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
                 "omega_over_sigma": float(self.omega_top / (sig[-1] + 1.0))},
                 reason="integral >= r*omega(t) and omega/sigma is unbounded")
-        if m is None or ms is None:
-            lb_top, call, lb_info = self.ratio_trend
-            if call == "growing":
-                return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
-                    "omega_over_sigma": lb_top},
-                    reason="integral >= r*omega(t) and omega/sigma keeps growing",
-                    **lb_info)
+        if (m is None or ms is None) and self.omega_over_sigma.is_violated:
+            return self.omega_over_sigma
 
         tail = m.tail_callable(s) if m is not None else None
-        tail_note = None
+        tail_info = {}
         if tail is None and conv is True and m is not None and m.coeff is not None:
             # no exact closed form, but the growth model certifies convergence and
             # pins the leading coefficient; an asymptotic tail beats a blind fit
@@ -401,53 +392,32 @@ class MixedFunProbe:
             def tail(y_cut: float, _m: GrowthModel = m, _s: float = s) -> float:
                 return power_log_tail(_m.coeff, _m.exponent, _m.log_power,
                                       _m.offset, _s, y_cut)
-            tail_note = "model-asymptotic"
+            tail_info = {"tail": "model-asymptotic"}
         try:
             G = self.suffix.integrals(s, tail)
         except GridTooCoarse:
             windows, _, flat = self.nodes.integral_trend(s)
-            if flat:
-                return ConditionVerdict.violated(cond, {"t": float(ts[0]), "r": r,
-                    "partial_integrals": [round(float(w), 6) for w in windows]},
-                    reason="kernel integral fails to converge numerically")
-            return ConditionVerdict.inconclusive(cond, {"r": r,
-                "partial_integrals": [round(float(w), 6) for w in windows]},
-                note="integral tail unresolved by quadrature")
+            return windows_verdict(cond, r, windows, flat)
 
         F = ts ** (1.0 / r) * G / (sig + 1.0)
-        running = np.maximum.accumulate(F)
-        sup = float(running[-1])
-        info = {"r": r, "sup": sup, "grid_points": len(ts)}
-        if tail_note is not None:
-            info["tail"] = tail_note
+        if m is None or ms is None:
+            return grid_bounded(cond, F, ts, "t^(1/r)*integral_t^inf omega(u) "
+                                "u^(-1-1/r) du/(sigma(t)+1)", r=r, **tail_info)
 
-        if m is not None and ms is not None:
-            c = _shape_cmp(m, ms)  # c <= 0 at this point
-            if c < 0:
-                return ConditionVerdict.satisfied(cond,
-                    {"C": sup * REL_MARGIN, **info},
-                    note="ratio to sigma vanishes at infinity")
-            limit = None
-            if m.coeff is not None and ms.coeff is not None:
-                denom = 1.0 / r - m.exponent
-                if denom > 0:
-                    limit = m.coeff / (denom * ms.coeff)
-            C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
-            return ConditionVerdict.satisfied(cond, {"C": C, **info},
-                **({"model_ratio_limit": limit} if limit is not None else {}))
-
-        call, tr = _trend_call(running)
-        if call == "stable" and conv is True:
-            return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info})
-        if call == "stable":
-            return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info,
-                                                     "grid_only": True})
-        if call == "growing":
-            return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
-                "ratio": float(F[-1])},
-                reason="normalized integral keeps growing along the grid", **tr)
-        return ConditionVerdict.inconclusive(cond, {**info, **tr},
-                                             note="normalized integral trend unclear")
+        sup = float(np.max(F))
+        info = {"r": r, "sup": sup, "grid_points": len(ts), **tail_info}
+        c = _shape_cmp(m, ms)  # c <= 0 at this point
+        if c < 0:
+            return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info},
+                                              note="ratio to sigma vanishes at infinity")
+        limit = None
+        if m.coeff is not None and ms.coeff is not None:
+            denom = 1.0 / r - m.exponent
+            if denom > 0:
+                limit = m.coeff / (denom * ms.coeff)
+        C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
+        return ConditionVerdict.satisfied(cond, {"C": C, **info},
+            **({"model_ratio_limit": limit} if limit is not None else {}))
 
 
 def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] = None,

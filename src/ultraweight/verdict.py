@@ -263,8 +263,9 @@ REL_MARGIN = 1.01  # widens a sup read off the range into a witness constant
 # a running sup grows by TREND_GROW over each of its last two quarters, or
 # ends within TREND_FLAT (RATIO_TREND_FLAT for a ratio of gauges) of its middle
 TREND_GROW, TREND_FLAT, RATIO_TREND_FLAT = 1.05, 1.0005, 1.02
-LOG_RATIO_GROW, LOG_RATIO_FLAT = 1.2, 1.02  # omega3: omega/log t, end over middle
 VANISH, NOT_VANISH = 0.5, 0.98  # a ratio that should vanish: end over middle
+LOG_VANISH, LOG_NOT_VANISH = 1 / 1.2, 1 / 1.02  # the same for omega3's log t/omega
+GAUGE_NOT_VANISH = math.inf  # compare_o: no end value refutes b = o(a)
 WINDOW_DECAY, WINDOW_FLAT = 0.7, 0.9  # window integrals: last increment over previous
 SUM_UNDIMINISHED = 0.5  # partial sums: last doubling's increment over previous
 COMPARE_SLOPE, COMPARE_ROOT = 1e-3, 0.5  # compare: flat log-ratio slope, vanished root
@@ -288,17 +289,3 @@ def stabilized(running_values: np.ndarray, rel: float = STABILIZE_REL) -> bool:
         return abs(half) <= rel
     return abs(final - half) <= rel * abs(final)
 
-
-def _trend_call(running: np.ndarray, grow: float = TREND_GROW,
-                flat: float = TREND_FLAT):
-    """Classify a running sup: 'stable', 'growing', or 'unclear'."""
-    n = len(running)
-    if n < 8:
-        return "unclear", {}
-    last, mid, quarter = running[-1], running[n // 2], running[n // 4]
-    if mid > 0 and last <= flat * mid:
-        return "stable", {"sup": float(last)}
-    if quarter > 0 and mid >= grow * quarter and last >= grow * mid:
-        return "growing", {"sup_quarter": float(quarter), "sup_mid": float(mid),
-                           "sup_last": float(last)}
-    return "unclear", {"sup_mid": float(mid), "sup_last": float(last)}
