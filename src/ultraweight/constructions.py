@@ -52,8 +52,12 @@ _HAT_X_TOP = float(1 << 20)  # conjugate slope coverage for the function route
 # sup transform: sequence -> function
 # ---------------------------------------------------------------------------
 
+def _lc_verdict(M: WeightSequence, config: RunConfig) -> ConditionVerdict:
+    return check_lc(M, min(int(config.p_max), 20000))
+
+
 def _require_log_convex(M: WeightSequence, config: RunConfig) -> ConditionVerdict:
-    verdict = check_lc(M, min(int(config.p_max), 20000))
+    verdict = _lc_verdict(M, config)
     if verdict.is_violated:
         raise NotLogConvex(f"{M.label} is not log-convex: "
                            f"{dict(verdict.counterexample)}")
@@ -93,7 +97,9 @@ def associated_function(M: WeightSequence, *,
 
     Raises NotLogConvex / DivergentAssociated when the input is outside the
     domain.  The returned node carries the growth and convexity verdicts the
-    transform guarantees; a Violated one raises InternalInconsistency.
+    transform guarantees; a Violated one raises InternalInconsistency.  A
+    finite list's transform is N log t - log M_N past its last quotient, so
+    it fails omega3 by rights: that verdict is recorded, not enforced.
     """
     config = config or RunConfig()
     _require_log_convex(M, config)
@@ -103,7 +109,8 @@ def associated_function(M: WeightSequence, *,
     for cond in ("omega3", "omega4"):
         verdict = check_omega_condition(fn, cond, config=config)
         checks[cond] = verdict
-        if verdict.is_violated:
+        if verdict.is_violated and not (cond == "omega3"
+                                         and M.finite_size is not None):
             raise InternalInconsistency(
                 f"sup transform of {M.label} violates {cond}: "
                 f"{dict(verdict.counterexample)}")
@@ -130,8 +137,27 @@ def associated_eval(M: WeightSequence, t, *,
 
 
 # ---------------------------------------------------------------------------
-# conjugate refinement shared by the matrix and the hat bridge
+# conjugate shared by the matrix and the hat bridge: read off a sequence, or
+# sampled and refined
 # ---------------------------------------------------------------------------
+
+def _conjugate_sequence(omega: WeightFunction, base: WeightFunction,
+                        config: RunConfig) -> Optional[WeightSequence]:
+    """M when the conjugate of y -> omega(e^y) is log M, linear in between.
+
+    That holds for omega = assoc(M) with M log-convex and M_0 = 1, the
+    conjugate's value at p being log M_p (Komatsu, Ultradistributions I:
+    M_p = sup_t t^p / exp(omega_M(t))), and +inf past the last index of a
+    finite list.  `base` is normalize(omega); a shifted input has another
+    conjugate.  None sends the caller to the sampled conjugate.
+    """
+    if base is not omega or not isinstance(omega, AssociatedOf):
+        return None
+    M = omega.seq
+    if M.log_m0 != 0.0 or not _lc_verdict(M, config).is_satisfied:
+        return None
+    return M
+
 
 def _refined_conjugate(omega: WeightFunction, x_top: float, config: RunConfig,
                        *, tol: float = 1e-3) -> ConvexPL:
@@ -248,9 +274,11 @@ def associated_matrix(omega: WeightFunction,
     """Matrix of conjugate-derived level sequences of a weight function.
 
     The input is normalized first (the conjugate must vanish at 0 for the
-    rows to be normalized sequences).  The conjugate grid auto-refines until
-    the top entry of every row is stable to 0.1%; GridTooCoarse signals that
-    refinement stalled.
+    rows to be normalized sequences).  DivergentAssociated refuses assoc(M)
+    of a finite M that ends before levels[-1] * j_max.  On assoc(M) with M
+    log-convex and M_0 = 1 the rows are read off log M.  Otherwise the
+    conjugate grid auto-refines until the top entry of every row is stable
+    to 0.1%; GridTooCoarse signals that refinement stalled.
     """
     config = config or RunConfig()
     levels = tuple(sorted(float(l) for l in levels))
@@ -261,10 +289,29 @@ def associated_matrix(omega: WeightFunction,
     if j_max < 1:
         raise InvalidArgument("j_max must be >= 1")
 
+    x_top = levels[-1] * j_max
+    last = omega.seq.max_index if isinstance(omega, AssociatedOf) else None
+    if last is not None and x_top > last:
+        raise DivergentAssociated(
+            f"{omega.seq.label} ends at index N = {last}: the conjugate of "
+            f"its sup transform is +inf past N, and levels[-1] * j_max "
+            f"= {x_top:g} exceeds N")
     base = normalize(omega)
+    M = _conjugate_sequence(omega, base, config)
+    if M is None:
+        pl = _refined_conjugate(base, x_top, config, tol=1e-3)
+        conj, breakpoints, method = pl, len(pl.xs), "sampled"
+    else:
+        top = math.ceil(x_top)
+        log_m = M.log_values(top)
+        p = np.arange(top + 1, dtype=float)
+
+        def conj(x: np.ndarray) -> np.ndarray:
+            return np.interp(x, p, log_m)
+
+        breakpoints, method = top + 1, "structure"
     entry = {cond: check_omega_condition(base, cond, config=config)
              for cond in ("omega1", "omega3", "omega4")}
-    conj = _refined_conjugate(base, levels[-1] * j_max, config, tol=1e-3)
 
     js = np.arange(j_max + 1, dtype=float)
     logs: dict[float, np.ndarray] = {}
@@ -307,7 +354,8 @@ def associated_matrix(omega: WeightFunction,
     diagnostics = {
         "entry_conditions": {c: v.status.value for c, v in entry.items()},
         "normalized_input": base is not omega,
-        "conjugate_breakpoints": len(conj.xs),
+        "conjugate_method": method,
+        "conjugate_breakpoints": breakpoints,
         "max_convexity_clamp": max_clamp,
         "doubling_absorption": _absorption_report(levels, logs),
     }
@@ -324,6 +372,7 @@ def omega_hat(arg, *, config: Optional[RunConfig] = None) -> WeightFunction:
     A sequence is lifted directly: sup transform of p! * M_p.  A weight
     function first drops to its level-1 conjugate sequence (the matrix row,
     extended to all indices through the conjugate itself), then lifts that.
+    On assoc(M) with M log-convex and M_0 = 1 that row is M itself.
     """
     config = config or RunConfig()
     if isinstance(arg, WeightSequence):
@@ -332,6 +381,9 @@ def omega_hat(arg, *, config: Optional[RunConfig] = None) -> WeightFunction:
         raise InvalidArgument("omega_hat takes a weight sequence or function")
 
     base = normalize(arg)
+    M = _conjugate_sequence(arg, base, config)
+    if M is not None:
+        return associated_function(hat(M), config=config)
     conj = _refined_conjugate(base, _HAT_X_TOP, config, tol=1e-2)
 
     def rule(lo: int, hi: int) -> np.ndarray:

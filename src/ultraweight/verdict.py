@@ -41,7 +41,8 @@ class NotLogConvex(PreconditionError):
 
 
 class DivergentAssociated(PreconditionError):
-    """(M_p)^{1/p} stays bounded, so the associated function is +inf."""
+    """A sup transform or its conjugate is +inf where it is asked for:
+    (M_p)^{1/p} stays bounded, or a finite list's conjugate past its end."""
 
 
 class NotNonQuasianalytic(PreconditionError):
