@@ -159,6 +159,19 @@ def _conjugate_sequence(omega: WeightFunction, base: WeightFunction,
     return M
 
 
+def _refuse_past_last_index(omega: WeightFunction, x_top: float, what: str) -> None:
+    """DivergentAssociated when omega = assoc(M) of a finite M ends before x_top.
+
+    The conjugate of its sup transform is +inf past M's last index N.
+    """
+    last = omega.seq.max_index if isinstance(omega, AssociatedOf) else None
+    if last is not None and x_top > last:
+        raise DivergentAssociated(
+            f"{omega.seq.label} ends at index N = {last}: the conjugate of "
+            f"its sup transform is +inf past N, and {what} = {x_top:g} "
+            "exceeds N")
+
+
 def _refined_conjugate(omega: WeightFunction, x_top: float, config: RunConfig,
                        *, tol: float = 1e-3) -> ConvexPL:
     """Conjugate of y -> omega(e^y) with the grid adapted to the request.
@@ -290,12 +303,7 @@ def associated_matrix(omega: WeightFunction,
         raise InvalidArgument("j_max must be >= 1")
 
     x_top = levels[-1] * j_max
-    last = omega.seq.max_index if isinstance(omega, AssociatedOf) else None
-    if last is not None and x_top > last:
-        raise DivergentAssociated(
-            f"{omega.seq.label} ends at index N = {last}: the conjugate of "
-            f"its sup transform is +inf past N, and levels[-1] * j_max "
-            f"= {x_top:g} exceeds N")
+    _refuse_past_last_index(omega, x_top, "levels[-1] * j_max")
     base = normalize(omega)
     M = _conjugate_sequence(omega, base, config)
     if M is None:
@@ -372,7 +380,9 @@ def omega_hat(arg, *, config: Optional[RunConfig] = None) -> WeightFunction:
     A sequence is lifted directly: sup transform of p! * M_p.  A weight
     function first drops to its level-1 conjugate sequence (the matrix row,
     extended to all indices through the conjugate itself), then lifts that.
-    On assoc(M) with M log-convex and M_0 = 1 that row is M itself.
+    On assoc(M) with M log-convex and M_0 = 1 that row is M itself; on any
+    other assoc(M) of a finite M, DivergentAssociated: the row ends at M's
+    last index.
     """
     config = config or RunConfig()
     if isinstance(arg, WeightSequence):
@@ -384,6 +394,7 @@ def omega_hat(arg, *, config: Optional[RunConfig] = None) -> WeightFunction:
     M = _conjugate_sequence(arg, base, config)
     if M is not None:
         return associated_function(hat(M), config=config)
+    _refuse_past_last_index(arg, _HAT_X_TOP, "the lift's top slope")
     conj = _refined_conjugate(base, _HAT_X_TOP, config, tol=1e-2)
 
     def rule(lo: int, hi: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .special import gammaln, hurwitz_zeta
 from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
                       ConditionVerdict, EvaluationRangeError,
                       InternalInconsistency, InvalidArgument, InvalidSpec,
-                      Verdict, read_only, stabilized)
+                      Verdict, read_only, settled, stabilized)
 
 DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
@@ -524,25 +524,32 @@ class SuffixSums:
         self.P = N._capped(P)
         self.log_nu = read_only(N.log_quotients(self.P)[1:])  # log nu_k, k = 1..P
 
-    def at(self, inv_r: float) -> SuffixSweep:
+    def tail(self, inv_r: float) -> tuple[tuple[float, float] | None, Optional[bool]]:
+        """N's tail bracket past P and whether its tail model says the sum converges.
+
+        (None, None) when N has no tail model that reaches P + 1.
+        """
         if inv_r <= 0:
             raise InvalidArgument("inv_r must be > 0")
-        P, tm = self.P, self.N.tail_model
+        tm = self.N.tail_model
+        if tm is None or tm.start > self.P + 1:
+            return None, None
+        return tm.tail_power_sum(inv_r, self.P + 1), tm.tail_sum_converges(inv_r)
+
+    def at(self, inv_r: float) -> SuffixSweep:
+        return self.summed(inv_r, *self.tail(inv_r))
+
+    def summed(self, inv_r: float, tail: tuple[float, float] | None,
+               converges: Optional[bool]) -> SuffixSweep:
+        """The sweep at one order, given that order's `tail`."""
+        seed = -math.inf  # no tail, or a straddling bracket: the finite partial sums
+        if converges is False:
+            seed = math.inf
+        elif tail is not None and math.isfinite(tail[1]) and tail[1] > 0:
+            seed = math.log(tail[1])
         terms = -inv_r * self.log_nu  # log of nu_k**(-inv_r), k = 1..P
-        tail = None
-        converges: Optional[bool] = None
-        seed = -math.inf
-        if tm is not None and tm.start <= P + 1:
-            tail = tm.tail_power_sum(inv_r, P + 1)
-            converges = tm.tail_sum_converges(inv_r)
-            if converges is False:
-                seed = math.inf
-            elif math.isinf(tail[1]):
-                seed = -math.inf  # straddling bracket: keep the finite partial sums
-            elif tail[1] > 0:
-                seed = math.log(tail[1])
         return SuffixSweep(log_T=log_suffix_sums(terms, seed), tail_bracket=tail,
-                           converges=converges, P=P)
+                           converges=converges, P=self.P)
 
 
 def suffix_power_sums(N: WeightSequence, inv_r: float, P: int) -> SuffixSweep:
@@ -554,7 +561,8 @@ class RatioSweep:
     """sup_ratio_sweep of one pair (M, N) up to P, at any order.
 
     The log quotients of M and N and log p are read once; each order computes
-    only N's suffix sums, the per-p log values and their running max.
+    only N's suffix sums and the per-p log values, and none of them when N's
+    tail model says the inner sum diverges.
     """
 
     def __init__(self, M: WeightSequence, N: WeightSequence, P: int):
@@ -564,25 +572,48 @@ class RatioSweep:
         self.log_p = read_only(np.log(np.arange(1, self.P + 1, dtype=float)))
 
     def at(self, inv_r: float) -> dict:
-        sweep = self.sums.at(inv_r)
-        log_F = inv_r * self.log_mu - self.log_p + sweep.log_T[: self.P]
-        running = np.maximum.accumulate(log_F)
-        return {
-            "log_F": log_F,
-            "running_sup": running,
-            "sup_log": float(running[-1]) if len(running) else math.nan,
-            "tail_converges": sweep.converges,
-            "tail_bracket": sweep.tail_bracket,
-            "P": self.P,
-        }
+        """The sweep at one order, as the dict `finish_sup_verdict` reads.
+
+        `log_F`: log F_p = inv_r log mu_p - log p + log T_p for p = 1..P, with
+        T_p N's tail-completed suffix sum; None when N's tail model refutes the
+        order, and then nothing is summed and the three logs below are +inf.
+        `sup_log`: max log_F, the running sup's last value.
+        `half_log`: max log_F[: n // 2 + 1], the running sup's middle value.
+        `first_log`: log_F[0], the running sup's first value.
+        `tail_converges`, `tail_bracket`: N's tail past P, as in SuffixSums.
+        `P`: the last index swept.
+        """
+        tail, converges = self.sums.tail(inv_r)
+        if converges is False:
+            return {"log_F": None, "sup_log": math.inf, "half_log": math.inf,
+                    "first_log": math.inf, "tail_converges": False,
+                    "tail_bracket": tail, "P": self.P}
+        log_T = self.sums.summed(inv_r, tail, converges).log_T
+        log_F = inv_r * self.log_mu - self.log_p + log_T[: self.P]
+        return {"log_F": log_F, **running_sup_reads(log_F),
+                "tail_converges": converges, "tail_bracket": tail, "P": self.P}
+
+
+def running_sup_reads(log_F: np.ndarray) -> dict:
+    """The values of log_F's running sup that a sup verdict reads: last, middle, first.
+
+    All three are nan for no terms; a nan anywhere in log_F makes the last nan.
+    """
+    n = len(log_F)
+    if not n:
+        return {"sup_log": math.nan, "half_log": math.nan, "first_log": math.nan}
+    return {"sup_log": float(np.max(log_F)),
+            "half_log": float(np.max(log_F[: n // 2 + 1])),
+            "first_log": float(log_F[0])}
 
 
 def sup_ratio_sweep(M: WeightSequence, N: WeightSequence, inv_r: float,
                     P: int) -> dict:
     """Evidence for sup_p (mu_p**inv_r / p) * sum_{k>=p} nu_k**(-inv_r).
 
-    Returns the per-p log values, the running sup, and tail information; the
-    caller turns this into a verdict.
+    Returns the per-p log values, three values of their running sup, and tail
+    information (`RatioSweep.at` gives the layout); the caller turns this into
+    a verdict.
     """
     return RatioSweep(M, N, P).at(inv_r)
 
@@ -820,17 +851,22 @@ def check_gamma1(M: WeightSequence, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
 
 
 def finish_sup_verdict(cond: str, sweep: dict) -> ConditionVerdict:
-    """Turn a sup-of-suffix-sums sweep into a verdict (shared with indices)."""
+    """Turn a sup-of-suffix-sums sweep into a verdict (shared with indices).
+
+    The running sup of log_F is finite everywhere exactly when its first value
+    and its last are finite; it is built in full only to report a sup that is
+    still moving.
+    """
     if sweep["tail_converges"] is False:
         return ConditionVerdict.violated(cond, {
             "p": 1, "inner_sum": math.inf},
             reason="inner sum diverges per the tail model")
-    running = sweep["running_sup"]
-    if not len(running) or not np.all(np.isfinite(running)):
+    if not (math.isfinite(sweep["first_log"]) and math.isfinite(sweep["sup_log"])):
         return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf},
                                          reason="inner sum not finite on range")
     sup = math.exp(sweep["sup_log"])
-    is_stable = stabilized(running)
+    is_stable = (len(sweep["log_F"]) >= 4
+                 and settled(sweep["half_log"], sweep["sup_log"]))
     tail_known = sweep["tail_converges"] is True
     if is_stable and tail_known:
         return ConditionVerdict.satisfied(cond, {"sup": sup, "P": sweep["P"]},
@@ -839,6 +875,7 @@ def finish_sup_verdict(cond: str, sweep: dict) -> ConditionVerdict:
         return ConditionVerdict.inconclusive(cond, {
             "sup_on_range": sup, "P": sweep["P"]},
             note="sup stabilized but the inner-sum tail is uncertified")
+    running = np.maximum.accumulate(sweep["log_F"])
     return ConditionVerdict.inconclusive(cond, {
         "sup_on_range": sup, "P": sweep["P"],
         "running_sup_log": [float(v) for v in running[:: max(1, len(running) // 16)]]},

@@ -284,8 +284,11 @@ def stabilized(running_values: np.ndarray, rel: float = STABILIZE_REL) -> bool:
     v = v[np.isfinite(v)]
     if len(v) < 4:
         return False
-    half = v[len(v) // 2]
-    final = v[-1]
+    return settled(v[len(v) // 2], v[-1], rel)
+
+
+def settled(half: float, final: float, rel: float = STABILIZE_REL) -> bool:
+    """True when a running sup's `final` value is within `rel` of its `half` one."""
     if final == 0:
         return abs(half) <= rel
     return abs(final - half) <= rel * abs(final)

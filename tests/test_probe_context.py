@@ -3,20 +3,25 @@
 Each probe of a bisection must give the verdict a standalone condition check
 gives on freshly built objects, the batched witness search must match a
 per-j reference loop (result, search trace and the arguments it evaluates),
-and no array a context shares between probes may be written.
+and no array a context shares between probes may be written.  A sequence
+probe reads three values of its running sup where the reference builds it in
+full, and sums nothing at an order N's tail model refutes.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ultraweight as uw
-from ultraweight import indices
+from ultraweight import indices, sequences
 from ultraweight.functions import OmegaNodes
 from ultraweight.indices import MixedFunProbe, MixedSeqProbe
 from ultraweight.quadrature import PanelSamples, SuffixSamples, TailSamples
-from ultraweight.sequences import RatioSweep, SuffixSums
+from ultraweight.sequences import (RatioSweep, SuffixSums, finish_sup_verdict,
+                                   running_sup_reads, sup_ratio_sweep)
+from ultraweight.verdict import STABILIZE_REL, ConditionVerdict, stabilized
 
 FAST = uw.RunConfig(p_max=20000)
 
@@ -195,3 +200,106 @@ def test_function_context_arrays_are_read_only():
     # ts, sigma(ts); suffix panels (v, f(v), half), segments, closing window;
     # the window from 1, and six trend windows of three arrays each
     assert_read_only(probe, 2 + 4 + 3 + 3 + 18)
+
+
+# ---------------------------------------------------------------------------
+# the sup verdict reads three values of the running sup
+
+def reference_sup_verdict(cond, log_F, tail_converges):
+    """finish_sup_verdict on the full running sup, for a tail that may converge."""
+    running = np.maximum.accumulate(log_F)
+    if not len(running) or not np.all(np.isfinite(running)):
+        return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf},
+                                         reason="inner sum not finite on range")
+    sup, P = math.exp(float(running[-1])), len(log_F)
+    if stabilized(running) and tail_converges is True:
+        return ConditionVerdict.satisfied(cond, {"sup": sup, "P": P},
+                                          certified="range-stabilized+tail-model")
+    if stabilized(running):
+        return ConditionVerdict.inconclusive(cond, {"sup_on_range": sup, "P": P},
+            note="sup stabilized but the inner-sum tail is uncertified")
+    return ConditionVerdict.inconclusive(cond, {
+        "sup_on_range": sup, "P": P,
+        "running_sup_log": [float(v) for v in running[:: max(1, len(running) // 16)]]},
+        note="running sup still moving at range end")
+
+
+def on_the_boundary(half: float) -> float:
+    """The final f >= half with |f - half| = STABILIZE_REL * |f|, rounded."""
+    return half / (1 - STABILIZE_REL) if half > 0 else half / (1 + STABILIZE_REL)
+
+
+@st.composite
+def sweep_logs(draw):
+    n = draw(st.one_of(st.integers(0, 5), st.integers(990, 1010)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.cumsum(rng.normal(draw(st.sampled_from([-0.05, 0.0, 0.05])),
+                             draw(st.sampled_from([1e-4, 0.1, 2.0])), n))
+    if n and draw(st.booleans()):
+        x -= np.max(x)  # the running sup ends at 0
+    if n >= 4 and draw(st.booleans()):
+        half = float(np.max(x[: n // 2 + 1]))
+        steps = draw(st.integers(-2, 2))
+        x[-1] = np.nextafter(on_the_boundary(half), steps * math.inf) if steps else \
+            on_the_boundary(half)
+        x[n // 2 + 1: -1] = np.minimum(x[n // 2 + 1: -1], half)
+    for where in draw(st.lists(st.sampled_from(["first", "middle", "last"]),
+                               max_size=3, unique=True)):
+        if n:
+            x[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_logs(), st.sampled_from([True, None]))
+def test_sup_verdict_matches_the_full_running_sup(log_F, tail_converges):
+    sweep = {"log_F": log_F, **running_sup_reads(log_F),
+             "tail_converges": tail_converges, "tail_bracket": None, "P": len(log_F)}
+    got = finish_sup_verdict("mixed_seq", sweep).to_dict()
+    assert got == reference_sup_verdict("mixed_seq", log_F, tail_converges).to_dict()
+
+
+def test_sup_verdict_on_the_stabilize_boundary():
+    cases = [(half, on_the_boundary(half)) for half in (-3.0, 0.7, 250.0)]
+    cases.append((-STABILIZE_REL, 0.0))  # a running sup that ends at 0
+    for half, final in cases:
+        for steps in (-1, 0, 1):
+            log_F = np.array([half - 1.0, half, half - 2.0, half - 1.5, final])
+            if steps:
+                log_F[1] = np.nextafter(half, steps * math.inf)
+            sweep = {"log_F": log_F, **running_sup_reads(log_F),
+                     "tail_converges": True, "tail_bracket": None, "P": 5}
+            assert finish_sup_verdict("mixed_seq", sweep).to_dict() == \
+                reference_sup_verdict("mixed_seq", log_F, True).to_dict()
+
+
+def test_running_sup_samples_of_a_moving_sweep():
+    """gevrey:2 over gevrey:1.5 at r = 1: F_p ~ 2 sqrt(p) keeps rising."""
+    verdict = finish_sup_verdict("mixed_seq", sup_ratio_sweep(
+        uw.gevrey(2.0), uw.gevrey(1.5), 1.0, 4096))
+    assert verdict.is_inconclusive
+    assert verdict.diagnostics["note"] == "running sup still moving at range end"
+    assert verdict.trend["P"] == 4096
+    assert verdict.trend["sup_on_range"] == pytest.approx(128.00781297683707, rel=1e-12)
+    assert verdict.trend["running_sup_log"] == pytest.approx([
+        0.9602599027307853, 3.4686584581715265, 3.813772551247742, 4.016017815663298,
+        4.159615058519744, 4.271040510578298, 4.362103720076416, 4.4391093582022485,
+        4.505822772858439, 4.564673624026089, 4.61732134654166, 4.66494981532953,
+        4.7084333186600436, 4.7484358997939164, 4.78547379451504, 4.819956284067757],
+        rel=1e-12)
+
+
+def test_a_refuted_order_sums_nothing(monkeypatch):
+    """gevrey:2's tail model says sum k**(-2/r) diverges for r >= 2."""
+    def summed(*args, **kwargs):
+        raise AssertionError("log_suffix_sums called")
+
+    monkeypatch.setattr(sequences, "log_suffix_sums", summed)
+    probe = MixedSeqProbe(uw.gevrey(1.0), uw.gevrey(2.0), uw.RunConfig())
+    assert probe(4.0).to_dict() == {
+        "condition": "mixed_seq", "status": "violated",
+        "counterexample": {"p": 1, "inner_sum": "inf"},
+        "diagnostics": {"reason": "inner sum diverges per the tail model", "r": 4.0}}
+    with pytest.raises(AssertionError, match="log_suffix_sums called"):
+        probe(1.0)

@@ -10,6 +10,7 @@ conjugate, and dense sups over a finite list.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ LEVELS = (0.25, 0.5, 1.0, 2.0, 8.0)
 J_MAX = 24
 TS = np.geomspace(1e-2, 1e12, 400)
 SHORT_LIST = [1, 1, 2, 6, 24, 120]
+SAMPLED_LISTS = [
+    [1, 0.5, 0.5, 1, 4, 32],   # shifted by normalize: sampled route
+    [2, 2, 4, 12, 48, 240],    # M_0 = 2: sampled route
+]
 
 
 def assoc_of(values):
@@ -104,14 +109,20 @@ class TestFiniteList:
         np.testing.assert_allclose(np.exp(W.log_values(1.0)), SHORT_LIST,
                                    rtol=1e-14)
 
-    @pytest.mark.parametrize("values", [
-        SHORT_LIST,
-        [1, 0.5, 0.5, 1, 4, 32],   # shifted by normalize: sampled route
-        [2, 2, 4, 12, 48, 240],    # M_0 = 2: sampled route
-    ])
+    @pytest.mark.parametrize("values", [SHORT_LIST] + SAMPLED_LISTS)
     def test_matrix_past_the_last_index_is_refused(self, values):
         with pytest.raises(uw.PreconditionError, match="N = 5"):
             uw.associated_matrix(assoc_of(values), levels=(1.0,), j_max=8)
+
+    @pytest.mark.parametrize("values", SAMPLED_LISTS)
+    def test_omega_hat_on_the_sampled_route_is_refused(self, values):
+        """The lift reads the level-1 row at every index; past N it is +inf,
+        so the refusal comes before any grid is sampled."""
+        fn = assoc_of(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(uw.DivergentAssociated, match="N = 5"):
+                uw.omega_hat(fn)
 
     def test_omega_hat_is_the_sup_over_the_list(self):
         lifted = uw.omega_hat(assoc_of(SHORT_LIST))
@@ -128,9 +139,10 @@ class TestFiniteList:
 
 
 class TestCommands:
-    def test_matrix_past_the_last_index_exits_65(self, capsys):
+    @pytest.mark.parametrize("values", [SHORT_LIST] + SAMPLED_LISTS)
+    def test_matrix_past_the_last_index_exits_65(self, values, capsys):
         spec = json.dumps({"kind": "assoc", "sequence": {
-            "family": "explicit", "values": SHORT_LIST}})
+            "family": "explicit", "values": values}})
         code = cli.main(["matrix", "--omega", spec, "--levels", "1",
                          "--jmax", "8"])
         assert code == cli.EXIT_PRECONDITION
