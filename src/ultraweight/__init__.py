@@ -15,7 +15,7 @@ from .verdict import (ConditionVerdict, ConvexityViolation,
                       InternalInconsistency, InvalidArgument, InvalidSpec,
                       NotLogConvex, NotNonQuasianalytic, PreconditionError,
                       PreconditionInconclusive, RunConfig, UltraweightError,
-                      Verdict, YGrid)
+                      Verdict)
 from .sequences import (TailModel, WeightSequence, check_beta1, check_beta3,
                         check_gamma1, check_lc, check_mg, check_nq,
                         check_nq_r, check_slc, compare, explicit,
@@ -49,7 +49,7 @@ __all__ = [
     "NormalizedShift", "NotLogConvex", "NotNonQuasianalytic", "PiecewiseGlue",
     "PowerLaw", "PowerSubst", "PreconditionError", "PreconditionInconclusive",
     "ReductionResult", "RunConfig", "TailModel", "UltraweightError",
-    "Verdict", "WeightFunction", "WeightMatrix", "WeightSequence", "YGrid",
+    "Verdict", "WeightFunction", "WeightMatrix", "WeightSequence",
     "associated_eval", "associated_function", "associated_matrix",
     "check_beta1", "check_beta3",
     "check_gamma1", "check_lc", "check_mg", "check_nq", "check_nq_r",

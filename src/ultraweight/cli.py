@@ -161,8 +161,7 @@ def cmd_reduce(args, config: RunConfig) -> Report:
 
 def cmd_matrix(args, config: RunConfig) -> Report:
     fn = make_function(args.omega)
-    levels = tuple(float(v) for v in args.levels.split(",")) if args.levels \
-        else DEFAULT_LEVELS
+    levels = args.levels or DEFAULT_LEVELS
     matrix = associated_matrix(fn, levels=levels, j_max=args.jmax,
                                config=config)
     csv_path = args.csv
@@ -230,6 +229,15 @@ def cmd_report(args, config) -> Report:
 # ---------------------------------------------------------------------------
 # parser
 
+def _levels(text: str) -> tuple[float, ...]:
+    """--levels: comma-separated numbers; anything else is a usage error."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_INDEX_TOL,
                    help="index bracket tolerance")
@@ -239,8 +247,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="evaluation grid lower end")
     p.add_argument("--tmax", type=float, default=1e12,
                    help="evaluation grid upper end")
-    p.add_argument("--points", type=int, default=0,
-                   help="evaluation grid size (0 = default / env)")
+    p.add_argument("--points", type=int, default=600,
+                   help="evaluation grid size")
     p.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -291,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="conjugate-derived sequence matrix")
     p.add_argument("--omega", required=True)
-    p.add_argument("--levels", help="comma-separated level parameters")
+    p.add_argument("--levels", type=_levels,
+                   help="comma-separated level parameters")
     p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
     p.add_argument("--csv", help="write rows as CSV to this path")
     _add_common(p)

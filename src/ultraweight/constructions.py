@@ -39,8 +39,8 @@ from .sequences import (TailModel, WeightSequence, check_lc, check_nq_r,
 from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
                       GammaNotAboveOne, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, NotNonQuasianalytic,
-                      PreconditionInconclusive, RunConfig, _jsonify,
-                      stabilized)
+                      PreconditionInconclusive, RunConfig, Y_GRID,
+                      _jsonify, stabilized)
 
 DEFAULT_LEVELS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 DEFAULT_J_MAX = 64
@@ -172,17 +172,17 @@ def _refuse_past_last_index(omega: WeightFunction, x_top: float, what: str) -> N
             "exceeds N")
 
 
-def _refined_conjugate(omega: WeightFunction, x_top: float, config: RunConfig,
-                       *, tol: float = 1e-3) -> ConvexPL:
+def _refined_conjugate(omega: WeightFunction, x_top: float, *,
+                       tol: float = 1e-3) -> ConvexPL:
     """Conjugate of y -> omega(e^y) with the grid adapted to the request.
 
-    The y-range doubles until the sampled slopes cover x_top (otherwise the
-    conjugate would silently extrapolate), then the point count doubles until
-    the conjugate value at x_top moves by at most `tol` (absolute on the log
-    scale, i.e. relative on the exponentiated entries).
+    Starting from `Y_GRID`, the y-range doubles until the sampled slopes
+    cover x_top (otherwise the conjugate would silently extrapolate), then the
+    point count doubles until the conjugate value at x_top moves by at most
+    `tol` (absolute on the log scale, i.e. relative on the exponentiated
+    entries).
     """
-    y_max = config.ygrid.y_max
-    points = max(config.ygrid.points, 2000)
+    y_max, points = float(Y_GRID[-1]), len(Y_GRID)
     prev = None
     metric = math.nan
     for _ in range(14):
@@ -295,8 +295,8 @@ def associated_matrix(omega: WeightFunction,
     """
     config = config or RunConfig()
     levels = tuple(sorted(float(l) for l in levels))
-    if not levels or levels[0] <= 0:
-        raise InvalidArgument("levels must be positive")
+    if not levels or not all(0 < l < math.inf for l in levels):
+        raise InvalidArgument("levels must be finite and positive")
     if len(set(levels)) != len(levels):
         raise InvalidArgument("levels must be distinct")
     if j_max < 1:
@@ -307,7 +307,7 @@ def associated_matrix(omega: WeightFunction,
     base = normalize(omega)
     M = _conjugate_sequence(omega, base, config)
     if M is None:
-        pl = _refined_conjugate(base, x_top, config, tol=1e-3)
+        pl = _refined_conjugate(base, x_top, tol=1e-3)
         conj, breakpoints, method = pl, len(pl.xs), "sampled"
     else:
         top = math.ceil(x_top)
@@ -395,7 +395,7 @@ def omega_hat(arg, *, config: Optional[RunConfig] = None) -> WeightFunction:
     if M is not None:
         return associated_function(hat(M), config=config)
     _refuse_past_last_index(arg, _HAT_X_TOP, "the lift's top slope")
-    conj = _refined_conjugate(base, _HAT_X_TOP, config, tol=1e-2)
+    conj = _refined_conjugate(base, _HAT_X_TOP, tol=1e-2)
 
     def rule(lo: int, hi: int) -> np.ndarray:
         j = np.arange(lo, hi + 1, dtype=float)
@@ -429,18 +429,17 @@ def kappa(omega: WeightFunction, *,
 
 
 def kappa_power_normalized(omega: WeightFunction, r: float, *,
-                           config: Optional[RunConfig] = None,
-                           verify: bool = True) -> WeightFunction:
+                           config: Optional[RunConfig] = None) -> WeightFunction:
     """Normalized fractional kernel average of order r.
 
     Computes the order-r average (the kernel average of the r-th power read
-    back through t^(1/r)) and clamps it to 0 on [0, 1].  When `verify` is on,
-    the output is checked against its defining comparison with omega at order
-    0.95 r; the construction guarantees it, so a Violated check raises
+    back through t^(1/r)) and clamps it to 0 on [0, 1].  The output is checked
+    against its defining comparison with omega at order 0.95 r; the
+    construction guarantees it, so a Violated check raises
     InternalInconsistency.
     """
-    if r <= 0:
-        raise InvalidArgument("order r must be > 0")
+    if not 0 < r < math.inf:
+        raise InvalidArgument("order r must be finite and > 0")
     config = config or RunConfig()
     verdict = check_omega_condition(omega, "omega_nq_r", r=r, config=config)
     if verdict.is_violated:
@@ -449,13 +448,12 @@ def kappa_power_normalized(omega: WeightFunction, r: float, *,
             f"{dict(verdict.counterexample)}")
     out = normalize(KappaPower(omega, float(r)))
     out.precondition = verdict
-    if verify:
-        chk = mixed_condition_fun(out, omega, 0.95 * r, config=config)
-        if chk.is_violated:
-            raise InternalInconsistency(
-                "kernel average fails its defining comparison slightly below "
-                f"order {r:g}: {dict(chk.counterexample)}")
-        out.construction_check = chk
+    chk = mixed_condition_fun(out, omega, 0.95 * r, config=config)
+    if chk.is_violated:
+        raise InternalInconsistency(
+            "kernel average fails its defining comparison slightly below "
+            f"order {r:g}: {dict(chk.counterexample)}")
+    out.construction_check = chk
     return out
 
 
@@ -505,8 +503,8 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     quotients of L bounded by a multiple of those of N, and the mixed
     comparison of (L, N) at order r itself Satisfied.
     """
-    if r <= 0:
-        raise InvalidArgument("order r must be > 0")
+    if not 0 < r < math.inf:
+        raise InvalidArgument("order r must be finite and > 0")
     config = config or RunConfig()
     _require_log_convex(N, config)
     pre = check_nq_r(N, r, int(config.p_max))

@@ -33,7 +33,7 @@ from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
                       ConditionVerdict, ConvexityViolation,
                       EvaluationRangeError, GridTooCoarse,
                       InternalInconsistency, InvalidArgument, RunConfig,
-                      Verdict, YGrid)
+                      Verdict, Y_GRID, grid_decided)
 
 _ASSOC_TABLE_CAP = 1 << 21
 # a sequence with an exact closed form is tabulated up to this index at most:
@@ -41,6 +41,10 @@ _ASSOC_TABLE_CAP = 1 << 21
 _ASSOC_CLOSED_READ = 1 << 14
 _ASSOC_TABLE_START = 4096  # first table size `maximizers` tries
 _HULL_ROUNDS = 32
+# conjugate_pl: a slope change within this, relative to the local slope, is
+# none (the segments merge); a larger decrease is a convexity violation
+_CONJ_TOL = 1e-9
+_HULL_DEFECT_TOL = 1e-8  # young_conjugate: sampled profile above its hull
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,8 @@ class PowerSubst(WeightFunction):
     """base(t**r); prefer the power_substitute factory, which collapses closed forms."""
 
     def __init__(self, base: WeightFunction, r: float):
-        if r <= 0:
-            raise InvalidArgument("substitution exponent must be positive")
+        if not 0 < r < math.inf:
+            raise InvalidArgument("substitution exponent must be finite and positive")
         model = base.model.substituted(r) if base.model is not None else None
         super().__init__(f"({base.label})@t^{r:g}", model,
                          kinks=tuple(k ** (1.0 / r) for k in base.kinks))
@@ -200,8 +204,8 @@ class PowerSubst(WeightFunction):
 
 
 def power_substitute(base: WeightFunction, r: float) -> WeightFunction:
-    if r <= 0:
-        raise InvalidArgument("substitution exponent must be positive")
+    if not 0 < r < math.inf:
+        raise InvalidArgument("substitution exponent must be finite and positive")
     if r == 1.0:
         return base
     if isinstance(base, PowerLaw):
@@ -345,8 +349,8 @@ class KappaPower(WeightFunction):
     pointwise = False  # one suffix integral over the sorted arguments
 
     def __init__(self, base: WeightFunction, r: float = 1.0):
-        if r <= 0:
-            raise InvalidArgument("kappa order must be positive")
+        if not 0 < r < math.inf:
+            raise InvalidArgument("kappa order must be finite and positive")
         s = 1.0 + 1.0 / r
         model = None
         bm = base.model
@@ -449,19 +453,6 @@ class PiecewiseGlue(WeightFunction):
 
 # ---------------------------------------------------------------------------
 # the grid trend: how a check decides where no model does
-
-_EVIDENCE = {Verdict.SATISFIED: "witness", Verdict.VIOLATED: "counterexample",
-             Verdict.INCONCLUSIVE: "trend"}
-
-
-def grid_decided(cond: str, status: Verdict, rule: str,
-                 evidence: Mapping[str, Any]) -> ConditionVerdict:
-    """A verdict the finite grid decided alone, with no model behind it: the
-    one writer of `grid_only`, which the evidence of its status carries
-    together with the rule that decided."""
-    return ConditionVerdict(cond, status, **{_EVIDENCE[status]: {
-        "rule": rule, **evidence, "grid_only": True}})
-
 
 def _trend_call(ratio: np.ndarray, ts: np.ndarray, of: str, flat: float,
                 extra: Mapping[str, Any]) -> tuple[str, dict]:
@@ -586,8 +577,8 @@ def check_omega3(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
          **({"limit": limit} if limit is not None else {})})
 
 
-def _convexity_samples(omega: WeightFunction, config: RunConfig):
-    y = config.ygrid.values()
+def _convexity_samples(omega: WeightFunction):
+    y = Y_GRID
     phi = omega.eval(np.exp(y))
     d2 = phi[:-2] - 2.0 * phi[1:-1] + phi[2:]
     scale = max(1.0, float(np.max(np.abs(phi))))
@@ -598,7 +589,7 @@ def check_omega4(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     structural = _structural_convexity(omega)
     if structural is not None:
         return structural
-    y, phi, d2, scale = _convexity_samples(omega, config)
+    y, phi, d2, scale = _convexity_samples(omega)
     tol = 1e-9 * scale
     bad = int(np.argmin(d2))
     if d2[bad] < -tol:
@@ -715,8 +706,8 @@ class OmegaNodes:
 
     def nq_r(self, r: float, cond: str = "omega_nq_r") -> ConditionVerdict:
         """Does integral_1^inf omega(u) u**(-1-1/r) du converge?"""
-        if r <= 0:
-            raise InvalidArgument("order r must be positive")
+        if not 0 < r < math.inf:
+            raise InvalidArgument("order r must be finite and positive")
         s = 1.0 + 1.0 / r
         m = self.omega.model
         conv = m.converges_against(s) if m is not None else None
@@ -999,7 +990,7 @@ def convexify(xs: np.ndarray, vals: np.ndarray) -> tuple[ConvexPL, float]:
     return pl, defect
 
 
-def conjugate_pl(pl: ConvexPL, *, tol: float = 1e-9) -> ConvexPL:
+def conjugate_pl(pl: ConvexPL) -> ConvexPL:
     """Exact conjugate sup_y (x y - phi(y)) of a convex piecewise-linear phi
     treated as +inf beyond its last breakpoint.
 
@@ -1015,13 +1006,13 @@ def conjugate_pl(pl: ConvexPL, *, tol: float = 1e-9) -> ConvexPL:
     # span many orders of magnitude on a log-axis grid
     local = np.maximum(1.0, np.abs(slopes[:-1]))
     worst = int(np.argmin(drops / local)) if len(drops) else 0
-    if len(drops) and drops[worst] < -tol * local[worst]:
+    if len(drops) and drops[worst] < -_CONJ_TOL * local[worst]:
         raise ConvexityViolation(
             f"slopes decrease at breakpoint {worst + 1}",
             triple=((float(xs[worst]), float(vals[worst])),
                     (float(xs[worst + 1]), float(vals[worst + 1])),
                     (float(xs[worst + 2]), float(vals[worst + 2]))))
-    keep = np.concatenate([[True], drops > tol * local])
+    keep = np.concatenate([[True], drops > _CONJ_TOL * local])
     s = slopes[keep]
     y = xs[:-1][keep]  # left endpoint of each kept segment
     # value at conjugate breakpoint s_j is s_j * y_j - phi(y_j)
@@ -1035,29 +1026,19 @@ def conjugate_pl(pl: ConvexPL, *, tol: float = 1e-9) -> ConvexPL:
     return ConvexPL(out_x, out_v, extrapolation_slope=float(xs[-1]))
 
 
-def young_conjugate(omega: "WeightFunction | ConvexPL",
-                    grid: "YGrid | Sequence[float] | None" = None, *,
-                    tol: float = 1e-9) -> ConvexPL:
+def young_conjugate(omega: WeightFunction) -> ConvexPL:
     """Conjugate sup_y (x y - phi(y)) of phi(y) = omega(e^y).
 
-    Accepts a weight function (phi is sampled on `grid`, convexified to absorb
-    sampling noise, then conjugated exactly) or an already convex
-    piecewise-linear phi (conjugated directly; `grid` is ignored).
+    phi is sampled on `Y_GRID`, convexified to absorb sampling noise, then
+    conjugated exactly.
     """
-    if isinstance(omega, ConvexPL):
-        return conjugate_pl(omega, tol=tol)
-    if grid is None:
-        y = YGrid().values()
-    elif isinstance(grid, YGrid):
-        y = grid.values()
-    else:
-        y = np.asarray(grid, dtype=float)
+    y = Y_GRID
     phi = omega.eval(np.exp(y))
     pl, defect = convexify(y, phi)
     scale = max(1.0, float(np.max(np.abs(phi))))
     # anything beyond sampling noise means the profile genuinely bends the
     # wrong way and the conjugate would be the hull's, not the function's
-    if defect > max(tol, 1e-8) * scale:
+    if defect > _HULL_DEFECT_TOL * scale:
         i = int(np.argmax(phi - pl(y)))
         lo, hi = max(i - 1, 0), min(i + 1, len(y) - 1)
         raise ConvexityViolation(
@@ -1065,4 +1046,4 @@ def young_conjugate(omega: "WeightFunction | ConvexPL",
             triple=((float(y[lo]), float(phi[lo])),
                     (float(y[i]), float(phi[i])),
                     (float(y[hi]), float(phi[hi]))))
-    return conjugate_pl(pl, tol=tol)
+    return conjugate_pl(pl)

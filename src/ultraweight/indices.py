@@ -106,9 +106,7 @@ class IndexEstimate:
 # ---------------------------------------------------------------------------
 
 def _bisect_index(name: str, probe: Callable[[float], ConditionVerdict], *,
-                  tol: float, cap: float = INDEX_CAP, floor: float = INDEX_FLOOR,
-                  budget: int = _PROBE_BUDGET, method: str = "bisection",
-                  diagnostics: Optional[Mapping[str, Any]] = None) -> IndexEstimate:
+                  tol: float, diagnostics: Mapping[str, Any]) -> IndexEstimate:
     samples: dict[float, ConditionVerdict] = {}
     spent = 0
 
@@ -120,12 +118,12 @@ def _bisect_index(name: str, probe: Callable[[float], ConditionVerdict], *,
             spent += 1
         return samples[r]
 
-    lo, hi = 0.0, cap
+    lo, hi = 0.0, INDEX_CAP
     r = 1.0
     if look(r).is_satisfied:
         lo = r
-        while r < cap and spent < budget:
-            r = min(cap, 2.0 * r)
+        while r < INDEX_CAP and spent < _PROBE_BUDGET:
+            r = min(INDEX_CAP, 2.0 * r)
             if look(r).is_satisfied:
                 lo = r
             else:
@@ -133,14 +131,14 @@ def _bisect_index(name: str, probe: Callable[[float], ConditionVerdict], *,
                 break
     else:
         hi = r
-        while r > floor and spent < budget:
-            r = max(floor, 0.5 * r)
+        while r > INDEX_FLOOR and spent < _PROBE_BUDGET:
+            r = max(INDEX_FLOOR, 0.5 * r)
             if look(r).is_satisfied:
                 lo = r
                 break
             hi = r
 
-    while hi - lo > tol and spent < budget:
+    while hi - lo > tol and spent < _PROBE_BUDGET:
         mid = 0.5 * (lo + hi)
         if mid <= 0.0 or mid in samples:
             break
@@ -150,12 +148,13 @@ def _bisect_index(name: str, probe: Callable[[float], ConditionVerdict], *,
             hi = mid
 
     all_inconclusive = bool(samples) and all(v.is_inconclusive for v in samples.values())
-    diag = dict(diagnostics or {})
+    diag = dict(diagnostics)
     diag["probes"] = spent
     diag["tol_target"] = tol
+    method = "bisection"
     if all_inconclusive:
-        lo, hi = 0.0, cap
-        method = method + "+undecided"
+        lo, hi = 0.0, INDEX_CAP
+        method = "bisection+undecided"
         diag["note"] = "every probe returned Inconclusive"
     trace = tuple(sorted(samples.items()))
     return IndexEstimate(name, lo, hi, method, hi - lo, trace, diag)
@@ -244,8 +243,8 @@ def mixed_condition_seq(M: WeightSequence, N: Optional[WeightSequence] = None,
     unbounded ratio short-circuits to a Violated verdict, since the sup is
     bounded below by (mu_p/nu_p)^{1/r} / p times a non-vanishing factor.
     """
-    if r <= 0:
-        raise InvalidArgument("order r must be positive")
+    if not 0 < r < math.inf:
+        raise InvalidArgument("order r must be finite and positive")
     return MixedSeqProbe(M, M if N is None else N, config or RunConfig())(r)
 
 
@@ -430,8 +429,8 @@ def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] =
     by sigma; incompatible growth shapes are rejected before any quadrature.
     A model-certified divergent integral is Violated outright.
     """
-    if r <= 0:
-        raise InvalidArgument("order r must be positive")
+    if not 0 < r < math.inf:
+        raise InvalidArgument("order r must be finite and positive")
     return MixedFunProbe(sigma, sigma if omega is None else omega,
                          config or RunConfig())(r)
 
@@ -464,6 +463,7 @@ _WITNESS_C = tuple(float(2 ** i) for i in range(11))  # 1, 2, ..., 1024
 _WITNESS_T0 = (1.0, 10.0, 100.0, 1000.0)
 _WITNESS_T_MAX = 1e8
 _WITNESS_T_POINTS = 160
+_WITNESS_J_MAX = 30  # the bound is tested for j = 0.._WITNESS_J_MAX
 
 
 @dataclass(frozen=True)
@@ -492,7 +492,8 @@ def _doubling_sup(omega: WeightFunction, K: float, config: RunConfig) -> float:
     """Asymptotic bound on omega(K t) / omega(t)."""
     if omega.model is not None:
         return float(omega.model.ratio_limit(K))
-    ts = config.grid.tail(0.25)
+    ts = config.grid.geometric()
+    ts = ts[-max(2, len(ts) // 4):]
     vals = omega.eval(ts)
     mask = vals > 0
     if not np.any(mask):
@@ -501,11 +502,11 @@ def _doubling_sup(omega: WeightFunction, K: float, config: RunConfig) -> float:
 
 
 def _witness_c_needed(sigma: WeightFunction, omega: WeightFunction, K: float,
-                      H: float, t0: float, j_max: int) -> float:
+                      H: float, t0: float) -> float:
     """Smallest C making omega(K^j t) <= C H^j sigma(t) hold on the test grid."""
     ts = np.geomspace(t0, _WITNESS_T_MAX, _WITNESS_T_POINTS)
     sig = sigma.eval(ts)
-    scales = [K ** j for j in range(j_max + 1)]
+    scales = [K ** j for j in range(_WITNESS_J_MAX + 1)]
     lhs_rows = None
     if omega.pointwise and np.all(sig > 0.0):
         # with sigma > 0 on the grid no ratio below is infinite unless it
@@ -534,8 +535,7 @@ def _witness_c_needed(sigma: WeightFunction, omega: WeightFunction, K: float,
 
 
 def find_gamma1_witness(sigma: WeightFunction, omega: WeightFunction, *,
-                        config: Optional[RunConfig] = None,
-                        j_max: int = 30) -> Optional[Gamma1Witness]:
+                        config: Optional[RunConfig] = None) -> Optional[Gamma1Witness]:
     """Search for constants C, K, H, t0 with omega(K^j t) <= C H^j sigma(t).
 
     Larger K values are tried first: the iterated bound needs H strictly
@@ -575,7 +575,7 @@ def find_gamma1_witness(sigma: WeightFunction, omega: WeightFunction, *,
         failed = False
         for t0 in _WITNESS_T0:
             try:
-                needed[t0] = _witness_c_needed(sigma, omega, K, H, t0, j_max)
+                needed[t0] = _witness_c_needed(sigma, omega, K, H, t0)
             except Exception:
                 failed = True
                 break
@@ -585,7 +585,7 @@ def find_gamma1_witness(sigma: WeightFunction, omega: WeightFunction, *,
         for C in _WITNESS_C:
             for t0 in _WITNESS_T0:
                 if C * (1.0 + 1e-12) >= needed[t0]:
-                    return Gamma1Witness(C=C, K=K, H=H, t0=t0, j_max=j_max,
+                    return Gamma1Witness(C=C, K=K, H=H, t0=t0, j_max=_WITNESS_J_MAX,
                                          diagnostics={"doubling": D,
                                                       "C_needed": needed[t0],
                                                       "tried": tried})

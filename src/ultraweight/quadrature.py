@@ -29,13 +29,14 @@ from .special import gammaincc, gammaln
 from .verdict import GridTooCoarse, InvalidArgument, read_only
 
 Y_CUT = 1e8
-_NODES = 16
+_NODES = 16  # Gauss-Legendre nodes per panel
 _PANELS_PER_UNIT = 4  # panels per unit of log-length, minimum 8 total
+_SUB = 3  # panels per interval of a suffix grid
 
 
-@lru_cache(maxsize=8)
-def _gauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+@lru_cache(maxsize=1)
+def _gauss() -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(_NODES)
     return x, w
 
 
@@ -55,38 +56,35 @@ class PanelSamples:
     panel integrals of f(u) u**(-s) du that does not depend on s.  Its arrays
     are read-only."""
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
-                 nodes: int = _NODES):
-        x, _ = _gauss(nodes)
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray):
+        x, _ = _gauss()
         mid = 0.5 * (edges[1:] + edges[:-1])
         self.half = read_only(0.5 * np.diff(edges))  # panel half-widths in v
         self.v = read_only((mid[:, None] + self.half[:, None] * x[None, :]).ravel())
         self.fv = read_only(np.asarray(f(np.exp(self.v)), dtype=float))
-        self.nodes = nodes
 
     def panel_sums(self, s: float) -> np.ndarray:
         """Weighted node sums per panel; times `half` they are the panel integrals."""
-        _, w = _gauss(self.nodes)
+        _, w = _gauss()
         g = self.fv * np.exp((1.0 - s) * self.v)
-        return np.sum(g.reshape(len(self.half), self.nodes) * w[None, :], axis=1)
+        return np.sum(g.reshape(len(self.half), _NODES) * w[None, :], axis=1)
 
     def integral(self, s: float) -> float:
         return float(self.panel_sums(s) @ self.half)
 
 
 def sample_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
-                  kinks: Sequence[float] = (), nodes: int = _NODES) -> PanelSamples:
+                  kinks: Sequence[float] = ()) -> PanelSamples:
     """f at the nodes `kernel_window` reads on [a, b], for any order s."""
     if not (0 < a < b):
         raise InvalidArgument("kernel_window needs 0 < a < b")
-    return PanelSamples(f, _edges(a, b, kinks), nodes)
+    return PanelSamples(f, _edges(a, b, kinks))
 
 
 def kernel_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  s: float, *, kinks: Sequence[float] = (),
-                  nodes: int = _NODES) -> float:
+                  s: float, *, kinks: Sequence[float] = ()) -> float:
     """integral_a^b f(u) u**(-s) du via log-axis Gauss-Legendre panels."""
-    return sample_window(f, a, b, kinks=kinks, nodes=nodes).integral(s)
+    return sample_window(f, a, b, kinks=kinks).integral(s)
 
 
 def power_log_tail(c: float, a: float, k: float, off: float, s: float,
@@ -123,16 +121,15 @@ class TailIntegral:
 
 class TailSamples:
     """f at every point `integral_to_infinity` reads from t, for any order s:
-    the window [t, Y] with Y = max(t, 1) * y_cut, and Y and 2Y, where the
+    the window [t, Y] with Y = max(t, 1) * Y_CUT, and Y and 2Y, where the
     fitted tail reads f, on first use."""
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], t: float, *,
-                 kinks: Sequence[float] = (), y_cut: float = Y_CUT,
-                 nodes: int = _NODES):
+                 kinks: Sequence[float] = ()):
         if t <= 0:
             raise InvalidArgument("lower limit must be positive")
-        self.cutoff = max(t, 1.0) * y_cut
-        self.window = sample_window(f, t, self.cutoff, kinks=kinks, nodes=nodes)
+        self.cutoff = max(t, 1.0) * Y_CUT
+        self.window = sample_window(f, t, self.cutoff, kinks=kinks)
         self._f = f
 
     @cached_property
@@ -157,11 +154,9 @@ class TailSamples:
 
 def integral_to_infinity(f: Callable[[np.ndarray], np.ndarray], t: float, s: float,
                          *, model_tail: Callable[[float], float] | None = None,
-                         kinks: Sequence[float] = (), y_cut: float = Y_CUT,
-                         nodes: int = _NODES) -> TailIntegral:
+                         kinks: Sequence[float] = ()) -> TailIntegral:
     """integral_t^inf f(u) u**(-s) du with an analytic or fitted tail."""
-    return TailSamples(f, t, kinks=kinks, y_cut=y_cut,
-                       nodes=nodes).integral(s, model_tail)
+    return TailSamples(f, t, kinks=kinks).integral(s, model_tail)
 
 
 def _fitted_tail(fy: float, f2y: float, Y: float, s: float) -> float:
@@ -181,24 +176,22 @@ class SuffixSamples:
     for any order s: the panels between grid points and the closing tail."""
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], ts: np.ndarray, *,
-                 kinks: Sequence[float] = (), y_cut: float = Y_CUT,
-                 nodes: int = _NODES, sub: int = 3):
+                 kinks: Sequence[float] = ()):
         ts = np.asarray(ts, dtype=float)
         if len(ts) < 2 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
             raise InvalidArgument("suffix_integral_grid needs a positive ascending grid")
         v_edges = np.log(ts)
         fine = np.concatenate([
-            np.linspace(v_edges[:-1], v_edges[1:], sub + 1, axis=0).T[:, :-1].ravel(),
+            np.linspace(v_edges[:-1], v_edges[1:], _SUB + 1, axis=0).T[:, :-1].ravel(),
             v_edges[-1:]])
         ks = np.log([k for k in kinks if ts[0] < k < ts[-1]])
         if len(ks):
             fine = np.unique(np.concatenate([fine, ks]))
-        self.panels = PanelSamples(f, fine, nodes)
+        self.panels = PanelSamples(f, fine)
         # the coarse grid segment each panel lies in
         mid = 0.5 * (fine[1:] + fine[:-1])
         self.segment = read_only(np.searchsorted(v_edges, mid, side="right") - 1)
-        self.closing = TailSamples(f, float(ts[-1]), kinks=kinks, y_cut=y_cut,
-                                   nodes=nodes)
+        self.closing = TailSamples(f, float(ts[-1]), kinks=kinks)
         self.size = len(ts)
 
     def integrals(self, s: float, model_tail: Callable[[float], float] | None = None
@@ -215,13 +208,11 @@ class SuffixSamples:
 
 def suffix_integral_grid(f: Callable[[np.ndarray], np.ndarray], ts: np.ndarray,
                          s: float, *, model_tail: Callable[[float], float] | None = None,
-                         kinks: Sequence[float] = (), y_cut: float = Y_CUT,
-                         nodes: int = _NODES, sub: int = 3) -> np.ndarray:
+                         kinks: Sequence[float] = ()) -> np.ndarray:
     """G[i] = integral_{ts[i]}^inf f(u) u**(-s) du for an ascending grid.
 
-    Consecutive grid points become panel boundaries (each split into `sub`
-    panels), so the whole sweep costs a single vectorized evaluation of f plus
-    one closing window and tail beyond the last point.
+    Consecutive grid points become panel boundaries (each interval split into
+    `_SUB` panels), so the whole sweep costs a single vectorized evaluation of
+    f plus one closing window and tail beyond the last point.
     """
-    return SuffixSamples(f, ts, kinks=kinks, y_cut=y_cut, nodes=nodes,
-                         sub=sub).integrals(s, model_tail)
+    return SuffixSamples(f, ts, kinks=kinks).integrals(s, model_tail)

@@ -26,11 +26,13 @@ from .special import gammaln, hurwitz_zeta
 from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
                       ConditionVerdict, EvaluationRangeError,
                       InternalInconsistency, InvalidArgument, InvalidSpec,
-                      Verdict, read_only, settled, stabilized)
+                      Verdict, grid_decided, read_only, settled,
+                      stabilized)
 
 DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
 _BETA_P_CAP = 20000  # beta1/beta3 read mu_{Qp}/mu_p for p up to this
+_BETA_Q_MAX = 8  # and for Q up to this
 _SUM_BLOCK = 1024  # log_suffix_sums: terms per block sharing one scale
 _MAX_BLOCK_SPAN = 600.0  # nats from a block's max to its min that one scale holds
 
@@ -383,8 +385,8 @@ def from_quotients(rule: Callable[[int], float], *, label: str = "quotients",
 
 def power(M: WeightSequence, r: float) -> WeightSequence:
     """M**r taken entrywise: quotients mu_p**r."""
-    if r <= 0:
-        raise InvalidArgument("power exponent r must be > 0")
+    if not 0 < r < math.inf:
+        raise InvalidArgument("power exponent r must be finite and > 0")
 
     def fn(lo: int, hi: int) -> np.ndarray:
         return r * M.log_quotients(hi)[lo: hi + 1]
@@ -740,8 +742,8 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
 
 def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
     """Non-quasianalyticity of order r: sum mu_p**(-1/r) < infinity."""
-    if r <= 0:
-        raise InvalidArgument("order r must be > 0")
+    if not 0 < r < math.inf:
+        raise InvalidArgument("order r must be finite and > 0")
     inv_r = 1.0 / r
     cond = "nq" if r == 1.0 else f"nq_{r:g}"
     P = M._capped(P)
@@ -788,23 +790,22 @@ def check_nq(M: WeightSequence, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
     return check_nq_r(M, 1.0, P)
 
 
-def _window(values: np.ndarray, fraction: float = 0.1) -> np.ndarray:
-    k = max(2, int(len(values) * fraction))
-    return values[-k:]
+def _window(values: np.ndarray) -> np.ndarray:
+    """The last tenth of `values`, at least two of them."""
+    return values[-max(2, len(values) // 10):]
 
 
-def _check_beta(M: WeightSequence, threshold: str, Q_max: int,
-                P: int) -> ConditionVerdict:
+def _check_beta(M: WeightSequence, threshold: str, P: int) -> ConditionVerdict:
     """Shared body for beta_1 (liminf mu_{Qp}/mu_p > Q) and beta_3 (> 1).
 
-    Each Q reads mu_{Qp}/mu_p for p <= min(P // Q, _BETA_P_CAP); the scan
-    stops at a Q with fewer than eight such p.
+    Each Q = 2.._BETA_Q_MAX reads mu_{Qp}/mu_p for p <= min(P // Q,
+    _BETA_P_CAP); the scan stops at a Q with fewer than eight such p.
     """
     cond = "beta1" if threshold == "Q" else "beta3"
     tm = M.tail_model
     P = M._capped(P)
     evidence = {}
-    for Q in range(2, Q_max + 1):
+    for Q in range(2, _BETA_Q_MAX + 1):
         if Q * 8 > P:
             break
         top = min(P, Q * _BETA_P_CAP)
@@ -830,18 +831,18 @@ def _check_beta(M: WeightSequence, threshold: str, Q_max: int,
         fails = (e <= 1.0) if threshold == "Q" else (e <= 0.0)
         if fails:
             return ConditionVerdict.violated(cond, {
-                "Q_max": Q_max, "quotient_exponent": e},
+                "Q_max": _BETA_Q_MAX, "quotient_exponent": e},
                 reason="ratio liminf equals Q**e for every Q, below the threshold")
     return ConditionVerdict.inconclusive(cond, {"per_Q": evidence},
                                          note="no model certifies the liminf")
 
 
-def check_beta1(M: WeightSequence, Q_max: int = 8, P: int = 160000) -> ConditionVerdict:
-    return _check_beta(M, "Q", Q_max, P)
+def check_beta1(M: WeightSequence, P: int = 160000) -> ConditionVerdict:
+    return _check_beta(M, "Q", P)
 
 
-def check_beta3(M: WeightSequence, Q_max: int = 8, P: int = 160000) -> ConditionVerdict:
-    return _check_beta(M, "1", Q_max, P)
+def check_beta3(M: WeightSequence, P: int = 160000) -> ConditionVerdict:
+    return _check_beta(M, "1", P)
 
 
 def check_gamma1(M: WeightSequence, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
@@ -937,9 +938,9 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
                 reason="model: (M_p/N_p)^(1/p) diverges")
         slope = float(win[-1] - win[0])
         if slope <= COMPARE_SLOPE * max(1.0, abs(sup_d)):
-            return ConditionVerdict.satisfied("precsim", {"sup": math.exp(sup_d)},
-                                              certified="grid-only", grid_only=True)
-        return ConditionVerdict.inconclusive("precsim", trend)
+            return grid_decided("precsim", Verdict.SATISFIED, "window slope",
+                                {"sup": math.exp(sup_d)})
+        return grid_decided("precsim", Verdict.INCONCLUSIVE, "window slope", trend)
     # vartriangleleft
     if limit is not None:
         if limit == -math.inf:
@@ -951,10 +952,9 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
             "limit": math.exp(limit) if limit < 700 else math.inf},
             reason="model: ratio root does not vanish")
     if float(win[-1]) < float(win[0]) and win[-1] < math.log(COMPARE_ROOT):
-        return ConditionVerdict.satisfied("vartriangleleft",
-                                          {"limit_bound": math.exp(float(win[-1]))},
-                                          certified="grid-only", grid_only=True)
-    return ConditionVerdict.inconclusive("vartriangleleft", trend)
+        return grid_decided("vartriangleleft", Verdict.SATISFIED, "window root",
+                            {"limit_bound": math.exp(float(win[-1]))})
+    return grid_decided("vartriangleleft", Verdict.INCONCLUSIVE, "window root", trend)
 
 
 def _model_ratio_limit(M: WeightSequence, N: WeightSequence) -> Optional[float]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -153,6 +152,19 @@ class ConditionVerdict:
         return out
 
 
+_EVIDENCE = {Verdict.SATISFIED: "witness", Verdict.VIOLATED: "counterexample",
+             Verdict.INCONCLUSIVE: "trend"}
+
+
+def grid_decided(cond: str, status: Verdict, rule: str,
+                 evidence: Mapping[str, Any]) -> ConditionVerdict:
+    """A verdict the finite grid decided alone, with no model behind it: the
+    one writer of `grid_only`, which the evidence of its status carries
+    together with the rule that decided."""
+    return ConditionVerdict(cond, status, **{_EVIDENCE[status]: {
+        "rule": rule, **evidence, "grid_only": True}})
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """`a` with writes refused: arrays shared across the probes of one index
     call must not be changed by any of them."""
@@ -181,20 +193,9 @@ def _jsonify(obj: Any) -> Any:
     return obj
 
 
-GRID_POINTS_ENV = "ULTRAWEIGHT_GRID_POINTS"
-
-
-def _default_points(fallback: int) -> int:
-    raw = os.environ.get(GRID_POINTS_ENV)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InvalidArgument(f"{GRID_POINTS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 16:
-        raise InvalidArgument(f"{GRID_POINTS_ENV} must be >= 16, got {value}")
-    return value
+# the uniform y = log t grid that conjugation and the sampled convexity
+# check read: y in [0, log 1e12], 2000 points
+Y_GRID = read_only(np.linspace(0.0, math.log(1e12), 2000))
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,9 @@ class Grid:
 
     t_min: float = 1e-2
     t_max: float = 1e12
-    points: int = 0  # 0 = resolve from env / default at construction
+    points: int = 600
 
     def __post_init__(self) -> None:
-        if self.points == 0:
-            object.__setattr__(self, "points", _default_points(600))
         if not (0 < self.t_min < self.t_max < math.inf):
             raise InvalidArgument("grid needs finite 0 < t_min < t_max")
         if self.points < 16:
@@ -216,36 +215,12 @@ class Grid:
     def geometric(self) -> np.ndarray:
         return np.geomspace(self.t_min, self.t_max, self.points)
 
-    def tail(self, fraction: float = 0.1) -> np.ndarray:
-        """Final `fraction` of the grid, used for trend/liminf style estimates."""
-        ts = self.geometric()
-        k = max(2, int(len(ts) * fraction))
-        return ts[-k:]
-
-
-@dataclass(frozen=True)
-class YGrid:
-    """Uniform grid on the y = log t axis used for conjugation."""
-
-    y_max: float = math.log(1e12)
-    points: int = 0
-
-    def __post_init__(self) -> None:
-        if self.points == 0:
-            object.__setattr__(self, "points", _default_points(2000))
-        if self.y_max <= 0:
-            raise InvalidArgument("y_max must be positive")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(0.0, self.y_max, self.points)
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """Deterministic knobs shared by library sweeps and the CLI."""
 
     grid: Grid = field(default_factory=Grid)
-    ygrid: YGrid = field(default_factory=YGrid)
     p_max: int = 10 ** 5
     index_tol: float = DEFAULT_INDEX_TOL
 

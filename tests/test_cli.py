@@ -17,7 +17,7 @@ from ultraweight.functions import OMEGA_CHECKS
 from ultraweight.report import validate_report
 from ultraweight.sequences import SEQUENCE_CHECKS
 from ultraweight.specio import make_function, make_sequence
-from ultraweight.verdict import GRID_POINTS_ENV, INDEX_CAP
+from ultraweight.verdict import INDEX_CAP
 
 
 def run(capsys, *argv):
@@ -341,9 +341,10 @@ class TestArtifactFiles:
 
 
 class TestGridEnvironment:
-    def test_grid_points_env_override(self, monkeypatch):
-        monkeypatch.setenv(GRID_POINTS_ENV, "123")
-        assert uw.Grid().points == 123
+    def test_grid_points_env_is_ignored(self, monkeypatch):
+        # --points is the one way to size the grid
+        monkeypatch.setenv("ULTRAWEIGHT_GRID_POINTS", "123")
+        assert uw.Grid().points == 600
 
     def test_grid_validation(self):
         with pytest.raises(uw.InvalidArgument):
@@ -360,6 +361,38 @@ class TestGridEnvironment:
         code, out, err = run(capsys, "check", "--omega", "power:0.5",
                              "--tmax", str(end))
         assert code == cli.EXIT_USAGE and out == "" and "grid" in err
+
+    @pytest.mark.parametrize("argv", [
+        *(["matrix", "--omega", "power:0.5", "--levels", v]
+          for v in ("nan", "inf", "1,nan", "abc", "1,,2")),
+        *(["check", "--omega", "power:0.5", "--conditions", "omega_nq_r", "--r", v]
+          for v in ("nan", "inf")),
+        ["check", "--sequence", "gevrey:2", "--conditions", "nq_r", "--r", "nan"],
+        ["kappa", "--omega", "power:0.5", "--r", "nan"],
+        ["descend", "--sequence", "gevrey:2", "--r", "nan"],
+    ])
+    def test_non_finite_order_or_level_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == "", err
+        # the library's refusal, or argparse's "ultraweight matrix: error: ..."
+        assert any(line.startswith("error:") or ": error: " in line
+                   for line in err.splitlines()), err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_order_guards_refuse_non_finite(self, bad):
+        g2, pw = make_sequence("gevrey:2"), uw.PowerLaw(0.5)
+        for call in (lambda: uw.power(g2, bad), lambda: uw.check_nq_r(g2, bad),
+                     lambda: uw.PowerSubst(pw, bad),
+                     lambda: uw.power_substitute(pw, bad),
+                     lambda: uw.KappaPower(pw, bad),
+                     lambda: uw.check_omega_nq_r(pw, bad),
+                     lambda: uw.mixed_condition_seq(g2, g2, bad),
+                     lambda: uw.mixed_condition_fun(pw, pw, bad),
+                     lambda: uw.kappa_power_normalized(pw, bad),
+                     lambda: uw.descendant(g2, bad),
+                     lambda: uw.associated_matrix(pw, levels=(1.0, bad))):
+            with pytest.raises(uw.InvalidArgument):
+                call()
 
     def test_nan_tolerance_is_refused(self, capsys):
         with pytest.raises(uw.InvalidArgument):

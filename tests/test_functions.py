@@ -146,21 +146,20 @@ class TestOmegaConditions:
                 elif s == "satisfied":
                     assert not seen_violated, (fn.label, statuses)
 
-    def test_cached_verdict_keys_on_the_y_grid(self):
-        # omega4 samples config.ygrid, so a second call with another y-grid
-        # must not get the first call's verdict back
-        fine = uw.RunConfig(ygrid=uw.YGrid(points=2000))
-        coarse = uw.RunConfig(ygrid=uw.YGrid(points=64))
-        fn = make_function("logpower:0.5")
-        first = check_omega_condition(fn, "omega4", config=fine)
-        second = check_omega_condition(fn, "omega4", config=coarse)
-        fresh = check_omega_condition(make_function("logpower:0.5"), "omega4",
-                                      config=coarse)
+    def test_cached_verdict_keys_on_the_grid(self):
+        # omega1 reads its sup off config.grid, so a second call with another
+        # t-grid must not get the first call's verdict back
+        wide = uw.RunConfig()
+        short = uw.RunConfig(grid=uw.Grid(t_max=1e4, points=64))
+        fn = make_function("power:0.5")
+        first = check_omega_condition(fn, "omega1", config=wide)
+        second = check_omega_condition(fn, "omega1", config=short)
+        fresh = check_omega_condition(make_function("power:0.5"), "omega1",
+                                      config=short)
         assert second is not first
         assert second.to_dict() == fresh.to_dict()
-        assert (second.counterexample["triple_y"]
-                != first.counterexample["triple_y"])
-        assert check_omega_condition(fn, "omega4", config=coarse) is second
+        assert second.witness["grid_sup"] != first.witness["grid_sup"]
+        assert check_omega_condition(fn, "omega1", config=short) is second
 
     def test_order_keys_only_conditions_that_take_it(self):
         # the CLI passes --r to every condition; omega_nq takes no order, so

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from ultraweight.verdict import GRID_POINTS_ENV
-
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
 _spec = importlib.util.spec_from_file_location("golden_tool", _TOOL)
 golden = importlib.util.module_from_spec(_spec)
@@ -20,7 +18,6 @@ _spec.loader.exec_module(golden)
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
 def test_report_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(GRID_POINTS_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     expected = golden.golden_path(name).read_text()
     assert golden.render(golden.CASES[name]) == expected

@@ -81,12 +81,12 @@ def test_mu_fun_probes_match_standalone_checks(desc):
 # ---------------------------------------------------------------------------
 # the witness search
 
-def per_j_c_needed(sigma, omega, K, H, t0, j_max):
+def per_j_c_needed(sigma, omega, K, H, t0):
     """The search's constant, one evaluation of omega per j."""
     ts = np.geomspace(t0, indices._WITNESS_T_MAX, indices._WITNESS_T_POINTS)
     sig = sigma.eval(ts)
     needed = 0.0
-    for j in range(j_max + 1):
+    for j in range(indices._WITNESS_J_MAX + 1):
         lhs = omega.eval(K ** j * ts)
         rhs_unit = H ** j * sig
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -239,6 +239,23 @@ class TestCompare:
         with pytest.raises(uw.InvalidArgument):
             compare(gevrey(1.0), gevrey(2.0), "interleaved")
 
+    @pytest.mark.parametrize("relation,rule,key", [
+        ("precsim", "window slope", "sup"),
+        ("vartriangleleft", "window root", "limit_bound")])
+    def test_grid_decided_comparisons_say_so(self, relation, rule, key):
+        # no tail models: both directions are read off the trailing window,
+        # and each verdict says so in its evidence, whatever its status
+        M = uw.from_quotients(lambda p: p ** 1.0)
+        N = uw.from_quotients(lambda p: p ** 2.0)
+        fwd, bwd = compare(M, N, relation, 4000), compare(N, M, relation, 4000)
+        assert_status(fwd, "satisfied")
+        assert set(fwd.witness) == {"rule", key, "grid_only"}
+        assert fwd.witness["rule"] == rule and fwd.witness["grid_only"] is True
+        assert_status(bwd, "inconclusive")
+        assert bwd.trend["rule"] == rule and bwd.trend["grid_only"] is True
+        assert bwd.trend["P"] == 4000
+        assert not fwd.diagnostics and not bwd.diagnostics
+
 
 
 @pytest.mark.parametrize("name", sorted(SEQUENCE_CHECKS))

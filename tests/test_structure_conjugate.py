@@ -70,8 +70,7 @@ def test_structure_rows_against_sampled_conjugate(s):
     below the exact one there."""
     fn = uw.make_function(f"assoc(gevrey:{s})")
     W = uw.associated_matrix(fn, levels=LEVELS, j_max=J_MAX)
-    sampled = _refined_conjugate(fn, LEVELS[-1] * J_MAX, uw.RunConfig(),
-                                 tol=1e-3)
+    sampled = _refined_conjugate(fn, LEVELS[-1] * J_MAX, tol=1e-3)
     js = np.arange(J_MAX + 1, dtype=float)
     for l in LEVELS:
         x = l * js

@@ -4,8 +4,8 @@
     PYTHONPATH=src python3 tools/golden.py --against REV
 
 Each case is a list of `ultraweight` command lines, run in-process through
-`cli.main` in a fresh empty working directory with ULTRAWEIGHT_GRID_POINTS
-unset, so that every path a report names is relative.  The rendering holds,
+`cli.main` in a fresh empty working directory, so that every path a report
+names is relative.  The rendering holds,
 per command, its exit code and its stdout, then every file the case left in
 the directory.  A JSON report loses its `wall_time`, the one field that
 differs between runs.  tests/test_golden.py compares the rendering of every
@@ -35,7 +35,6 @@ import tempfile
 from pathlib import Path
 
 from ultraweight import cli
-from ultraweight.verdict import GRID_POINTS_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -71,6 +70,9 @@ CASES = {
     # every function condition
     "check_fun_all": [f"check --omega power:0.5 --conditions {_FUN_ALL} --r 2"],
     "check_fun_all_logpower": [f"check --omega logpower:2 --conditions {_FUN_ALL} --r 1"],
+    # no growth model and an infinite domain: every verdict read off the grid
+    "check_fun_grid_only": ["check --omega assoc(descendant(qgevrey:2,1)) "
+                            "--conditions omega1,omega3,omega5"],
     # refusals: usage (64) and failed preconditions (65)
     "refuse_unknown_seq_condition": ["check --sequence gevrey:2 --conditions foo"],
     "refuse_unknown_fun_condition": ["check --omega power:0.5 --conditions foo"],
@@ -218,7 +220,6 @@ def main() -> int:
     ap.add_argument("--against", metavar="REV",
                     help="compare with tests/golden/ at REV instead of rewriting")
     args = ap.parse_args()
-    os.environ.pop(GRID_POINTS_ENV, None)
     if args.against:
         return compare_against(args.against)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
