@@ -521,13 +521,16 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     P = N._capped(int(config.p_max))
     sweep = suffix_power_sums(N, inv_r, P)
     log_mu = N.log_quotients(P)
-    p_arr = np.arange(1, P + 1, dtype=float)
+    log_p = np.log(np.arange(1, P + 1, dtype=float))
     # log domain throughout: tau_p underflows linearly for fast bases
-    log_tau = np.logaddexp(np.log(p_arr) - inv_r * log_mu[1:],
-                           sweep.log_T)
+    log_tau = np.multiply(log_mu[1:], inv_r)
+    np.subtract(log_p, log_tau, out=log_tau)
+    np.logaddexp(log_tau, sweep.log_T, out=log_tau)
     tau1 = float(np.exp(log_tau[0]))
-    lsig = np.concatenate([[math.nan],
-                           math.log(tau1) + np.log(p_arr) - log_tau])
+    lsig = np.empty(P + 1)
+    lsig[0] = math.nan
+    np.add(math.log(tau1), log_p, out=lsig[1:])
+    lsig[1:] -= log_tau
 
     tm = N.tail_model
     closed_extension = tm is not None and tm.exact

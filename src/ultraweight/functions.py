@@ -24,8 +24,9 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import (PanelSamples, TailSamples, integral_to_infinity,
-                         power_log_tail, sample_window, suffix_integral_grid)
+from .quadrature import (BLOCK, PanelSamples, TailSamples,
+                         integral_to_infinity, power_log_tail, sample_window,
+                         suffix_integral_grid)
 from .sequences import WeightSequence
 from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
                       NOT_VANISH, RATIO_TREND_FLAT, REL_MARGIN, TREND_FLAT,
@@ -39,7 +40,7 @@ _ASSOC_TABLE_CAP = 1 << 21
 # a sequence with an exact closed form is tabulated up to this index at most:
 # its tail model serves every index past it
 _ASSOC_CLOSED_READ = 1 << 14
-_ASSOC_TABLE_START = 4096  # first table size `maximizers` tries
+_ASSOC_TABLE_START = 4096  # first table size `AssociatedOf._table` tries
 _HULL_ROUNDS = 32
 # conjugate_pl: a slope change within this, relative to the local slope, is
 # none (the segments merge); a larger decrease is a convexity violation
@@ -122,6 +123,9 @@ class WeightFunction:
     # eval of a concatenation equals the concatenation of evals, bit for bit:
     # each value depends on its own argument alone
     pointwise = True
+    # eval runs in blocks of its own (or wraps one that does): a caller that
+    # split its arguments would only repeat the per-call work
+    blocked = False
 
     def __init__(self, label: str, model: Optional[GrowthModel] = None,
                  kinks: Sequence[float] = ()):
@@ -194,7 +198,7 @@ class PowerSubst(WeightFunction):
                          kinks=tuple(k ** (1.0 / r) for k in base.kinks))
         self.base = base
         self.r = r
-        self.pointwise = base.pointwise
+        self.pointwise, self.blocked = base.pointwise, base.blocked
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         return self.base.eval(np.asarray(t, dtype=float) ** self.r)
@@ -230,7 +234,7 @@ class NormalizedShift(WeightFunction):
                          kinks=tuple(sorted(set(base.kinks) | {1.0})))
         self.base = base
         self.shift = shift
-        self.pointwise = base.pointwise
+        self.pointwise, self.blocked = base.pointwise, base.blocked
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -261,6 +265,8 @@ class AssociatedOf(WeightFunction):
     table only of sequences without one.
     """
 
+    blocked = True
+
     def __init__(self, seq: WeightSequence, table_cap: int = _ASSOC_TABLE_CAP):
         tm = seq.tail_model
         model = None
@@ -288,13 +294,14 @@ class AssociatedOf(WeightFunction):
             return min(_ASSOC_CLOSED_READ, self._table_limit())
         return self._table_limit()
 
-    def maximizers(self, log_t: np.ndarray) -> np.ndarray:
-        """Index p* with quotient_{p*} <= t < quotient_{p*+1} (0 when t < quotient_1)."""
+    def _table(self, top: float) -> np.ndarray:
+        """log mu_0..log mu_P, the table doubled from `_ASSOC_TABLE_START`
+        until its last quotient exceeds `top`, the largest log t asked for, or
+        P reaches the read limit."""
         limit = self._read_limit()
         P = min(_ASSOC_TABLE_START, limit)
         self.seq.ensure(P)
         log_mu = self.seq.log_quotients(P)
-        top = float(log_t.max(initial=-math.inf))
         while log_mu[-1] <= top and P < limit:
             P = min(2 * P, limit)
             self.seq.ensure(P)
@@ -305,6 +312,10 @@ class AssociatedOf(WeightFunction):
             raise EvaluationRangeError(
                 f"argument beyond tabulated quotients of {self.seq.label} "
                 f"and no exact tail model")
+        return log_mu
+
+    def _maximizers(self, log_mu: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+        """Index p* with quotient_{p*} <= t < quotient_{p*+1} (0 when t < quotient_1)."""
         # asarray: searchsorted returns a bare scalar for 0-d input, and the
         # masked assignment below needs a (possibly 0-d) array
         p_star = np.asarray(np.searchsorted(log_mu[1:], log_t, side="right"),
@@ -318,20 +329,54 @@ class AssociatedOf(WeightFunction):
                     log_t[beyond])
         return p_star
 
+    def _overflowed(self, log_t: np.ndarray) -> np.ndarray:
+        """omega where p* log t - log M_{p*} is not a finite float.
+
+        That happens only past an exact tail model.  For mu_p = c p**e,
+        omega(t) = e p* (1 + O(log p* / p*)) with p* = (t/c)**(1/e), so e p*
+        is omega to double precision there; log-linear quotients get there
+        only at t = inf, where omega is +inf.
+        """
+        tm = self.seq.tail_model
+        if tm.kind == "power":
+            with np.errstate(over="ignore"):
+                return np.exp((log_t - math.log(tm.c_hi)) / tm.e_hi + math.log(tm.e_hi))
+        return np.full_like(log_t, math.inf)
+
     def eval(self, t: np.ndarray) -> np.ndarray:
+        """omega at t, `BLOCK` points at a time into one output array.
+
+        log t goes to the output first; its largest value grows the quotient
+        table once, and then each block is overwritten by its values.
+        """
         t = np.asarray(t, dtype=float)
-        log_t = np.log(np.maximum(t, 1e-300))
-        p_star = self.maximizers(log_t)
-        P = int(min(p_star.max(initial=0), self._read_limit()))
-        self.seq.ensure(max(P, 1))
-        log_M = self.seq.log_values(max(P, 1))
-        out = np.empty_like(log_t)
-        small = p_star < len(log_M)
-        ps = p_star[small].astype(np.int64)
-        out[small] = ps * log_t[small] - log_M[ps]
-        if np.any(~small):
-            pb = p_star[~small]
-            out[~small] = pb * log_t[~small] - self.seq.tail_model.log_value(pb)
+        out = np.empty(t.shape)
+        flat_t, flat = t.reshape(-1), out.reshape(-1)
+        starts = range(0, flat.size, BLOCK)
+        for i in starts:
+            b = flat[i: i + BLOCK]
+            np.log(np.maximum(flat_t[i: i + BLOCK], 1e-300, out=b), out=b)
+        # fmax skips a nan t, which sizes nothing and gets a nan value
+        log_mu = self._table(float(np.fmax.reduce(flat, initial=-math.inf)))
+        # every p* past the table is past the read limit: the tail model
+        # serves it, and the table's log M serves every other
+        log_M = self.seq.log_values(len(log_mu) - 1)
+        for i in starts:
+            b = flat[i: i + BLOCK]
+            log_t = b.copy()
+            p_star = self._maximizers(log_mu, log_t)
+            small = p_star < len(log_M)
+            ps = p_star[small].astype(np.int64)
+            b[small] = ps * log_t[small] - log_M[ps]
+            if not small.all():
+                far = ~small
+                pb, lb = p_star[far], log_t[far]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = pb * lb - self.seq.tail_model.log_value(pb)
+                bad = ~np.isfinite(vals)
+                if bad.any():
+                    vals[bad] = self._overflowed(lb[bad])
+                b[far] = vals
         return out
 
     def spec(self) -> dict:
@@ -417,7 +462,7 @@ class PiecewiseGlue(WeightFunction):
         super().__init__(f"glue({base.label},{len(bp)} pts)", model,
                          kinks=tuple(sorted(set(base.kinks) | set(bp.tolist()))))
         self.base = base
-        self.pointwise = base.pointwise
+        self.pointwise, self.blocked = base.pointwise, base.blocked
         self.breakpoints = bp
         self.multipliers = mult
         self.offsets = off

@@ -32,6 +32,10 @@ Y_CUT = 1e8
 _NODES = 16  # Gauss-Legendre nodes per panel
 _PANELS_PER_UNIT = 4  # panels per unit of log-length, minimum 8 total
 _SUB = 3  # panels per interval of a suffix grid
+# points per block of pointwise array work: 64 KB of float64 stays in cache,
+# and a block's temporaries are reused from the heap instead of being mapped
+# and faulted in afresh for every array
+BLOCK = 8192
 
 
 @lru_cache(maxsize=1)
@@ -54,20 +58,51 @@ def _edges(a: float, b: float, kinks: Sequence[float]) -> np.ndarray:
 class PanelSamples:
     """f at the Gauss-Legendre nodes of log-axis panels: everything in the
     panel integrals of f(u) u**(-s) du that does not depend on s.  Its arrays
-    are read-only."""
+    are read-only.
+
+    Past one `BLOCK` of nodes, the panel sums of every order are computed a
+    block at a time, and so is f at the nodes when f is the eval of a
+    pointwise weight function that does not run blocks itself: no temporary
+    spans all the nodes.
+    """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray):
         x, _ = _gauss()
         mid = 0.5 * (edges[1:] + edges[:-1])
         self.half = read_only(0.5 * np.diff(edges))  # panel half-widths in v
-        self.v = read_only((mid[:, None] + self.half[:, None] * x[None, :]).ravel())
-        self.fv = read_only(np.asarray(f(np.exp(self.v)), dtype=float))
+        v = np.multiply(self.half[:, None], x[None, :])
+        v += mid[:, None]
+        self.v = read_only(v.ravel())
+        owner = getattr(f, "__self__", None)
+        if (len(self.v) > BLOCK and getattr(owner, "pointwise", False)
+                and not owner.blocked):
+            fv = np.empty_like(self.v)
+            for _, nodes in self._blocks():
+                fv[nodes] = f(np.exp(self.v[nodes]))
+        else:
+            fv = np.asarray(f(np.exp(self.v)), dtype=float)
+        self.fv = read_only(fv)
+
+    def _blocks(self):
+        """(panels, nodes) slices of consecutive panels, `BLOCK` nodes each."""
+        step = BLOCK // _NODES
+        for i in range(0, len(self.half), step):
+            yield slice(i, i + step), slice(i * _NODES, (i + step) * _NODES)
 
     def panel_sums(self, s: float) -> np.ndarray:
         """Weighted node sums per panel; times `half` they are the panel integrals."""
         _, w = _gauss()
-        g = self.fv * np.exp((1.0 - s) * self.v)
-        return np.sum(g.reshape(len(self.half), _NODES) * w[None, :], axis=1)
+
+        def sums(fv: np.ndarray, v: np.ndarray) -> np.ndarray:
+            g = fv * np.exp((1.0 - s) * v)
+            return np.sum(g.reshape(-1, _NODES) * w[None, :], axis=1)
+
+        if len(self.v) <= BLOCK:
+            return sums(self.fv, self.v)
+        out = np.empty(len(self.half))
+        for panels, nodes in self._blocks():
+            out[panels] = sums(self.fv[nodes], self.v[nodes])
+        return out
 
     def integral(self, s: float) -> float:
         return float(self.panel_sums(s) @ self.half)

@@ -119,39 +119,57 @@ class TailModel:
 
     def count_quotients_below(self, log_t) -> np.ndarray:
         """Largest p with log mu_p <= log_t (0 if none), elementwise over an
-        array; indices come back as floats.  Exact models only."""
+        array; indices come back as floats, inf at log_t = inf.  Exact models
+        only."""
         if not self.exact:
             raise EvaluationRangeError("no inversion for a non-exact tail model")
-        log_t = np.asarray(log_t, dtype=float)
-        if self.kind == "power":
-            if self.e_hi <= 0:
-                raise EvaluationRangeError("cannot invert non-increasing quotients")
-            p = np.floor(np.exp((log_t - math.log(self.c_hi)) / self.e_hi))
-        else:
-            # solve a*p + b + g*log p = log_t by Newton steps on p >= 1, all
-            # points at once until every step is below a quarter
-            p_f = np.maximum(1.0, (log_t - self.b) / self.a)
-            for _ in range(40):
-                dp = (log_t - self.log_quotient(p_f)) / (self.a + self.g / p_f)
-                p_f = np.maximum(1.0, p_f + dp)
-                if np.all(np.abs(dp) < 0.25):
-                    break
-            p = np.floor(p_f + 1e-9)
-        # the rounded inversion can be a step off (at a quotient itself, about
-        # every other time): settle it on log mu_p <= log_t < log mu_{p+1},
-        # where p + 1 is still a different float
-        settle = p < 2.0 ** 52
-        while True:
-            high = settle & (p >= 1) & (self.log_quotient(np.maximum(p, 1.0)) > log_t)
-            if not high.any():
-                break
-            p = p - high
-        while True:
-            low = settle & (self.log_quotient(p + 1.0) <= log_t)
-            if not low.any():
-                break
-            p = p + low
-        return np.maximum(0.0, p)
+        shape = np.shape(log_t)
+        log_t = np.asarray(log_t, dtype=float).reshape(-1)
+        # p past the float range is inf, and log mu_p there is never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "power":
+                if self.e_hi <= 0:
+                    raise EvaluationRangeError("cannot invert non-increasing quotients")
+                p = np.floor(np.exp((log_t - math.log(self.c_hi)) / self.e_hi))
+            else:
+                # solve a*p + b + g*log p = log_t by Newton steps on p >= 1, all
+                # points at once until every step is below a quarter; an
+                # infinite log_t would make every step nan, so it is set apart
+                top = log_t == math.inf
+                lt = np.where(top, self.b + self.a, log_t) if top.any() else log_t
+                p_f = np.maximum(1.0, (lt - self.b) / self.a)
+                for _ in range(40):
+                    dp = (lt - self.log_quotient(p_f)) / (self.a + self.g / p_f)
+                    p_f = np.maximum(1.0, p_f + dp)
+                    if np.all(np.abs(dp) < 0.25):
+                        break
+                p = np.floor(p_f + 1e-9)
+                p[top] = math.inf
+            # the rounded inversion can be a step off (at a quotient itself,
+            # about every other time, and tens of steps near 2**52): settle it
+            # on log mu_p <= log_t < log mu_{p+1}, where p + 1 is still a
+            # different float.  A point that needs no step in the first pass
+            # needs none later, so further passes read only the points the
+            # last one moved.
+            settle = p < 2.0 ** 52
+            self._settle(p, log_t, settle & (p >= 1), -1.0)
+            self._settle(p, log_t, settle, 1.0)
+        return np.maximum(0.0, p).reshape(shape)[()]
+
+    def _settle(self, p: np.ndarray, log_t: np.ndarray, where: np.ndarray,
+                step: float) -> None:
+        """Step p in place by `step` at the points `where` until none is off:
+        down while log mu_p > log_t (never below 0), up while
+        log mu_{p+1} <= log_t."""
+        def off(pi, lt):
+            if step < 0:
+                return (pi >= 1) & (self.log_quotient(np.maximum(pi, 1.0)) > lt)
+            return self.log_quotient(pi + 1.0) <= lt
+
+        idx = np.flatnonzero(where & off(p, log_t))
+        while idx.size:
+            p[idx] += step
+            idx = idx[off(p[idx], log_t[idx])]
 
     # -- tail sums ---------------------------------------------------------
 
@@ -224,8 +242,10 @@ class WeightSequence:
         self.spec = spec
         self.structural = structural
         self._lock = threading.Lock()
-        log_mu0 = np.zeros(1)
-        self._data = (log_mu0, np.cumsum(log_mu0) + self.log_m0)
+        # the log mu table and the table sizes after each growth: log M is
+        # summed from them on first read, one growth chunk at a time
+        self._data = (np.zeros(1), (1,))
+        self._log_M = np.zeros(1) + self.log_m0
         self.m0_warning = abs(self.log_m0) > 0.0
 
     # -- cache management --------------------------------------------------
@@ -243,7 +263,7 @@ class WeightSequence:
         if p < len(self._data[0]):
             return
         with self._lock:
-            log_mu, log_M = self._data
+            log_mu, ends = self._data
             have = len(log_mu)
             if p < have:
                 return
@@ -253,10 +273,8 @@ class WeightSequence:
             chunk = np.asarray(self._fn(have, target - 1), dtype=float)
             if len(chunk) != target - have:
                 raise InternalInconsistency("quotient generator returned a wrong-sized chunk")
-            new_mu = np.concatenate([log_mu, chunk])
-            new_M = np.concatenate([log_M, log_M[-1] + np.cumsum(chunk)])
             # single assignment keeps concurrent readers on a consistent prefix
-            self._data = (new_mu, new_M)
+            self._data = (np.concatenate([log_mu, chunk]), ends + (target,))
 
     def log_quotients(self, p: int) -> np.ndarray:
         """Array of log mu_0..log mu_p."""
@@ -266,7 +284,33 @@ class WeightSequence:
     def log_values(self, p: int) -> np.ndarray:
         """Array of log M_0..log M_p."""
         self.ensure(p)
-        return self._data[1][: self._capped(p) + 1]
+        p = self._capped(p)
+        log_M = self._log_M
+        if p >= len(log_M):
+            log_M = self._sum_log_values(p)
+        return log_M[: p + 1]
+
+    def _sum_log_values(self, p: int) -> np.ndarray:
+        """The log M table through the growth chunk that holds index p.
+
+        Each chunk is summed as one cumsum on top of the last value before
+        it, so every log M_p is the same float whenever it is read.
+        """
+        with self._lock:
+            log_M = self._log_M
+            if p < len(log_M):
+                return log_M
+            log_mu, ends = self._data
+            parts, have = [log_M], len(log_M)
+            for end in ends:
+                if end <= have:
+                    continue
+                parts.append(parts[-1][-1] + np.cumsum(log_mu[have:end]))
+                have = end
+                if p < have:
+                    break
+            self._log_M = np.concatenate(parts)
+            return self._log_M
 
     def log_quotient(self, p: int) -> float:
         if p < 0:
@@ -443,19 +487,20 @@ class SuffixSweep:
     P: int
 
 
-def log_sum_exp(x: np.ndarray) -> float:
+def log_sum_exp(x: np.ndarray, out: np.ndarray | None = None) -> float:
     """log sum_k exp(x_k), shifted by the max term; -inf for no terms.
 
     The shift keeps every exponential in [0, 1] with the largest equal to 1,
     so the sum neither overflows nor loses its leading term (Blanchard,
-    Higham & Higham, IMA J. Numer. Anal. 41, 2021).
+    Higham & Higham, IMA J. Numer. Anal. 41, 2021).  The exponentials go to
+    `out` when given (x itself, when the caller no longer needs it).
     """
     if len(x) == 0:
         return -math.inf
     m = float(np.max(x))
     if not math.isfinite(m):
         return m
-    e = np.subtract(x, m)
+    e = np.subtract(x, m, out=out)
     return m + math.log(float(np.sum(np.exp(e, out=e))))
 
 
@@ -591,7 +636,9 @@ class RatioSweep:
                     "first_log": math.inf, "tail_converges": False,
                     "tail_bracket": tail, "P": self.P}
         log_T = self.sums.summed(inv_r, tail, converges).log_T
-        log_F = inv_r * self.log_mu - self.log_p + log_T[: self.P]
+        log_F = np.multiply(self.log_mu, inv_r)
+        log_F -= self.log_p
+        log_F += log_T[: self.P]
         return {"log_F": log_F, **running_sup_reads(log_F),
                 "tail_converges": converges, "tail_bracket": tail, "P": self.P}
 
@@ -748,10 +795,12 @@ def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> Condition
     cond = "nq" if r == 1.0 else f"nq_{r:g}"
     P = M._capped(P)
     terms = -inv_r * M.log_quotients(P)[1:]
-    # log partial sums over k <= P // 4, P // 2 and P, one shifted sum per span
-    log_s4 = log_sum_exp(terms[: P // 4])
-    log_s2 = float(np.logaddexp(log_s4, log_sum_exp(terms[P // 4: P // 2])))
-    log_s1 = float(np.logaddexp(log_s2, log_sum_exp(terms[P // 2:])))
+    # log partial sums over k <= P // 4, P // 2 and P, one shifted sum per
+    # span, each span overwritten by its own exponentials
+    spans = (terms[: P // 4], terms[P // 4: P // 2], terms[P // 2:])
+    log_s4 = log_sum_exp(spans[0], out=spans[0])
+    log_s2 = float(np.logaddexp(log_s4, log_sum_exp(spans[1], out=spans[1])))
+    log_s1 = float(np.logaddexp(log_s2, log_sum_exp(spans[2], out=spans[2])))
     tm = M.tail_model
     if tm is not None and tm.start <= P + 1:
         conv = tm.tail_sum_converges(inv_r)

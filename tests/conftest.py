@@ -89,8 +89,9 @@ def reference_log_suffix_sums(x: np.ndarray, seed: float = -math.inf) -> np.ndar
     return np.logaddexp.accumulate(full[::-1])[::-1][:len(x)]
 
 
-def reference_log_sum_exp(x: np.ndarray) -> float:
-    """log sum_k exp(x_k) by the same sequential running logaddexp."""
+def reference_log_sum_exp(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    """log sum_k exp(x_k) by the same sequential running logaddexp; `out`,
+    the scratch buffer of `log_sum_exp`, is not needed."""
     return float(reference_log_suffix_sums(x)[0]) if len(x) else -math.inf
 
 

@@ -315,6 +315,16 @@ class TestArtifactFiles:
         assert lines[0] == "t,value"
         assert len(lines) == 21
 
+    def test_sample_past_the_float_range_has_no_nan(self, capsys):
+        # the maximizer t**(1/0.6) overflows from t near 1e185 on
+        code, out, _ = run(capsys, "sample", "--omega", "assoc(gevrey:0.6)",
+                           "--points", "16", "--tmax", "1e300")
+        assert code == cli.EXIT_OK
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 16
+        assert not any(math.isnan(float(v)) for row in rows for v in row)
+        assert float(rows[-1][1]) == math.inf
+
     def test_sample_sequence_csv(self, capsys):
         code, out, _ = run(capsys, "sample", "--sequence", "gevrey:1",
                            "--pmax", "6")
