@@ -32,9 +32,8 @@ from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
                       NOT_VANISH, RATIO_TREND_FLAT, REL_MARGIN, TREND_FLAT,
                       TREND_GROW, VANISH, WINDOW_DECAY, WINDOW_FLAT,
                       ConditionVerdict, ConvexityViolation,
-                      EvaluationRangeError, GridTooCoarse,
-                      InternalInconsistency, InvalidArgument, RunConfig,
-                      Verdict, Y_GRID, grid_decided)
+                      EvaluationRangeError, GridTooCoarse, InvalidArgument,
+                      RunConfig, Verdict, Y_GRID, grid_decided)
 
 _ASSOC_TABLE_CAP = 1 << 21
 # a sequence with an exact closed form is tabulated up to this index at most:
@@ -132,7 +131,6 @@ class WeightFunction:
         self.label = label
         self.model = model
         self.kinks = tuple(kinks)
-        self._verdicts: dict = {}
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -551,7 +549,6 @@ def grid_vanishing(cond: str, ratio: np.ndarray, ts: np.ndarray, of: str, *,
 # ---------------------------------------------------------------------------
 # condition checks
 
-_CHAIN = ("omega_snq", "omega_nq", "omega5", "omega2")  # each implies the next
 _LINEAR = GrowthModel(1.0)
 
 
@@ -802,7 +799,7 @@ def check_omega_nq(omega: WeightFunction, config: RunConfig) -> ConditionVerdict
 
 
 def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
-    pre = check_omega_condition(omega, "omega_nq", config=config)
+    pre = check_omega_nq(omega, config)
     if pre.is_violated:
         return ConditionVerdict.violated("omega_snq",
             {"precondition": "omega_nq violated, kernel average diverges",
@@ -837,53 +834,17 @@ OMEGA_CHECKS = {"omega1": check_omega1, "omega2": check_omega2,
 def check_omega_condition(omega: WeightFunction, cond: str, *,
                           r: Optional[float] = None,
                           config: Optional[RunConfig] = None) -> ConditionVerdict:
-    """Dispatch a condition check with caching and implication bookkeeping."""
-    config = config or RunConfig()
-    key = (cond, r if cond.endswith("_r") else None, config)
-    if key in omega._verdicts:
-        return omega._verdicts[key]
+    """Dispatch a condition check by name.  The verdict depends only on omega,
+    the condition, the order r (read only by a condition ending in "_r") and
+    the config, never on earlier calls."""
     if cond not in OMEGA_CHECKS:
         raise InvalidArgument(f"unknown condition {cond!r}")
+    config = config or RunConfig()
     if not cond.endswith("_r"):
-        verdict = OMEGA_CHECKS[cond](omega, config)
-    elif r is None:
+        return OMEGA_CHECKS[cond](omega, config)
+    if r is None:
         raise InvalidArgument(f"{cond} needs the order r")
-    else:
-        verdict = OMEGA_CHECKS[cond](omega, r, config)
-    verdict = _apply_chain(omega, cond, verdict, config)
-    omega._verdicts[key] = verdict
-    return verdict
-
-
-def _cached(omega: WeightFunction, cond: str, config: RunConfig):
-    return omega._verdicts.get((cond, None, config))
-
-
-def _apply_chain(omega: WeightFunction, cond: str, verdict: ConditionVerdict,
-                 config: RunConfig) -> ConditionVerdict:
-    """omega_snq => omega_nq => omega5 => omega2; contradictions are fatal."""
-    if cond not in _CHAIN:
-        return verdict
-    idx = _CHAIN.index(cond)
-    for stronger in _CHAIN[:idx]:
-        prior = _cached(omega, stronger, config)
-        if prior is not None and prior.is_satisfied:
-            if verdict.is_violated:
-                raise InternalInconsistency(
-                    f"{stronger} satisfied but implied {cond} violated for {omega.label}")
-            if verdict.is_inconclusive:
-                return ConditionVerdict.satisfied(cond, {"implied_by": stronger})
-    for weaker in _CHAIN[idx + 1:]:
-        prior = _cached(omega, weaker, config)
-        if prior is not None and prior.is_violated:
-            if verdict.is_satisfied:
-                raise InternalInconsistency(
-                    f"{cond} satisfied but implied {weaker} violated for {omega.label}")
-            if verdict.is_inconclusive:
-                return ConditionVerdict.violated(cond,
-                    {"implied_by_contrapositive": weaker,
-                     **(prior.counterexample or {})})
-    return verdict
+    return OMEGA_CHECKS[cond](omega, r, config)
 
 
 # ---------------------------------------------------------------------------

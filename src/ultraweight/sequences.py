@@ -16,6 +16,7 @@ only Violated (witnessed divergence trend) or Inconclusive for those checks.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -35,6 +36,7 @@ _BETA_P_CAP = 20000  # beta1/beta3 read mu_{Qp}/mu_p for p up to this
 _BETA_Q_MAX = 8  # and for Q up to this
 _SUM_BLOCK = 1024  # log_suffix_sums: terms per block sharing one scale
 _MAX_BLOCK_SPAN = 600.0  # nats from a block's max to its min that one scale holds
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows from here
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +776,18 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
             "running_max_log": running, "checked_up_to": P,
             "model": "quotients grow supra-polynomially; no constant can work"})
     if stabilized(np.array(running)) or model_bounded:
+        # M_{p+q} / (M_p M_q) = binom(p+q, p)**e / M_0 <= 2**(e (p+q)) for
+        # every p, q on an exact power tail from index 1, also past the range
+        e = (max(tm.e_hi, 0.0) if tm is not None and tm.kind == "power"
+             and tm.exact and tm.start == 1 and M.log_m0 >= 0 else None)
+        log_C = running[-1] if e is None else max(running[-1], e * math.log(2.0))
+        if not log_C < _LOG_FLOAT_MAX:
+            return ConditionVerdict.inconclusive("mg", {
+                "running_max_log": running, "checked_up_to": P,
+                "note": "the constant C exceeds the float range"})
         C = math.exp(running[-1])
-        if tm is not None and tm.kind == "power" and tm.exact and tm.start == 1 \
-                and M.log_m0 >= 0:
-            # M_{p+q} / (M_p M_q) = binom(p+q, p)**e / M_0 <= 2**(e (p+q))
-            # for every p, q, also past the probed range
-            C = max(C, 2.0 ** max(tm.e_hi, 0.0))
+        if e is not None:
+            C = max(C, 2.0 ** e)
         return ConditionVerdict.satisfied("mg", {"C": C, "checked_up_to": P},
                                           certified="tail-model" if model_bounded else "range-stabilized")
     return ConditionVerdict.inconclusive("mg", {

@@ -173,6 +173,28 @@ class TestCheckDefaults:
                            "--conditions", "omega_nq_r")
         assert code == cli.EXIT_USAGE
 
+    def test_mg_constant_past_the_float_range(self, capsys):
+        # log C is about 1.4e300: the constant is no float, so no Satisfied
+        code, out, err = run(capsys, "check", "--sequence",
+                             "power(gevrey:2,1e300)")
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED,
+                        cli.EXIT_INCONCLUSIVE), err
+        assert json.loads(out)["results"]["mg"]["status"] != "satisfied"
+        assert "nan" not in out
+
+    @pytest.mark.parametrize("omega", [
+        "assoc(descendant(qgevrey:2,1))",
+        '{"kind":"assoc","sequence":{"family":"explicit",'
+        '"values":[1,1,2,6,24,120]}}'])
+    def test_condition_order_does_not_change_the_results(self, capsys, omega):
+        chain = ["omega_snq", "omega_nq", "omega5", "omega2"]
+        results = []
+        for conditions in (chain, chain[::-1]):
+            _, rep = run_json(capsys, "check", "--omega", omega,
+                              "--conditions", ",".join(conditions))
+            results.append(rep["results"])
+        assert results[0] == results[1]
+
 
 _TABLES = [("--sequence", "gevrey:2", SEQUENCE_CHECKS),
            ("--omega", "power:0.5", OMEGA_CHECKS)]

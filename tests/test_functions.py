@@ -10,10 +10,22 @@ from ultraweight import (LogPower, PowerLaw, check_omega_condition,
                          check_omega_nq_r, compare_o, compare_preceq,
                          equivalent_fun, normalize, power_substitute)
 
-from ultraweight import functions
 from ultraweight.specio import make_function
 
 from conftest import assert_status
+
+
+# model-free inputs: no GrowthModel, so their checks read the grid trend
+MODEL_FREE = {
+    "assoc_descendant": lambda: make_function("assoc(descendant(qgevrey:2,1))"),
+    "assoc_short_list": lambda: make_function(
+        '{"kind":"assoc","sequence":{"family":"explicit",'
+        '"values":[1,1,2,6,24,120]}}'),
+    "subst_assoc": lambda: power_substitute(
+        uw.AssociatedOf(uw.from_quotients(lambda p: p ** 2.0)), 0.5),
+}
+ORDER_CONDITIONS = ("omega_snq", "omega_nq", "omega5", "omega2", "omega3",
+                    "omega4")
 
 
 class TestEvaluation:
@@ -133,46 +145,59 @@ class TestOmegaConditions:
                       "violated")
 
     def test_implication_chain_consistency(self):
-        # omega_snq => omega_nq => omega5 => omega2 must never invert
+        # omega_snq => omega_nq => omega5 => omega2 must never invert; each
+        # check runs on a fresh object, so this tests the predicates alone
         order = ("omega_snq", "omega_nq", "omega5", "omega2")
-        for fn in (PowerLaw(0.5), PowerLaw(1.0), PowerLaw(0.25),
-                   LogPower(2.0)):
-            statuses = [check_omega_condition(fn, c).status.value
+        builders = [lambda: PowerLaw(0.5), lambda: PowerLaw(1.0),
+                    lambda: PowerLaw(0.25), lambda: LogPower(2.0),
+                    *MODEL_FREE.values()]
+        for build in builders:
+            statuses = [check_omega_condition(build(), c).status.value
                         for c in order]
             seen_violated = False
             for s in reversed(statuses):  # weakest to strongest
                 if s == "violated":
                     seen_violated = True
                 elif s == "satisfied":
-                    assert not seen_violated, (fn.label, statuses)
+                    assert not seen_violated, (build().label, statuses)
 
-    def test_cached_verdict_keys_on_the_grid(self):
-        # omega1 reads its sup off config.grid, so a second call with another
-        # t-grid must not get the first call's verdict back
-        wide = uw.RunConfig()
-        short = uw.RunConfig(grid=uw.Grid(t_max=1e4, points=64))
+    def test_verdict_follows_the_grid(self):
+        # omega1 reads its sup off config.grid: the same object on another
+        # t-grid gives that grid's answer, as a fresh object would
         fn = make_function("power:0.5")
-        first = check_omega_condition(fn, "omega1", config=wide)
-        second = check_omega_condition(fn, "omega1", config=short)
-        fresh = check_omega_condition(make_function("power:0.5"), "omega1",
-                                      config=short)
-        assert second is not first
-        assert second.to_dict() == fresh.to_dict()
-        assert second.witness["grid_sup"] != first.witness["grid_sup"]
-        assert check_omega_condition(fn, "omega1", config=short) is second
+        verdicts = []
+        for cfg in (uw.RunConfig(),
+                    uw.RunConfig(grid=uw.Grid(t_max=1e4, points=64))):
+            v = check_omega_condition(fn, "omega1", config=cfg)
+            fresh = check_omega_condition(make_function("power:0.5"),
+                                          "omega1", config=cfg)
+            assert v.to_dict() == fresh.to_dict()
+            verdicts.append(v)
+        assert verdicts[0].witness["grid_sup"] != verdicts[1].witness["grid_sup"]
 
-    def test_order_keys_only_conditions_that_take_it(self):
-        # the CLI passes --r to every condition; omega_nq takes no order, so
-        # its verdict must land where omega_snq and the implication chain
-        # look it up
+    def test_order_reaches_only_conditions_that_take_it(self):
+        # the CLI passes --r to every condition; omega_nq takes no order
         fn = make_function("logpower:2")
-        cfg = uw.RunConfig()
-        first = check_omega_condition(fn, "omega_nq", r=2.0)
-        assert functions._cached(fn, "omega_nq", cfg) is first
-        assert check_omega_condition(fn, "omega_nq") is first
-        with_r = check_omega_condition(fn, "omega_nq_r", r=2.0)
-        assert check_omega_condition(fn, "omega_nq_r", r=2.0) is with_r
-        assert check_omega_condition(fn, "omega_nq_r", r=3.0) is not with_r
+        assert (check_omega_condition(fn, "omega_nq", r=2.0).to_dict()
+                == check_omega_condition(fn, "omega_nq").to_dict())
+        assert (check_omega_condition(fn, "omega_nq_r", r=2.0).to_dict()
+                != check_omega_condition(fn, "omega_nq_r", r=3.0).to_dict())
+
+    @pytest.mark.parametrize("name", [*MODEL_FREE, "associated_function"])
+    def test_answer_does_not_depend_on_call_order(self, name):
+        # the associated_function node ran omega3 and omega4 when it was built
+        build = {**MODEL_FREE, "associated_function":
+                 lambda: uw.associated_function(uw.gevrey(1.5))}[name]
+        fresh = {c: check_omega_condition(build(), c).to_dict()
+                 for c in ORDER_CONDITIONS}
+        for first in ORDER_CONDITIONS:
+            for then in ORDER_CONDITIONS:
+                if then == first:
+                    continue
+                fn = build()
+                check_omega_condition(fn, first)
+                assert (check_omega_condition(fn, then).to_dict()
+                        == fresh[then]), (name, first, then)
 
     def test_unknown_condition_rejected(self):
         with pytest.raises(uw.InvalidArgument):

@@ -22,7 +22,7 @@ ASSOC = '{"kind":"assoc","sequence":{"family":"explicit","values":[1,1,2,6,24,12
 
 
 def build(name: str) -> uw.WeightFunction:
-    """A fresh function, so that no cached verdict or implication leaks in."""
+    """A fresh function for each case."""
     if name == "assoc":
         return uw.make_function(ASSOC)
     if name == "subst":
