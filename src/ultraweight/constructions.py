@@ -32,10 +32,10 @@ import numpy as np
 from .functions import (AssociatedOf, ConvexPL, KappaPower, PiecewiseGlue,
                         WeightFunction, check_omega_condition, compare_o,
                         conjugate_pl, convexify, normalize)
-from .indices import (Gamma1Witness, find_gamma1_witness, mixed_condition_fun,
-                      mixed_condition_seq)
-from .sequences import (TailModel, WeightSequence, check_lc, check_nq_r,
-                        check_slc, hat, power, suffix_power_sums)
+from .indices import (Gamma1Witness, MixedSeqProbe, find_gamma1_witness,
+                      mixed_condition_fun)
+from .sequences import (SuffixSums, TailModel, WeightSequence, check_lc,
+                        check_nq_r, check_slc, hat, log_p, power)
 from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
                       GammaNotAboveOne, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, NotNonQuasianalytic,
@@ -43,6 +43,7 @@ from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
                       _jsonify, stabilized)
 
 DEFAULT_LEVELS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+_LADDER = 64  # 1.05 steps per eval call in _monotone_threshold
 DEFAULT_J_MAX = 64
 
 _HAT_X_TOP = float(1 << 20)  # conjugate slope coverage for the function route
@@ -519,17 +520,19 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
 
     inv_r = 1.0 / r
     P = N._capped(int(config.p_max))
-    sweep = suffix_power_sums(N, inv_r, P)
+    # N's order-r sums, read here and again by the (L, N) mixed comparison
+    sums = SuffixSums(N, P)
+    sweep = sums.at(inv_r)
     log_mu = N.log_quotients(P)
-    log_p = np.log(np.arange(1, P + 1, dtype=float))
+    lp = log_p(1, P)
     # log domain throughout: tau_p underflows linearly for fast bases
     log_tau = np.multiply(log_mu[1:], inv_r)
-    np.subtract(log_p, log_tau, out=log_tau)
+    np.subtract(lp, log_tau, out=log_tau)
     np.logaddexp(log_tau, sweep.log_T, out=log_tau)
     tau1 = float(np.exp(log_tau[0]))
     lsig = np.empty(P + 1)
     lsig[0] = math.nan
-    np.add(math.log(tau1), log_p, out=lsig[1:])
+    np.add(math.log(tau1), lp, out=lsig[1:])
     lsig[1:] -= log_tau
 
     tm = N.tail_model
@@ -586,7 +589,7 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
         raise InternalInconsistency(
             f"descendant core not strongly log-convex: "
             f"{dict(slc.counterexample)}")
-    mixed = mixed_condition_seq(L, N, r, config=config)
+    mixed = MixedSeqProbe(L, N, config, sums)(r)
     checks["mixed_L_N"] = mixed
     if mixed.is_violated:
         raise InternalInconsistency(
@@ -691,14 +694,24 @@ def _forall_tail_threshold(f: WeightFunction, sigma: WeightFunction,
 
 def _monotone_threshold(g: WeightFunction, target: float,
                         start: float) -> float:
-    """Smallest x >= max(1, start) with g(x) >= target (g nondecreasing)."""
+    """Smallest x >= max(1, start) with g(x) >= target (g nondecreasing).
+
+    A ladder of 1.05 steps from x, taken while below 1e12, finds the first
+    step that reaches the target; a bisection then refines it.  A pointwise
+    g evaluates `_LADDER` steps per call, every other g one.
+    """
     x = max(1.0, start)
     if target <= 0.0 or g.value(x) >= target:
         return x
+    steps = np.full((_LADDER if g.pointwise else 1) + 1, 1.05)
     while x < 1e12:
-        nxt = x * 1.05
-        if g.value(nxt) >= target:
-            lo, hi = x, nxt
+        # the products x * 1.05 * 1.05 ..., rounded after each step
+        steps[0] = x
+        ladder = np.multiply.accumulate(steps)
+        n = int(np.count_nonzero(ladder[:-1] < 1e12))  # steps taken below 1e12
+        hit = np.flatnonzero(g.eval(ladder[1: n + 1]) >= target)
+        if hit.size:
+            lo, hi = float(ladder[hit[0]]), float(ladder[hit[0] + 1])
             for _ in range(80):
                 mid = math.sqrt(lo * hi)
                 if g.value(mid) >= target:
@@ -708,7 +721,7 @@ def _monotone_threshold(g: WeightFunction, target: float,
                 if hi - lo <= 1e-9 * hi:
                     break
             return hi
-        x = nxt
+        x = float(ladder[n])
     raise PreconditionInconclusive(
         f"{g.label} never reaches {target:g} below 1e12")
 

@@ -280,6 +280,8 @@ class AssociatedOf(WeightFunction):
         self.table_cap = table_cap
         self._closed = (tm is not None and tm.exact and tm.start == 1
                         and seq.log_m0 == 0.0 and not seq.finite_size)
+        # (table length checked, whether its quotients never decrease there)
+        self._ascends = (1, True)
 
     def _table_limit(self) -> int:
         if self.seq.finite_size:
@@ -312,12 +314,45 @@ class AssociatedOf(WeightFunction):
                 f"and no exact tail model")
         return log_mu
 
-    def _maximizers(self, log_mu: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-        """Index p* with quotient_{p*} <= t < quotient_{p*+1} (0 when t < quotient_1)."""
+    def _table_ascends(self, log_mu: np.ndarray) -> bool:
+        """Whether log mu_1..log mu_P never decrease; each growth is checked once."""
+        checked, ok = self._ascends
+        if ok and checked < len(log_mu):
+            q = log_mu[max(checked - 1, 1):]
+            ok = bool(np.all(q[1:] >= q[:-1]))
+            self._ascends = (len(log_mu), ok)
+        return ok
+
+    def _merged(self, log_mu: np.ndarray, log_t: np.ndarray) -> Optional[np.ndarray]:
+        """searchsorted(log_mu[1:], log_t, "right") by one merge of two sorted lists.
+
+        Taken for nondecreasing log t (a nan fails) over a nondecreasing
+        table, when fewer quotients than points lie between the first and
+        the last log t; None otherwise.  The quotient q_j of that slice is
+        passed by the points from the first with log t >= q_j on, so a
+        cumulative count of those first points gives every p*.
+        """
+        n = log_t.size
+        if not np.all(log_t[1:] >= log_t[:-1]):
+            return None
+        q = log_mu[1:]
+        lo, hi = np.searchsorted(q, (log_t[0], log_t[-1]), side="right")
+        if hi - lo >= n or not self._table_ascends(log_mu):
+            return None
+        first = np.searchsorted(log_t, q[lo:hi], side="left")
+        return lo + np.cumsum(np.bincount(first, minlength=n))
+
+    def _maximizers(self, log_mu: np.ndarray, log_t: np.ndarray,
+                    counts: Optional[np.ndarray] = None) -> np.ndarray:
+        """Index p* with quotient_{p*} <= t < quotient_{p*+1} (0 when t < quotient_1).
+
+        `counts`, when given, is that search in the table already made.
+        """
+        if counts is None:
+            counts = np.searchsorted(log_mu[1:], log_t, side="right")
         # asarray: searchsorted returns a bare scalar for 0-d input, and the
         # masked assignment below needs a (possibly 0-d) array
-        p_star = np.asarray(np.searchsorted(log_mu[1:], log_t, side="right"),
-                            dtype=float)
+        p_star = np.asarray(counts, dtype=float)
         if self._closed:
             beyond = log_t >= log_mu[-1]
             if np.any(beyond):
@@ -361,8 +396,15 @@ class AssociatedOf(WeightFunction):
         log_M = self.seq.log_values(len(log_mu) - 1)
         for i in starts:
             b = flat[i: i + BLOCK]
+            # a merge pays off only from BLOCK // 8 points
+            counts = self._merged(log_mu, b) if b.size >= BLOCK // 8 else None
+            if counts is not None and not (self._closed and b[-1] >= log_mu[-1]):
+                # an ascending block inside the table: every p* is a count
+                np.multiply(counts, b, out=b)
+                b -= log_M[counts]
+                continue
             log_t = b.copy()
-            p_star = self._maximizers(log_mu, log_t)
+            p_star = self._maximizers(log_mu, log_t, counts)
             small = p_star < len(log_M)
             ps = p_star[small].astype(np.int64)
             b[small] = ps * log_t[small] - log_M[ps]

@@ -25,8 +25,8 @@ import numpy as np
 from .functions import (GrowthModel, OmegaNodes, WeightFunction, _shape_cmp,
                         grid_bounded, windows_verdict)
 from .quadrature import SuffixSamples, power_log_tail
-from .sequences import (RatioSweep, WeightSequence, check_lc, check_nq_r,
-                        finish_sup_verdict)
+from .sequences import (RatioSweep, SuffixSums, WeightSequence, check_lc,
+                        check_nq_r, finish_sup_verdict)
 from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
                       ConditionVerdict, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, RunConfig,
@@ -207,16 +207,18 @@ class MixedSeqProbe:
 
     The quotient-ratio precondition and the sweep set-up (log quotients of M
     and N, log p) do not depend on r: one index call computes them once for
-    all its probes.  The sweep is set up on the first order that needs it.
+    all its probes.  The sweep is set up on the first order that needs it,
+    on `sums`, N's SuffixSums up to p_max, when the caller holds them.
     """
 
-    def __init__(self, M: WeightSequence, N: WeightSequence, config: RunConfig):
-        self.M, self.N, self.P = M, N, config.p_max
+    def __init__(self, M: WeightSequence, N: WeightSequence, config: RunConfig,
+                 sums: Optional[SuffixSums] = None):
+        self.M, self.N, self.P, self.sums = M, N, config.p_max, sums
         self.pre, self.pre_info = _quotient_ratio_bounded(M, N, min(config.p_max, 20000))
 
     @cached_property
     def sweep(self) -> RatioSweep:
-        return RatioSweep(self.M, self.N, self.P)
+        return RatioSweep(self.M, self.N, self.P, self.sums)
 
     def __call__(self, r: float) -> ConditionVerdict:
         pre, pre_info = self.pre, self.pre_info

@@ -37,6 +37,38 @@ _BETA_Q_MAX = 8  # and for Q up to this
 _SUM_BLOCK = 1024  # log_suffix_sums: terms per block sharing one scale
 _MAX_BLOCK_SPAN = 600.0  # nats from a block's max to its min that one scale holds
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows from here
+_EXP_ZERO = -746.0  # exp is exactly +0.0 below about -745.13
+_LOG_P_CAP = 1 << 21  # log_p keeps its table up to this p
+
+
+# ---------------------------------------------------------------------------
+# log p
+# ---------------------------------------------------------------------------
+
+_log_p_table = read_only(np.log(np.arange(1, 4097, dtype=float)))  # log p at p - 1
+_log_p_lock = threading.Lock()
+
+
+def log_p(lo: int, hi: int) -> np.ndarray:
+    """log p for p = lo..hi (1 <= lo), read-only.
+
+    The values come from one table that grows by doubling and is swapped
+    whole, like a sequence's table; every value is np.log of the float p.
+    Past `_LOG_P_CAP` they are computed afresh.
+    """
+    global _log_p_table
+    table = _log_p_table
+    if hi > len(table):
+        if hi > _LOG_P_CAP:
+            return read_only(np.log(np.arange(lo, hi + 1, dtype=float)))
+        with _log_p_lock:
+            table = _log_p_table
+            have = len(table)
+            if hi > have:
+                top = min(max(hi, 2 * have), _LOG_P_CAP)
+                grown = np.log(np.arange(have + 1, top + 1, dtype=float))
+                table = _log_p_table = read_only(np.concatenate([table, grown]))
+    return table[lo - 1: hi]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +339,9 @@ class WeightSequence:
             for end in ends:
                 if end <= have:
                     continue
-                parts.append(parts[-1][-1] + np.cumsum(log_mu[have:end]))
+                # a log M past the float range is +inf, and is read as such
+                with np.errstate(over="ignore"):
+                    parts.append(parts[-1][-1] + np.cumsum(log_mu[have:end]))
                 have = end
                 if p < have:
                     break
@@ -374,7 +408,7 @@ def gevrey(s: float) -> WeightSequence:
         raise InvalidArgument("gevrey index s must be > 0")
 
     def fn(lo: int, hi: int) -> np.ndarray:
-        return s * np.log(np.arange(lo, hi + 1, dtype=float))
+        return s * log_p(lo, hi)
 
     return WeightSequence(f"gevrey(s={s:g})", fn,
                           tail_model=TailModel.power(s),
@@ -435,7 +469,9 @@ def power(M: WeightSequence, r: float) -> WeightSequence:
         raise InvalidArgument("power exponent r must be finite and > 0")
 
     def fn(lo: int, hi: int) -> np.ndarray:
-        return r * M.log_quotients(hi)[lo: hi + 1]
+        # a log quotient past the float range is +inf, and is read as such
+        with np.errstate(over="ignore"):
+            return r * M.log_quotients(hi)[lo: hi + 1]
 
     spec = {"family": "power", "r": r, "base": M.spec} if M.spec is not None else None
     # mu_p**r stays nondecreasing for any r > 0, but (mu_p/p)**r nondecreasing
@@ -495,7 +531,9 @@ def log_sum_exp(x: np.ndarray, out: np.ndarray | None = None) -> float:
     The shift keeps every exponential in [0, 1] with the largest equal to 1,
     so the sum neither overflows nor loses its leading term (Blanchard,
     Higham & Higham, IMA J. Numer. Anal. 41, 2021).  The exponentials go to
-    `out` when given (x itself, when the caller no longer needs it).
+    `out` when given (x itself, when the caller no longer needs it).  When
+    an end term lies below `_EXP_ZERO`, the terms there get the +0.0 that exp
+    gives them without calling it, which is many times slower on underflow.
     """
     if len(x) == 0:
         return -math.inf
@@ -503,7 +541,13 @@ def log_sum_exp(x: np.ndarray, out: np.ndarray | None = None) -> float:
     if not math.isfinite(m):
         return m
     e = np.subtract(x, m, out=out)
-    return m + math.log(float(np.sum(np.exp(e, out=e))))
+    if e[0] < _EXP_ZERO or e[-1] < _EXP_ZERO:
+        under = e < _EXP_ZERO
+        np.exp(e, out=e, where=~under)
+        e[under] = 0.0
+    else:
+        np.exp(e, out=e)
+    return m + math.log(float(np.sum(e)))
 
 
 def _running_log_suffix_sums(x: np.ndarray, seed: float) -> np.ndarray:
@@ -562,7 +606,8 @@ def log_suffix_sums(x: np.ndarray, seed: float = -math.inf) -> np.ndarray:
 
 
 class SuffixSums:
-    """suffix_power_sums of one sequence N up to P, at any order.
+    """Tail-completed suffix sums of nu_k**(-inv_r) of one sequence N up to P,
+    at any order.
 
     N's log quotients are read once; each order computes only its terms, its
     tail bracket and their log suffix sums.
@@ -572,6 +617,7 @@ class SuffixSums:
         self.N = N
         self.P = N._capped(P)
         self.log_nu = read_only(N.log_quotients(self.P)[1:])  # log nu_k, k = 1..P
+        self._last: tuple[float, SuffixSweep] | None = None  # the last order's sweep
 
     def tail(self, inv_r: float) -> tuple[tuple[float, float] | None, Optional[bool]]:
         """N's tail bracket past P and whether its tail model says the sum converges.
@@ -590,20 +636,23 @@ class SuffixSums:
 
     def summed(self, inv_r: float, tail: tuple[float, float] | None,
                converges: Optional[bool]) -> SuffixSweep:
-        """The sweep at one order, given that order's `tail`."""
+        """The sweep at one order, given that order's `tail`.
+
+        The last order's sweep is kept, so two readers of one order sum once.
+        """
+        last = self._last
+        if last is not None and last[0] == inv_r:
+            return last[1]
         seed = -math.inf  # no tail, or a straddling bracket: the finite partial sums
         if converges is False:
             seed = math.inf
         elif tail is not None and math.isfinite(tail[1]) and tail[1] > 0:
             seed = math.log(tail[1])
         terms = -inv_r * self.log_nu  # log of nu_k**(-inv_r), k = 1..P
-        return SuffixSweep(log_T=log_suffix_sums(terms, seed), tail_bracket=tail,
-                           converges=converges, P=self.P)
-
-
-def suffix_power_sums(N: WeightSequence, inv_r: float, P: int) -> SuffixSweep:
-    """Backward-accumulated suffix sums of nu_k**(-inv_r), tail-completed."""
-    return SuffixSums(N, P).at(inv_r)
+        sweep = SuffixSweep(log_T=read_only(log_suffix_sums(terms, seed)),
+                            tail_bracket=tail, converges=converges, P=self.P)
+        self._last = (inv_r, sweep)
+        return sweep
 
 
 class RatioSweep:
@@ -611,14 +660,18 @@ class RatioSweep:
 
     The log quotients of M and N and log p are read once; each order computes
     only N's suffix sums and the per-p log values, and none of them when N's
-    tail model says the inner sum diverges.
+    tail model says the inner sum diverges.  `sums`, N's SuffixSums up to P
+    when the caller holds them already, are read and not summed again.
     """
 
-    def __init__(self, M: WeightSequence, N: WeightSequence, P: int):
-        self.sums = SuffixSums(N, P)
+    def __init__(self, M: WeightSequence, N: WeightSequence, P: int,
+                 sums: SuffixSums | None = None):
+        self.sums = SuffixSums(N, P) if sums is None else sums
+        if self.sums.N is not N or self.sums.P != N._capped(P):
+            raise InternalInconsistency("suffix sums of another sequence or range")
         self.P = min(self.sums.P, M._capped(P))
         self.log_mu = read_only(M.log_quotients(self.P)[1: self.P + 1])
-        self.log_p = read_only(np.log(np.arange(1, self.P + 1, dtype=float)))
+        self.log_p = log_p(1, self.P)
 
     def at(self, inv_r: float) -> dict:
         """The sweep at one order, as the dict `finish_sup_verdict` reads.
@@ -696,8 +749,7 @@ def check_slc(M: WeightSequence, P: int = 2000) -> ConditionVerdict:
     """Strong log-convexity: log-convexity of m_p = M_p / p! (quotients mu_p/p)."""
     P = M._capped(P)
     log_mu = M.log_quotients(P)
-    p = np.arange(1, P + 1, dtype=float)
-    red = log_mu[1:] - np.log(p)  # red[i] = log(mu_{i+1}/(i+1))
+    red = log_mu[1:] - log_p(1, P)  # red[i] = log(mu_{i+1}/(i+1))
     scale = max(1.0, float(np.max(np.abs(red))))
     bad = _first_violation(np.diff(red), _LC_TOL * scale)
     if bad is not None:
@@ -754,9 +806,10 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
                                              note="range too short")
     log_M = M.log_values(2 * P)
     idx = np.arange(P + 1)
-    ssum = log_M[idx][:, None] + log_M[idx][None, :]
-    total = log_M[idx[:, None] + idx[None, :]]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # a log M past the float range is +inf, and a defect that reads it nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ssum = log_M[idx][:, None] + log_M[idx][None, :]
+        total = log_M[idx[:, None] + idx[None, :]]
         denom = (idx[:, None] + idx[None, :]).astype(float)
         denom[0, 0] = 1.0
         defect = (total - ssum) / denom
@@ -767,6 +820,13 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
         n *= 2
     if n // 2 != P:
         running.append(float(np.max(defect)))
+    inside = np.isfinite(log_M)
+    if not inside.all():
+        # every running max from the first range that reads an infinite log M is nan
+        return ConditionVerdict.inconclusive("mg", {
+            "running_max_log": [v for v in running if math.isfinite(v)],
+            "checked_up_to": P, "log_M_infinite_from_p": int(np.argmin(inside)),
+            "note": "log M_p leaves the float range"})
     model_bounded = None
     tm = M.tail_model
     if tm is not None:

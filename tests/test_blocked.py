@@ -1,11 +1,14 @@
 """Block-wise kernels give the same bits as the whole-array code they replace.
 
-`AssociatedOf.eval` runs `BLOCK` points at a time, `PanelSamples` samples
-and sums `BLOCK` nodes at a time, `WeightSequence` sums log M only when it is
-read, and `TailModel.count_quotients_below` re-reads only the points its last
-settling pass moved.  Each must agree bit for bit with a whole-array or eager
-reference kept here, and the associated function must agree with its own
-one-point evaluation too.
+`AssociatedOf.eval` runs `BLOCK` points at a time and finds the maximizers of
+an ascending block by one merge, `PanelSamples` samples and sums `BLOCK`
+nodes at a time, `WeightSequence` sums log M only when it is read, and
+`TailModel.count_quotients_below` re-reads only the points its last settling
+pass moved.  `descendant` sums its base's order-r suffix sums once for itself
+and its mixed comparison, log p comes from one shared table, and
+`_monotone_threshold` steps its ladder many points per call.  Each must agree
+bit for bit with a whole-array, one-point or eager reference kept here, and
+the associated function must agree with its own one-point evaluation too.
 """
 
 import math
@@ -16,11 +19,14 @@ import numpy as np
 import pytest
 
 import ultraweight as uw
-from ultraweight import sequences
+from ultraweight import constructions, sequences
+from ultraweight.constructions import _monotone_threshold
 from ultraweight.functions import AssociatedOf, PowerLaw
+from ultraweight.indices import MixedSeqProbe
 from ultraweight.quadrature import BLOCK, PanelSamples, _NODES, _gauss
 from ultraweight.sequences import TailModel, WeightSequence
-from ultraweight.verdict import EvaluationRangeError
+from ultraweight.verdict import (EvaluationRangeError, PreconditionInconclusive,
+                                 read_only)
 
 
 def same_bits(a, b) -> bool:
@@ -49,12 +55,23 @@ SEQUENCES = {
 SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
 
 
+def searched_maximizers(f: AssociatedOf, log_mu, log_t) -> np.ndarray:
+    """AssociatedOf._maximizers with one binary search per point."""
+    p_star = np.asarray(np.searchsorted(log_mu[1:], log_t, side="right"), dtype=float)
+    if f._closed:
+        beyond = log_t >= log_mu[-1]
+        if np.any(beyond):
+            p_star[beyond] = f.seq.tail_model.count_quotients_below(log_t[beyond])
+    return p_star
+
+
 def unblocked_eval(f: AssociatedOf, t) -> np.ndarray:
-    """AssociatedOf.eval on the whole array at once, as it was before blocks."""
+    """AssociatedOf.eval on the whole array at once, one binary search per
+    point, as it was before blocks and merges."""
     t = np.asarray(t, dtype=float)
     log_t = np.log(np.maximum(t, 1e-300))
     log_mu = f._table(float(log_t.max(initial=-math.inf)))
-    p_star = f._maximizers(log_mu, log_t)
+    p_star = searched_maximizers(f, log_mu, log_t)
     P = int(min(p_star.max(initial=0), f._read_limit()))
     f.seq.ensure(max(P, 1))
     log_M = f.seq.log_values(max(P, 1))
@@ -149,6 +166,134 @@ class TestAssociatedBlocks:
                 unblocked_eval(make(), ts)
 
 
+MERGE_SIZES = (BLOCK // 8 - 1, BLOCK // 8, BLOCK - 1, BLOCK, BLOCK + 1,
+               3 * BLOCK + 7)
+
+
+def gated_blocks(n: int) -> int:
+    """Blocks of n points large enough to try a merge on."""
+    return sum(min(BLOCK, n - i) >= BLOCK // 8 for i in range(0, n, BLOCK))
+
+
+def merges(f: AssociatedOf, ts) -> list:
+    """f.eval(ts), and per block whether the merge gave its maximizers."""
+    taken = []
+    real = AssociatedOf._merged
+
+    def recording(self, log_mu, log_t):
+        got = real(self, log_mu, log_t)
+        taken.append(got is not None)
+        return got
+    with mock.patch.object(AssociatedOf, "_merged", recording):
+        out = f.eval(ts)
+    return out, taken
+
+
+def searched_eval(f: AssociatedOf, ts) -> np.ndarray:
+    """f.eval with one binary search per point in every block, as before merges.
+
+    Per block, not over the whole array: on a table that decreases somewhere
+    numpy's search can land elsewhere when the keys before differ.
+    """
+    def search(self, log_mu, log_t, counts=None):
+        return searched_maximizers(self, log_mu, log_t)
+    with mock.patch.object(AssociatedOf, "_maximizers", search):
+        return f.eval(ts)
+
+
+def assert_merge_equals_search(make, ts) -> list:
+    """Bits and table growth equal to the binary search; the merge record."""
+    seq, want_seq = make(), make()
+    got, taken = merges(AssociatedOf(seq), ts)
+    with mock.patch.object(AssociatedOf, "_merged", lambda *args: None):
+        want = searched_eval(AssociatedOf(want_seq), ts)
+    assert same_bits(got, want)
+    assert seq._data[1] == want_seq._data[1]
+    return taken
+
+
+class TestMergeSearch:
+    """Ascending blocks take their maximizers from one merge of two sorted
+    lists; every other block, and every table that decreases somewhere, from
+    one binary search per point."""
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    @pytest.mark.parametrize("n", MERGE_SIZES)
+    def test_ascending_blocks(self, name, n):
+        # up to t = 50 a block spans fewer quotients than it has points for
+        # every sequence but qgevrey:1.0001 (19,560 of them below t = 50)
+        taken = assert_merge_equals_search(SEQUENCES[name], np.linspace(0.0, 50.0, n))
+        if name == "qgevrey:1.0001":
+            assert taken[:1] == [False] * min(1, gated_blocks(n))
+        else:
+            assert taken == [True] * gated_blocks(n)
+        assert_merge_equals_search(SEQUENCES[name], grid(n, "sorted", name))
+
+    @pytest.mark.parametrize("n", MERGE_SIZES)
+    def test_ties_at_the_quotients(self, n):
+        # gevrey:1 at integer t: log t is a quotient itself, which counts
+        ts = np.arange(0.0, float(n))
+        taken = assert_merge_equals_search(lambda: uw.gevrey(1.0), ts)
+        assert taken == [True] * gated_blocks(n)
+
+    @pytest.mark.parametrize("name, lo, hi", [("gevrey:1.5", 1e6, 5e6),
+                                              ("gevrey:0.6", 100.0, 1000.0),
+                                              ("gevrey:3", 1e11, 1e13)])
+    def test_blocks_straddle_the_end_of_a_closed_table(self, name, lo, hi):
+        ts = np.geomspace(lo, hi, 3 * BLOCK + 7)
+        f = AssociatedOf(SEQUENCES[name]())
+        top = f._table(math.log(hi))[-1]
+        assert math.log(lo) < top < math.log(hi)  # the table ends inside
+        taken = assert_merge_equals_search(SEQUENCES[name], ts)
+        assert any(taken)
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_unsorted_blocks_search(self, name, order):
+        ts = np.linspace(0.0, 50.0, 2 * BLOCK + 3)
+        ts = ts[::-1].copy() if order == "descending" else np.random.default_rng(5).permutation(ts)
+        taken = assert_merge_equals_search(SEQUENCES[name], ts)
+        assert not any(taken)
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_nan_in_the_middle(self, name):
+        ts = np.linspace(0.0, 50.0, 2 * BLOCK + 3)
+        holes = [BLOCK // 2, BLOCK + 9]
+        ts[holes] = math.nan
+        got, taken = merges(AssociatedOf(SEQUENCES[name]()), ts)
+        rest = ~np.isnan(ts)
+        assert np.isnan(got[holes]).all()
+        assert same_bits(got[rest], searched_eval(AssociatedOf(SEQUENCES[name]()), ts[rest]))
+        assert taken[:2] == [False, False]  # a nan fails the ascending test
+
+    @pytest.mark.parametrize("name", ["gevrey:0.6", "gevrey:1.5", "qgevrey:2",
+                                      "power(gevrey:2,0.7)", "explicit"])
+    def test_infinite_ends(self, name):
+        ts = np.concatenate([[-math.inf], np.linspace(0.0, 50.0, BLOCK), [math.inf]])
+        taken = assert_merge_equals_search(SEQUENCES[name], ts)
+        assert taken == [True]  # the last block holds two points
+
+    def test_a_table_that_decreases_is_searched(self):
+        def make():
+            return uw.from_quotients(lambda p: p ** 1.5 * (1.0 + 0.5 * math.sin(p)))
+        ts = np.linspace(0.0, 200.0, 3 * BLOCK + 7)
+        taken = assert_merge_equals_search(make, ts)
+        assert taken == [False] * 3  # the last block holds seven points
+        f = AssociatedOf(make())
+        assert not f._table_ascends(f._table(math.log(200.0)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_merge_counts_equal_searchsorted(self, seed):
+        rng = np.random.default_rng(seed)
+        q = np.sort(rng.integers(0, 60, 400).astype(float))  # with ties
+        log_mu = np.concatenate([[0.0], q])
+        log_t = np.sort(np.concatenate([rng.uniform(-5.0, 65.0, 1500),
+                                        rng.choice(q, 200)]))
+        got = AssociatedOf(gevrey_like(1.0))._merged(log_mu, log_t)
+        assert got is not None
+        assert np.array_equal(got, np.searchsorted(q, log_t, side="right"))
+
+
 class TestAssociatedOverflow:
     @pytest.mark.parametrize("spec, t", [("gevrey:0.6", 1e200), ("gevrey:0.6", 1e300),
                                          ("gevrey:1.5", math.inf),
@@ -221,6 +366,125 @@ class TestLazyLogValues:
         pair = uw.descendant(N, 1.0)
         assert len(N._log_M) == 1
         assert len(pair.S._log_M) == 1 and len(pair.L._log_M) == 1
+
+
+class TestSharedSums:
+    """descendant sums N's order-r suffix sums once, for its own sweep and its
+    (L, N) mixed comparison; log p comes from one table."""
+
+    @pytest.mark.parametrize("base, r", [("gevrey:2", 1.0), ("gevrey:1.7625", 0.618),
+                                         ("gevrey:3", 0.5), ("qgevrey:1.5", 1.0),
+                                         ("power(gevrey:2,0.8)", 0.5)])
+    def test_descendant_equals_the_fresh_route(self, base, r):
+        def fresh(L, N, config, sums=None):
+            return MixedSeqProbe(L, N, config)  # sums N's suffix sums again
+        spy = mock.patch.object(sequences, "log_suffix_sums",
+                                side_effect=sequences.log_suffix_sums)
+        with mock.patch.object(constructions, "MixedSeqProbe", fresh), spy as summed:
+            want = uw.descendant(uw.make_sequence(base), r)
+        assert summed.call_count == 2
+        with spy as summed:
+            got = uw.descendant(uw.make_sequence(base), r)
+        assert summed.call_count == 1
+        assert got.to_dict() == want.to_dict()
+        for a, b in ((got.S, want.S), (got.L, want.L)):
+            assert same_bits(a.log_values(4096), b.log_values(4096))
+            assert same_bits(a.log_quotients(4096), b.log_quotients(4096))
+        route = uw.mixed_condition_seq(got.L, uw.make_sequence(base), r)
+        assert got.checks["mixed_L_N"].to_dict() == route.to_dict()
+
+    def test_log_p_equals_np_log_across_growth(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_log_p_table", read_only(np.log(np.arange(1.0, 6.0))))
+        monkeypatch.setattr(sequences, "_LOG_P_CAP", 50000)
+        sizes = []
+        for lo, hi in [(1, 3), (2, 5), (4, 6), (1, 11), (9, 21), (22, 22), (1, 4096),
+                       (3000, 9000), (4097, 40001), (1, 50000), (49990, 50010),
+                       (60000, 60100)]:
+            got = sequences.log_p(lo, hi)
+            assert same_bits(got, np.log(np.arange(lo, hi + 1, dtype=float)))
+            with pytest.raises(ValueError):
+                got[...] = 0.0
+            sizes.append(len(sequences._log_p_table))
+        # doubling, never past the cap; ranges past it are computed afresh
+        assert sizes == [5, 5, 10, 20, 40, 40, 4096, 9000, 40001, 50000, 50000, 50000]
+        assert same_bits(uw.gevrey(1.3).log_quotients(60000)[1:],
+                         1.3 * np.log(np.arange(1, 60001, dtype=float)))
+
+
+def scalar_threshold(g, target: float, start: float) -> float:
+    """_monotone_threshold with one value() per ladder step, as it was."""
+    x = max(1.0, start)
+    if target <= 0.0 or g.value(x) >= target:
+        return x
+    while x < 1e12:
+        nxt = x * 1.05
+        if g.value(nxt) >= target:
+            lo, hi = x, nxt
+            for _ in range(80):
+                mid = math.sqrt(lo * hi)
+                if g.value(mid) >= target:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo <= 1e-9 * hi:
+                    break
+            return hi
+        x = nxt
+    raise PreconditionInconclusive(f"{g.label} never reaches {target:g} below 1e12")
+
+
+def glue():
+    mk = uw.make_function
+    return uw.reduction_build(mk("power:0.6"), mk("power:0.45"), mk("power:0.9"), 6).omega_tilde
+
+
+class TestThresholdLadder:
+    @pytest.mark.parametrize("make", [lambda: uw.make_function("power:0.5"),
+                                      lambda: uw.make_function("logpower:2"),
+                                      glue,
+                                      lambda: uw.make_function("kappa(power:0.5)")],
+                             ids=["power", "logpower", "glue", "kappa"])
+    def test_equals_the_scalar_ladder(self, make):
+        g = make()
+        cases = [(0.0, 5.0), (3.0, 1.0), (50.0, 2.0), (1e3, 1e11)]
+        # targets first reached at the ladder's k-th step from 1, around the
+        # ends of the arrays of steps
+        for k in (1, 63, 64, 65, 128, 129):
+            cases.append((g.value(1.05 ** k), 1.0))
+        # start near 1e12: reached at the last step taken from below 1e12,
+        # and first reached one step past it
+        near = last = 1e12 / 1.05 ** 2
+        while last < 1e12:
+            last *= 1.05
+        cases += [(g.value(last), near), (g.value(last * 1.05), near)]
+        for target, start in cases:
+            try:
+                want = scalar_threshold(g, target, start)
+            except PreconditionInconclusive:
+                with pytest.raises(PreconditionInconclusive):
+                    _monotone_threshold(g, target, start)
+            else:
+                assert same_bits(_monotone_threshold(g, target, start), want)
+
+    def test_a_target_never_reached(self):
+        g = uw.make_function("power:0.5")
+        for start in (1.0, 5e11):
+            with pytest.raises(PreconditionInconclusive):
+                scalar_threshold(g, 1e7, start)
+            with pytest.raises(PreconditionInconclusive):
+                _monotone_threshold(g, 1e7, start)
+
+    def test_pointwise_gauges_take_many_steps_per_call(self):
+        g = uw.make_function("power:0.5")
+        sizes = []
+        real = PowerLaw.eval
+
+        def recording(self, t):
+            sizes.append(np.size(t))
+            return real(self, t)
+        with mock.patch.object(PowerLaw, "eval", recording):
+            _monotone_threshold(g, g.value(1.05 ** 100), 1.0)
+        assert max(sizes) == constructions._LADDER
 
 
 def linear_settle_count(tm: TailModel, log_t) -> np.ndarray:

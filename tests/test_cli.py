@@ -7,6 +7,7 @@ keys, schema_version "1") or as CSV for the sample/matrix emitters.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ class TestCheckDefaults:
                         cli.EXIT_INCONCLUSIVE), err
         assert json.loads(out)["results"]["mg"]["status"] != "satisfied"
         assert "nan" not in out
+
+    @pytest.mark.parametrize("r, first", [("1e305", 207), ("1e307", 8)])
+    def test_mg_evidence_once_log_m_leaves_the_float_range(self, capsys, r, first):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail the run
+            code, out, err = run(capsys, "check", "--sequence", f"power(gevrey:2,{r})")
+        assert code == cli.EXIT_INCONCLUSIVE, err
+        assert err == "" and "nan" not in out
+        mg = json.loads(out)["results"]["mg"]
+        assert mg["status"] == "inconclusive"
+        assert mg["trend"]["log_M_infinite_from_p"] == first
+        assert all(math.isfinite(v) for v in mg["trend"]["running_max_log"])
+        # the ranges 8, 16, 32 and 64 read log M_p up to p = 128 < 207
+        assert len(mg["trend"]["running_max_log"]) == (4 if r == "1e305" else 0)
 
     @pytest.mark.parametrize("omega", [
         "assoc(descendant(qgevrey:2,1))",

@@ -196,6 +196,45 @@ class TestLogSumExp:
         assert log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
         assert log_sum_exp(np.array([1.0, math.inf])) == math.inf
 
+    def test_exp_is_zero_below_the_cut(self):
+        # the skipped exponentials are exactly the +0.0 that exp gives
+        x = np.concatenate([-np.geomspace(np.nextafter(746.0, math.inf), 1e300, 5000),
+                            np.nextafter(-746.0, -math.inf) - np.linspace(0.0, 1.0, 4097),
+                            [-math.inf]])
+        assert np.all(x < -746.0)
+        assert np.all(np.exp(x) == 0.0) and not np.signbit(np.exp(x)).any()
+
+    @pytest.mark.parametrize("where", ["ends", "first", "last", "middle", "nowhere",
+                                       "everywhere", "inf", "nan"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 4097])
+    def test_skipped_underflow_is_bit_identical(self, where, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-700.0, 0.0, n)
+        low = rng.uniform(-3000.0, -746.5, n)
+        if where == "ends":
+            x[[0, -1]] = low[[0, -1]]
+        elif where == "first":
+            x[0] = low[0]
+        elif where == "last":
+            x[-1] = low[-1]
+        elif where == "middle":
+            x[n // 4: 3 * n // 4] = low[n // 4: 3 * n // 4]
+        elif where == "everywhere":
+            x = low
+            x[n // 2] = 0.0  # the one term that survives the shift
+        elif where == "inf":
+            x[0], x[-1] = -math.inf, low[-1]
+            x[n // 2] = math.inf if n % 2 else -math.inf
+        else:
+            x[[0, n // 2]] = low[0], math.nan
+        m = float(np.max(x))
+        with np.errstate(invalid="ignore"):
+            plain = m + math.log(float(np.sum(np.exp(x - m)))) if math.isfinite(m) else m
+        got = log_sum_exp(x.copy())
+        assert np.array_equal([got], [plain], equal_nan=True)
+        assert np.array_equal([log_sum_exp(x.copy(), out=np.empty(n))], [plain],
+                              equal_nan=True)
+
 
 POWER_MODELS = [TailModel.power(1.0), TailModel.power(1.5),
                 TailModel.power(0.6), TailModel.power(2.0, 3.0),
