@@ -393,6 +393,13 @@ class TestSharedSums:
         route = uw.mixed_condition_seq(got.L, uw.make_sequence(base), r)
         assert got.checks["mixed_L_N"].to_dict() == route.to_dict()
 
+    def test_sums_of_another_sequence_or_range_are_refused(self):
+        N = uw.gevrey(2.0)
+        for sums in (sequences.SuffixSums(uw.gevrey(2.0), 4096),
+                     sequences.SuffixSums(N, 2048)):
+            with pytest.raises(uw.InternalInconsistency):
+                sequences.RatioSweep(N, N, 4096, sums)
+
     def test_log_p_equals_np_log_across_growth(self, monkeypatch):
         monkeypatch.setattr(sequences, "_log_p_table", read_only(np.log(np.arange(1.0, 6.0))))
         monkeypatch.setattr(sequences, "_LOG_P_CAP", 50000)
