@@ -255,7 +255,8 @@ class AssociatedOf(WeightFunction):
     """sup_p (p log t - log M_p): the counting transform of a weight sequence.
 
     Inside the tabulated quotient range the maximizer is found by bisection on
-    the (nondecreasing) quotients; beyond it an exact tail model continues the
+    the (nondecreasing) quotients, or for a long ascending block by one merge
+    with them (`_merged`); beyond it an exact tail model continues the
     evaluation in closed form, a finite list keeps its last index, and
     otherwise the argument range is capped.  A sequence with an exact closed
     form is tabulated only up to 2**14 quotients: past them both the
