@@ -27,6 +27,7 @@ from .functions import (GrowthModel, OmegaNodes, WeightFunction, _shape_cmp,
 from .quadrature import SuffixSamples, power_log_tail
 from .sequences import (RatioSweep, SuffixSums, WeightSequence, check_lc,
                         check_nq_r, finish_sup_verdict)
+from .special import hurwitz_zeta
 from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
                       ConditionVerdict, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, RunConfig,
@@ -205,20 +206,51 @@ def _quotient_ratio_bounded(M: WeightSequence, N: WeightSequence,
 class MixedSeqProbe:
     """mixed_condition_seq for one pair (M, N) at any order r.
 
-    The quotient-ratio precondition and the sweep set-up (log quotients of M
-    and N, log p) do not depend on r: one index call computes them once for
-    all its probes.  The sweep is set up on the first order that needs it,
-    on `sums`, N's SuffixSums up to p_max, when the caller holds them.
+    When the quotient ratio is bounded and both M and N are exact power laws
+    mu_p = c_M p**e_M, nu_p = c_N p**e_N from index 1, the sup has a closed
+    form and the probe reads no quotient.  With i = 1/r,
+    F_p = (c_M/c_N)**i p**((e_M - e_N) i) * p**(e_N i - 1) zeta(e_N i, p).
+    The first power does not increase in p since e_M <= e_N; the second
+    factor is h sum_k f(k h) with h = 1/p and f(u) = (1 + u)**(-e_N i)
+    completely monotone, a mixture of h / (1 - exp(-h t)), which increases in
+    h.  So F_p does not increase either, and sup_p F_p = F_1 =
+    (c_M/c_N)**i zeta(e_N i) for every p, not only on the range.
+
+    Otherwise the probe sweeps p = 1..p_max.  The quotient-ratio
+    precondition and the sweep set-up (log quotients of M and N, log p) do
+    not depend on r: one index call computes them once for all its probes.
+    The sweep is set up on the first order that needs it, on `sums`, N's
+    SuffixSums up to p_max, when the caller holds them.
     """
 
     def __init__(self, M: WeightSequence, N: WeightSequence, config: RunConfig,
                  sums: Optional[SuffixSums] = None):
         self.M, self.N, self.P, self.sums = M, N, config.p_max, sums
         self.pre, self.pre_info = _quotient_ratio_bounded(M, N, min(config.p_max, 20000))
+        laws = (M.tail_model, N.tail_model)
+        self.laws = laws if self.pre is True and all(
+            tm is not None and tm.power_law for tm in laws) else None
 
     @cached_property
     def sweep(self) -> RatioSweep:
         return RatioSweep(self.M, self.N, self.P, self.sums)
+
+    def closed(self, r: float) -> Optional[ConditionVerdict]:
+        """The verdict from the closed form F_1, None when there is none or
+        it is not finite (a divergent inner sum among them)."""
+        if self.laws is None:
+            return None
+        tm, tn = self.laws
+        inv_r = 1.0 / r
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_sup = (inv_r * (np.log(tm.c_hi) - np.log(tn.c_hi))
+                       + np.log(hurwitz_zeta(tn.e_hi * inv_r, 1.0)))
+            sup = float(np.exp(log_sup))
+        if not 0.0 < sup < math.inf:
+            return None
+        P = min(self.M._capped(self.P), self.N._capped(self.P))
+        return ConditionVerdict.satisfied("mixed_seq", {"sup": sup, "P": P},
+                                          certified="tail-model")
 
     def __call__(self, r: float) -> ConditionVerdict:
         pre, pre_info = self.pre, self.pre_info
@@ -228,7 +260,7 @@ class MixedSeqProbe:
             return ConditionVerdict.violated("mixed_seq", counter,
                 reason="quotient ratio mu/nu unbounded on range (precondition)",
                 **{k: v for k, v in pre_info.items() if k not in counter})
-        verdict = finish_sup_verdict("mixed_seq", self.sweep.at(1.0 / r))
+        verdict = self.closed(r) or finish_sup_verdict("mixed_seq", self.sweep.at(1.0 / r))
         diag = dict(verdict.diagnostics)
         diag["r"] = r
         if pre is None:

@@ -39,6 +39,7 @@ _MAX_BLOCK_SPAN = 600.0  # nats from a block's max to its min that one scale hol
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows from here
 _EXP_ZERO = -746.0  # exp is exactly +0.0 below about -745.13
 _LOG_P_CAP = 1 << 21  # log_p keeps its table up to this p
+_TAIL_TERMS = 100000  # a log-linear tail sum adds at most this many terms
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,11 @@ class TailModel:
     def superpolynomial(self) -> bool:
         return self.kind == "loglinear"
 
+    @property
+    def power_law(self) -> bool:
+        """mu_p == c_hi * p**e_hi for every p >= 1."""
+        return self.kind == "power" and self.exact and self.start == 1
+
     def log_quotient(self, p: np.ndarray) -> np.ndarray:
         """Exact log mu_p; only valid when `exact` and p >= start."""
         if not self.exact:
@@ -217,17 +223,30 @@ class TailModel:
         if s != start_p:
             raise EvaluationRangeError("tail sum requested before model validity")
         if self.kind == "loglinear":
-            # terms exp(-(a*k+b)*inv_r) * k**(-g*inv_r): sum numerically, the
-            # geometric decay makes a few hundred terms exact to double precision
+            # terms exp(-(a*k+b)*inv_r) * k**(-g*inv_r)
+            if self.g == 0.0:
+                # exactly geometric, ratio exp(-a*inv_r)
+                log_total = (-(self.a * s + self.b) * inv_r
+                             - math.log(-math.expm1(-self.a * inv_r)))
+                total = math.exp(log_total) if log_total < _LOG_FLOAT_MAX else math.inf
+                return (total, total * (1.0 + 1e-12))
+            # sum numerically, the geometric decay makes a few hundred terms
+            # exact to double precision
             total = 0.0
             k = s
-            while k < s + 100000:
+            while k < s + _TAIL_TERMS:
                 term = math.exp(-(self.a * k + self.b) * inv_r) * k ** (-self.g * inv_r)
                 total += term
                 if term < 1e-18 * max(total, 1e-300):
-                    break
+                    return (total, total * (1.0 + 1e-12))
                 k += 1
-            return (total, total * (1.0 + 1e-12))
+            # the terms from k on fall at least geometrically, by
+            # exp(-a*inv_r) * (1 + 1/k)**(-g*inv_r) or less
+            log_ratio = -inv_r * (self.a + min(self.g, 0.0) * math.log1p(1.0 / k))
+            if log_ratio >= 0.0:
+                return (total, math.inf)
+            term = math.exp(-(self.a * k + self.b) * inv_r) * k ** (-self.g * inv_r)
+            return (total, total + term / -math.expm1(log_ratio))
         x_hi = self.e_hi * inv_r
         x_lo = self.e_lo * inv_r
         # upper quotient bound gives the sum's lower bound and vice versa
@@ -693,7 +712,10 @@ class RatioSweep:
         log_T = self.sums.summed(inv_r, tail, converges).log_T
         log_F = np.multiply(self.log_mu, inv_r)
         log_F -= self.log_p
-        log_F += log_T[: self.P]
+        # a quotient past the float range meets a suffix sum that vanishes
+        # there: inf - inf is nan, which the verdict reads as such
+        with np.errstate(invalid="ignore"):
+            log_F += log_T[: self.P]
         return {"log_F": log_F, **running_sup_reads(log_F),
                 "tail_converges": converges, "tail_bracket": tail, "P": self.P}
 
@@ -838,8 +860,8 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
     if stabilized(np.array(running)) or model_bounded:
         # M_{p+q} / (M_p M_q) = binom(p+q, p)**e / M_0 <= 2**(e (p+q)) for
         # every p, q on an exact power tail from index 1, also past the range
-        e = (max(tm.e_hi, 0.0) if tm is not None and tm.kind == "power"
-             and tm.exact and tm.start == 1 and M.log_m0 >= 0 else None)
+        e = (max(tm.e_hi, 0.0) if tm is not None and tm.power_law
+             and M.log_m0 >= 0 else None)
         log_C = running[-1] if e is None else max(running[-1], e * math.log(2.0))
         if not log_C < _LOG_FLOAT_MAX:
             return ConditionVerdict.inconclusive("mg", {
@@ -929,20 +951,26 @@ def _check_beta(M: WeightSequence, threshold: str, P: int) -> ConditionVerdict:
         log_mu = M.log_quotients(top)
         p_hi = top // Q
         p = np.arange(1, p_hi + 1)
-        gap = log_mu[Q * p] - log_mu[p]  # log(mu_{Qp}/mu_p)
-        win_min = float(np.min(_window(gap)))
+        # log(mu_{Qp}/mu_p); a quotient past the float range makes the gap
+        # inf or nan (inf - inf), and the window reads the finite gaps only
+        with np.errstate(invalid="ignore"):
+            gap = log_mu[Q * p] - log_mu[p]
+        gap = gap[np.isfinite(gap)]
+        window = {}
+        if len(gap):
+            window["window_liminf_log"] = float(np.min(_window(gap)))
         need = math.log(Q) if threshold == "Q" else 0.0
-        evidence[Q] = {"window_liminf_log": win_min, "needed_log": need}
+        evidence[Q] = {**window, "needed_log": need}
         if tm is not None and tm.exact:
             if tm.kind == "power":
                 limit = tm.e_hi * math.log(Q)  # coefficients cancel in the ratio
             else:
                 limit = math.inf
             if limit > need:
-                return ConditionVerdict.satisfied(cond, {
-                    "Q": Q, "liminf": math.exp(min(limit, 700.0)),
-                    "window_liminf": math.exp(min(win_min, 700.0))},
-                    certified="tail-model")
+                witness = {"Q": Q, "liminf": math.exp(min(limit, 700.0))}
+                if window:
+                    witness["window_liminf"] = math.exp(min(window["window_liminf_log"], 700.0))
+                return ConditionVerdict.satisfied(cond, witness, certified="tail-model")
     if tm is not None and tm.exact and tm.kind == "power":
         e = tm.e_hi
         fails = (e <= 1.0) if threshold == "Q" else (e <= 0.0)
@@ -979,9 +1007,15 @@ def finish_sup_verdict(cond: str, sweep: dict) -> ConditionVerdict:
         return ConditionVerdict.violated(cond, {
             "p": 1, "inner_sum": math.inf},
             reason="inner sum diverges per the tail model")
-    if not (math.isfinite(sweep["first_log"]) and math.isfinite(sweep["sup_log"])):
+    ends = (sweep["first_log"], sweep["sup_log"])
+    if math.inf in ends:
         return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf},
                                          reason="inner sum not finite on range")
+    if not all(map(math.isfinite, ends)):
+        # nan where a quotient past the float range meets a vanishing sum
+        # (inf - inf), or no term at all: the sweep shows nothing
+        return ConditionVerdict.inconclusive(cond, {"P": sweep["P"]},
+            note="the sweep is not finite on range (quotients past the float range)")
     sup = math.exp(sweep["sup_log"])
     is_stable = (len(sweep["log_F"]) >= 4
                  and settled(sweep["half_log"], sweep["sup_log"]))

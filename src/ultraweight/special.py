@@ -65,15 +65,21 @@ def hurwitz_zeta(x: float, q: float) -> float:
     """sum_{k >= 0} (q + k)**(-x) for q > 0; inf for x <= 1, where it diverges.
 
     Twelve terms are summed directly and the rest by Euler-Maclaurin with the
-    Bernoulli numbers up to B_24.
+    Bernoulli numbers up to B_24.  For huge x, where every Euler-Maclaurin
+    term underflows, they are left out: the value is 1 at q = 1 and x = inf.
     """
     if not x > 1.0:
         return math.inf
     direct = math.fsum((q + k) ** -x for k in range(_ZETA_DIRECT))
     a = q + _ZETA_DIRECT
     tail = a ** (1.0 - x) / (x - 1.0) + 0.5 * a ** -x
+    scale = a ** (-x - 1.0)
+    if scale == 0.0:
+        # every Euler-Maclaurin term underflows; past x = 1e154 the rising
+        # factors below overflow and would turn 0 * inf into nan
+        return direct + tail
     # term j is B_2j / (2j)! * x (x + 1) ... (x + 2j - 2) * a**(-x - 2j + 1)
-    rise = x * a ** (-x - 1.0)
+    rise = x * scale
     for j, coeff in enumerate(_EULER_MACLAURIN):
         tail += coeff * rise
         rise *= (x + 2 * j + 1) * (x + 2 * j + 2) / (a * a)

@@ -197,6 +197,32 @@ class TestCheckDefaults:
         # the ranges 8, 16, 32 and 64 read log M_p up to p = 128 < 207
         assert len(mg["trend"]["running_max_log"]) == (4 if r == "1e305" else 0)
 
+    def test_sums_and_gaps_past_the_float_range(self, capsys):
+        # mu_p = p**(2e307) leaves the float range from p = 7,940: the gamma1
+        # sweep takes inf - inf there, and so do the beta gaps mu_{Qp}/mu_p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "check", "--sequence", "power(gevrey:2,1e307)",
+                                 "--conditions", "beta1,beta3,gamma1")
+        assert code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE), err
+        assert err == "" and "nan" not in out
+        results = json.loads(out)["results"]
+        assert results["gamma1"]["status"] == "inconclusive"
+        for beta in ("beta1", "beta3"):
+            assert results[beta]["status"] == "satisfied"
+            assert math.isfinite(results[beta]["witness"]["window_liminf"])
+
+    @pytest.mark.parametrize("r", ["1e155", "1e300"])
+    def test_gamma_index_of_a_huge_power(self, capsys, r):
+        # zeta(2e155 / r) is 1 at every probed r: the closed sup is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "index", "gamma", "--M", f"power(gevrey:2,{r})")
+        assert code == cli.EXIT_OK, err
+        assert err == "" and "nan" not in out
+        est = json.loads(out)["results"]["estimate"]
+        assert (est["lower"], est["upper"]) == (INDEX_CAP, INDEX_CAP)
+
     @pytest.mark.parametrize("omega", [
         "assoc(descendant(qgevrey:2,1))",
         '{"kind":"assoc","sequence":{"family":"explicit",'

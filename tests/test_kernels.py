@@ -284,6 +284,51 @@ class TestTailArrays:
         assert v == scalar_log_value(M.tail_model, 7)
 
 
+@mpmath.workdps(30)
+def mp_loglinear_tail(tm: TailModel, inv_r: float, start: int) -> float:
+    """sum_{k >= start} exp(-(a k + b) inv_r) k**(-g inv_r), to 30 digits,
+    as exp(-(a start + b) inv_r) times the Lerch transcendent
+    Phi(exp(-a inv_r), g inv_r, start).  (mpmath's nsum misses these tails
+    by orders of magnitude.)"""
+    a, b, g, i = (mpmath.mpf(v) for v in (tm.a, tm.b, tm.g, inv_r))
+    return float(mpmath.exp(-(a * start + b) * i)
+                 * mpmath.lerchphi(mpmath.exp(-a * i), g * i, start))
+
+
+class TestLogLinearTailSum:
+    @pytest.mark.parametrize("q", [1.001, 1.1, 2.0])
+    @pytest.mark.parametrize("inv_r, start", [(1.0 / 64.0, 100001), (1.0, 10), (4.0, 1)])
+    def test_geometric_tail_is_closed_form(self, q, inv_r, start):
+        """qgevrey and its powers have g = 0: the tail is exactly geometric."""
+        tm = uw.qgevrey(q).tail_model
+        lo, hi = tm.tail_power_sum(inv_r, start)
+        ref = mp_loglinear_tail(tm, inv_r, start)
+        assert lo <= hi
+        assert lo == pytest.approx(ref, rel=1e-13, abs=1e-300)
+        assert hi == pytest.approx(ref, rel=1e-11, abs=1e-300)
+
+    def test_nq_r_of_a_slow_qgevrey(self):
+        got = uw.check_nq_r(uw.qgevrey(1.001), 64)
+        assert got.witness["sum_lower"] == pytest.approx(32015.9973333679, rel=1e-12)
+        assert got.witness["sum"] == pytest.approx(32015.9973333679, rel=1e-11)
+
+    @pytest.mark.parametrize("tm", [TailModel.log_linear(1e-6, 0.0, 0.5),
+                                    TailModel.log_linear(1e-6, 0.0, -0.5),
+                                    TailModel.log_linear(2e-4, 0.0, 0.3),
+                                    TailModel.log_linear(2e-4, 0.0, -0.3)])
+    def test_a_capped_sum_brackets_the_tail(self, tm):
+        """Past the term cap the upper end is a geometric bound or inf."""
+        lo, hi = tm.tail_power_sum(1.0, 10)
+        ref = mp_loglinear_tail(tm, 1.0, 10)
+        assert lo <= ref * (1 + 1e-12) and ref <= hi
+
+    def test_a_short_sum_keeps_its_bracket(self):
+        tm = LOGLINEAR_MODELS[1]
+        lo, hi = tm.tail_power_sum(1.0, 5)
+        assert hi == lo * (1.0 + 1e-12)
+        assert lo == pytest.approx(mp_loglinear_tail(tm, 1.0, 5), rel=1e-13)
+
+
 class TestAssociatedBeyondTable:
     def test_power_tail_matches_local_sup(self):
         s = 0.7

@@ -5,10 +5,13 @@ gives on freshly built objects, the batched witness search must match a
 per-j reference loop (result, search trace and the arguments it evaluates),
 and no array a context shares between probes may be written.  A sequence
 probe reads three values of its running sup where the reference builds it in
-full, and sums nothing at an order N's tail model refutes.
+full, and sums nothing at an order N's tail model refutes.  On a pair of
+exact power laws from index 1 it reads no quotient at all, and its closed
+sup matches the sweep's.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +20,12 @@ from hypothesis import given, settings, strategies as st
 import ultraweight as uw
 from ultraweight import indices, sequences
 from ultraweight.functions import OmegaNodes
-from ultraweight.indices import MixedFunProbe, MixedSeqProbe
+from ultraweight.indices import INDEX_FLOOR, MixedFunProbe, MixedSeqProbe
 from ultraweight.quadrature import PanelSamples, SuffixSamples, TailSamples
 from ultraweight.sequences import (RatioSweep, SuffixSums, finish_sup_verdict,
                                    running_sup_reads, sup_ratio_sweep)
-from ultraweight.verdict import STABILIZE_REL, ConditionVerdict, stabilized
+from ultraweight.verdict import (STABILIZE_REL, ConditionVerdict, Verdict,
+                                stabilized)
 
 FAST = uw.RunConfig(p_max=20000)
 
@@ -187,7 +191,8 @@ def assert_read_only(ctx, expected):
 
 
 def test_sequence_context_arrays_are_read_only():
-    probe = MixedSeqProbe(uw.gevrey(2.0), uw.gevrey(2.0), FAST)
+    # qgevrey has no power law, so the probe sweeps
+    probe = MixedSeqProbe(uw.qgevrey(2.0), uw.qgevrey(2.0), FAST)
     probe(1.5)
     assert_read_only(probe, 3)  # log nu, log mu, log p
 
@@ -208,9 +213,12 @@ def test_function_context_arrays_are_read_only():
 def reference_sup_verdict(cond, log_F, tail_converges):
     """finish_sup_verdict on the full running sup, for a tail that may converge."""
     running = np.maximum.accumulate(log_F)
-    if not len(running) or not np.all(np.isfinite(running)):
+    if len(running) and math.inf in (running[0], running[-1]):
         return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf},
                                          reason="inner sum not finite on range")
+    if not len(running) or not np.all(np.isfinite(running)):
+        return ConditionVerdict.inconclusive(cond, {"P": len(log_F)},
+            note="the sweep is not finite on range (quotients past the float range)")
     sup, P = math.exp(float(running[-1])), len(log_F)
     if stabilized(running) and tail_converges is True:
         return ConditionVerdict.satisfied(cond, {"sup": sup, "P": P},
@@ -290,16 +298,84 @@ def test_running_sup_samples_of_a_moving_sweep():
         rel=1e-12)
 
 
+def inexact(seq: uw.WeightSequence) -> uw.WeightSequence:
+    """seq with its tail model no longer exact, so that a probe on it sweeps
+    (the bounds of a power law stay: c p**e <= nu_p <= c p**e)."""
+    seq.tail_model = replace(seq.tail_model, exact=False)
+    return seq
+
+
 def test_a_refuted_order_sums_nothing(monkeypatch):
     """gevrey:2's tail model says sum k**(-2/r) diverges for r >= 2."""
     def summed(*args, **kwargs):
         raise RuntimeError("log_suffix_sums called")
 
     monkeypatch.setattr(sequences, "log_suffix_sums", summed)
-    probe = MixedSeqProbe(uw.gevrey(1.0), uw.gevrey(2.0), uw.RunConfig())
+    probe = MixedSeqProbe(uw.gevrey(1.0), inexact(uw.gevrey(2.0)), uw.RunConfig())
     assert probe(4.0).to_dict() == {
         "condition": "mixed_seq", "status": "violated",
         "counterexample": {"p": 1, "inner_sum": "inf"},
         "diagnostics": {"reason": "inner sum diverges per the tail model", "r": 4.0}}
     with pytest.raises(RuntimeError, match="log_suffix_sums called"):
         probe(1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact power laws from index 1: the sup is F_1, in closed form
+
+def power_law(e: float, c: float) -> uw.WeightSequence:
+    """mu_p = c p**e exactly, with that tail model."""
+    return uw.WeightSequence(f"law({e}, {c})",
+                             lambda lo, hi: e * sequences.log_p(lo, hi) + math.log(c),
+                             tail_model=sequences.TailModel.power(e, c))
+
+
+@st.composite
+def power_law_pairs(draw):
+    e_N = draw(st.floats(0.5, 3.0))
+    e_M = e_N if draw(st.booleans()) else draw(st.floats(0.5, e_N))
+    c_M, c_N = (draw(st.sampled_from([1.0, 0.3, 2.5, 7.0])) for _ in range(2))
+    # orders from the bisection's floor up to just below e_N, where the inner
+    # sum starts to diverge
+    r = draw(st.one_of(st.floats(INDEX_FLOOR, e_N * (1 - 1e-6)),
+                       st.just(e_N * (1 - 1e-6)), st.just(INDEX_FLOOR)))
+    return e_M, c_M, e_N, c_N, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(power_law_pairs())
+def test_closed_sup_matches_the_sweep(pair):
+    e_M, c_M, e_N, c_N, r = pair
+    M, N = power_law(e_M, c_M), power_law(e_N, c_N)
+    closed = MixedSeqProbe(M, N, FAST)(r)
+    swept = finish_sup_verdict("mixed_seq", RatioSweep(M, N, FAST.p_max).at(1.0 / r))
+    assert closed.diagnostics["certified"] == "tail-model"
+    assert closed.status == swept.status == Verdict.SATISFIED
+    assert closed.witness["P"] == swept.witness["P"]
+    assert closed.witness["sup"] == pytest.approx(swept.witness["sup"], rel=1e-12)
+
+
+@pytest.mark.parametrize("M, N", [("gevrey:1", "gevrey:2"), ("gevrey:2", "gevrey:2"),
+                                  ("power(gevrey:2, 0.6)", "shift(gevrey:1, 0.5)"),
+                                  ("hat(gevrey:1)", "hat(gevrey:1)"),
+                                  ("power(gevrey:2, 1e155)", "power(gevrey:2, 1e155)")])
+def test_closed_sup_reads_no_quotient(monkeypatch, M, N):
+    def read(*args, **kwargs):
+        raise RuntimeError("quotients or sums read")
+
+    monkeypatch.setattr(sequences, "log_suffix_sums", read)
+    M, N = uw.make_sequence(M), uw.make_sequence(N)
+    for seq in (M, N):
+        monkeypatch.setattr(seq, "log_quotients", read)
+    verdict = MixedSeqProbe(M, N, uw.RunConfig())(1.25)
+    assert verdict.is_satisfied
+    assert verdict.diagnostics == {"certified": "tail-model", "r": 1.25}
+    assert verdict.witness["P"] == uw.RunConfig().p_max
+    assert math.isfinite(verdict.witness["sup"])
+
+
+def test_closed_sup_leaves_a_refuted_order_to_the_sweep():
+    """At r >= e_N the closed form is inf: the sweep's tail model refutes."""
+    probe = MixedSeqProbe(uw.gevrey(1.0), uw.gevrey(2.0), FAST)
+    assert probe(2.0).is_violated
+    assert probe(2.0).diagnostics["reason"] == "inner sum diverges per the tail model"

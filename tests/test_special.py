@@ -114,6 +114,21 @@ class TestHurwitzZeta:
     def test_diverges_at_and_below_one(self, x):
         assert hurwitz_zeta(x, 1.0) == math.inf
 
+    @pytest.mark.parametrize("x", [1.0 + 1e-12, 1.001, 2.0, 50.0, 1e154, 1e300,
+                                   math.inf])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 1e5 + 1.0])
+    def test_up_to_infinite_x(self, x, q):
+        """Past x = 1e154 the Euler-Maclaurin terms underflow while their
+        rising factors overflow; the value is the direct sum, never nan."""
+        value = hurwitz_zeta(x, q)
+        if x >= 1e154:
+            assert value == (1.0 if q == 1.0 else 0.0)
+        # mpmath gives zeta(inf, q) = 1 for every q, and takes seconds on a
+        # q**(-x) that underflows
+        if x < math.inf and (q == 1.0 or x < 1e154):
+            ref = mp_zeta(x, q)
+            assert abs(value - ref) <= TOL * ref
+
 
 class TestGammaincc:
     @staticmethod
