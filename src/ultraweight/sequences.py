@@ -225,10 +225,16 @@ class TailModel:
         if self.kind == "loglinear":
             # terms exp(-(a*k+b)*inv_r) * k**(-g*inv_r)
             if self.g == 0.0:
-                # exactly geometric, ratio exp(-a*inv_r)
-                log_total = (-(self.a * s + self.b) * inv_r
-                             - math.log(-math.expm1(-self.a * inv_r)))
-                total = math.exp(log_total) if log_total < _LOG_FLOAT_MAX else math.inf
+                # exactly geometric, ratio exp(-a*inv_r): the sum is the first
+                # term over 1 - exp(-a*inv_r), which is a*inv_r where that
+                # product underflows
+                x = self.a * inv_r
+                log_gap = (math.log(-math.expm1(-x)) if x > 1e-300
+                           else math.log(self.a) + math.log(inv_r))
+                log_total = -(self.a * s + self.b) * inv_r - log_gap
+                if not log_total < _LOG_FLOAT_MAX:
+                    return (sys.float_info.max, math.inf)  # past the float range
+                total = math.exp(log_total)
                 return (total, total * (1.0 + 1e-12))
             # sum numerically, the geometric decay makes a few hundred terms
             # exact to double precision
@@ -648,7 +654,10 @@ class SuffixSums:
         tm = self.N.tail_model
         if tm is None or tm.start > self.P + 1:
             return None, None
-        return tm.tail_power_sum(inv_r, self.P + 1), tm.tail_sum_converges(inv_r)
+        bracket, converges = tm.tail_power_sum(inv_r, self.P + 1), tm.tail_sum_converges(inv_r)
+        if converges and not bracket[1] < math.inf:
+            converges = None  # a convergent tail that no float bounds certifies nothing
+        return bracket, converges
 
     def at(self, inv_r: float) -> SuffixSweep:
         return self.summed(inv_r, *self.tail(inv_r))

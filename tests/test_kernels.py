@@ -13,6 +13,7 @@ mpmath, to 1e-12 times max(1, |value|) in the log.
 """
 
 import math
+import sys
 from unittest import mock
 
 import mpmath
@@ -321,6 +322,20 @@ class TestLogLinearTailSum:
         lo, hi = tm.tail_power_sum(1.0, 10)
         ref = mp_loglinear_tail(tm, 1.0, 10)
         assert lo <= ref * (1 + 1e-12) and ref <= hi
+
+    def test_a_slope_that_underflows(self):
+        """Where a * inv_r underflows, 1 - exp(-a * inv_r) is that product."""
+        lo, hi = TailModel.log_linear(1e-150).tail_power_sum(1e-155, 1)
+        assert lo == pytest.approx(1e305, rel=1e-12)
+        assert TailModel.log_linear(4e-316).tail_power_sum(1e-10, 1) == (
+            sys.float_info.max, math.inf)
+
+    def test_a_tail_past_the_float_range_certifies_no_sweep(self):
+        N = uw.power(uw.qgevrey(1.0000000000000002), 1e-300)  # a = 4.4e-316
+        verdict = uw.check_gamma1(N)
+        assert verdict.is_inconclusive
+        assert verdict.diagnostics["note"] == ("sup stabilized but the "
+                                               "inner-sum tail is uncertified")
 
     def test_a_short_sum_keeps_its_bracket(self):
         tm = LOGLINEAR_MODELS[1]
