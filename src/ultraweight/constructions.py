@@ -604,11 +604,13 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
         model_limit = float(np.exp(r * math.log(central) - math.log(tm.c_hi)))
     sup = float(np.exp(running[-1]))
     lam = max(sup, model_limit or 0.0) * REL_MARGIN
+    with np.errstate(over="ignore"):  # inf at a tiny order, as M.value gives
+        sigma_2 = float(np.exp(lsig[2])) if P >= 2 else None
 
     diagnostics = {
         "P": P,
         "tau_1": tau1,
-        "sigma_2": float(np.exp(lsig[2])) if P >= 2 else None,
+        "sigma_2": sigma_2,
         "extension": "closed-form" if closed_extension else
                      f"finite (domain ends at p = {P})",
         "lambda_over_nu": {"range_sup": sup, "model_limit": model_limit,

@@ -293,35 +293,13 @@ def gamma_index_seq(M: WeightSequence, N: Optional[WeightSequence] = None, *,
                                       "N": N_eff.label})
 
 
-def _exponent_of_convergence(N: WeightSequence, config: RunConfig) -> tuple[float, dict]:
-    """Order estimate 1 / limsup_p (log p / log nu_p) over the trailing window."""
-    P = N._capped(config.p_max)
-    log_mu = N.log_quotients(P)[1:]
-    k = max(2, P // 10)
-    win = log_mu[-k:]
-    p = np.arange(P - k + 1, P + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        vals = np.where(win > 0, np.log(p) / np.where(win > 0, win, 1.0), math.inf)
-    beta = float(np.max(vals))
-    if not math.isfinite(beta):
-        mu_est = 0.0  # quotients not exceeding 1: divergence at every order
-    elif beta <= 1.0 / INDEX_CAP:
-        mu_est = INDEX_CAP
-    else:
-        mu_est = min(1.0 / beta, INDEX_CAP)
-    return mu_est, {"window": int(k), "limsup_log_ratio": beta, "P": P}
-
-
 def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEstimate:
     """Order of quasianalyticity sup{r > 0 : sum nu_k^{-1/r} < inf}.
 
-    Two estimators are cross-validated: a bisection on the summability check,
-    and the reciprocal of limsup_p (log p / log nu_p) over the trailing window
-    (the exponent of convergence of the quotients).  The window is an
-    estimate, not a certificate: it never raises the bisection's lower end,
-    and it narrows the upper end only when some probe is Violated.
-    Disagreement beyond tolerance widens the bracket to cover both and tags
-    the method as disputed.
+    The quotients must increase (log-convexity), then one bisection on the
+    summability check nq_r brackets the order.  An Inconclusive probe pulls
+    the upper end down and never raises the lower one, so uncertainty widens
+    the bracket; when every probe is Inconclusive the bracket is [0, cap].
     """
     config = config or RunConfig()
     lcv = check_lc(N, min(config.p_max, 20000))
@@ -335,31 +313,7 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
     diag: dict[str, Any] = {"domain": "sequence", "N": N.label}
     if lcv.is_inconclusive:
         diag["log_convexity"] = "monotone on range, uncertified beyond"
-    est = _bisect_index("mu", probe, tol=config.index_tol, diagnostics=diag)
-
-    mu_est, b_info = _exponent_of_convergence(N, config)
-    tol = config.index_tol
-    b_lo = max(0.0, mu_est - tol)
-    b_hi = INDEX_CAP if mu_est >= INDEX_CAP - 1e-9 else min(INDEX_CAP, mu_est + tol)
-    merged = dict(est.diagnostics)
-    merged["exponent_of_convergence"] = {**b_info, "mu": mu_est}
-    inter_lo = max(est.lower, b_lo)
-    inter_hi = min(est.upper, b_hi)
-    if inter_lo <= inter_hi + 1e-12:
-        if inter_hi < est.upper and not any(v.is_violated for _, v in est.r_samples):
-            # no probe refutes any order: the window alone may not lower the cap
-            lower, upper, method = est.lower, est.upper, est.method
-            merged["exponent_of_convergence"]["applied"] = False
-        else:
-            lower, upper = est.lower, max(est.lower, inter_hi)
-            method = "bisection+exponent-of-convergence"
-    else:
-        lower, upper = min(est.lower, b_lo), max(est.upper, b_hi)
-        method = "disputed"
-        merged["note"] = "estimators disagree beyond tolerance"
-        merged["bisection_bracket"] = [est.lower, est.upper]
-    return IndexEstimate("mu", lower, upper, method, upper - lower,
-                         est.r_samples, merged)
+    return _bisect_index("mu", probe, tol=config.index_tol, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

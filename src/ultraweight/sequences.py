@@ -392,25 +392,10 @@ class WeightSequence:
         v = self.log_value(p)
         return math.exp(v) if v < 709 else math.inf
 
-    def log_reduced(self, p: int) -> np.ndarray:
-        """log m_0..log m_p where m_p = M_p / p!."""
-        lv = self.log_values(p)
-        idx = np.arange(len(lv))
-        return lv - np.array([math.lgamma(i + 1) for i in idx])
-
     def _check_range(self, p: int) -> None:
         if self.finite_size is not None and p >= self.finite_size:
             raise EvaluationRangeError(
                 f"{self.label}: index {p} beyond explicit list of size {self.finite_size}")
-
-    # -- closed forms beyond the cache -------------------------------------
-
-    def log_value_closed(self, p: int) -> float:
-        """log M_p for arbitrary p via the exact tail model, if available."""
-        if self.tail_model is not None and self.tail_model.exact and self.tail_model.start == 1:
-            return float(self.tail_model.log_value(p)) + self.log_m0
-        self._check_range(p)
-        return self.log_value(p)
 
     # -- structure ---------------------------------------------------------
 

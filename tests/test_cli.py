@@ -223,6 +223,16 @@ class TestCheckDefaults:
         est = json.loads(out)["results"]["estimate"]
         assert (est["lower"], est["upper"]) == (INDEX_CAP, INDEX_CAP)
 
+    def test_descend_at_a_tiny_order(self, capsys):
+        # sigma_2 = tau_1 * 2 / tau_2 leaves the float range: reported as inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "descend", "--sequence", "gevrey:2",
+                                 "--r", "1e-300")
+        assert code == cli.EXIT_OK, err
+        assert err == "" and "nan" not in out
+        assert json.loads(out)["results"]["diagnostics"]["sigma_2"] == "inf"
+
     @pytest.mark.parametrize("omega", [
         "assoc(descendant(qgevrey:2,1))",
         '{"kind":"assoc","sequence":{"family":"explicit",'
@@ -297,8 +307,8 @@ class TestIndexCommand:
         assert est["lower"] <= 2.02 and est["upper"] >= 1.98
 
     def test_mu_of_a_short_list(self, capsys):
-        # every probe is Inconclusive on six values: the exponent-of-convergence
-        # window used to raise the lower end above them (exit 70)
+        # every probe is Inconclusive on six values: the bracket stays
+        # [0, cap], with no lower end raised above them
         code, rep = run_json(capsys, "index", "mu", "--sequence",
                              "explicit:1,1,2,6,24,120")
         assert code == cli.EXIT_OK

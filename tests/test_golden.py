@@ -6,6 +6,7 @@ takes no case names) and commits the diff on its own, where it can be read.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,10 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
 def test_no_golden_without_a_case():
     stored = {p.stem for p in golden.GOLDEN_DIR.glob("*.txt")}
     assert stored == set(golden.CASES)
+
+
+def test_no_golden_holds_a_nan():
+    # a NaN is no evidence; "inf" stays allowed
+    nan = re.compile(r"\bnan\b", re.IGNORECASE)
+    for path in sorted(golden.GOLDEN_DIR.glob("*.txt")):
+        assert not nan.search(path.read_text()), path.name

@@ -95,30 +95,25 @@ class TestMuSeq:
         assert est.unbounded
         assert est.upper == INDEX_CAP
 
-    def test_exponent_of_convergence_cross_check_recorded(self, gevrey2):
-        est = uw.mu_seq(gevrey2, config=FAST)
-        diag = est.diagnostics
-        assert "exponent_of_convergence" in diag or diag, diag
-
     def test_short_list_keeps_the_bisection_bracket(self):
-        # the trailing window estimates mu near 1 from six values, but every
-        # probe is Inconclusive: the window certifies neither end
+        # every probe is Inconclusive on six values: no end is certified
         est = uw.mu_seq(uw.explicit([1, 1, 2, 6, 24, 120]))
         assert all(v.is_inconclusive for _, v in est.r_samples)
         assert (est.lower, est.upper) == (0.0, INDEX_CAP)
         assert est.method == "bisection+undecided"
-        assert est.diagnostics["exponent_of_convergence"]["applied"] is False
 
-    def test_window_above_a_refuted_order_is_disputed(self, gevrey2, monkeypatch):
-        # a window estimate beyond a Violated probe contradicts the bisection
-        monkeypatch.setattr(uw.indices, "_exponent_of_convergence",
-                            lambda N, config: (5.0, {}))
-        est = uw.mu_seq(gevrey2, config=FAST)
-        lo, hi = est.diagnostics["bisection_bracket"]
-        assert hi <= 2.0 + FAST.index_tol
-        assert est.method == "disputed"
-        assert est.lower == pytest.approx(lo)
-        assert est.upper == pytest.approx(5.0 + FAST.index_tol)
+    @pytest.mark.parametrize("s, r", [(1.5, 0.5), (2.0, 1.0), (0.7, 0.3)])
+    def test_gevrey_descendant_bracket_holds_s_over_r(self, s, r):
+        # S's law fixes mu = s / r; the bisection alone brackets it
+        est = uw.mu_seq(uw.descendant(uw.gevrey(s), r).S)
+        assert est.method == "bisection"
+        assert est.lower <= s / r <= est.upper
+        assert est.width <= uw.RunConfig().index_tol
+
+    def test_undecided_descendant_keeps_the_undecided_method(self):
+        est = uw.mu_seq(uw.descendant(uw.qgevrey(2.0), 0.5).S)
+        assert (est.lower, est.upper) == (0.0, INDEX_CAP)
+        assert est.method == "bisection+undecided"
 
     def test_diagonal_mixed_index_below_order(self, gevrey2):
         gamma = uw.gamma_index_seq(gevrey2, config=FAST)

@@ -278,12 +278,6 @@ class TestTailArrays:
             want = np.array([scalar_log_value(tm, int(k)) for k in p])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_scalar_closed_form_stays_a_float(self):
-        M = uw.gevrey(1.5)
-        v = M.log_value_closed(7)
-        assert type(v) is float
-        assert v == scalar_log_value(M.tail_model, 7)
-
 
 @mpmath.workdps(30)
 def mp_loglinear_tail(tm: TailModel, inv_r: float, start: int) -> float:

@@ -92,8 +92,8 @@ class TestAlgebra:
 
     def test_hat_reduced_recovers_base(self):
         M = qgevrey(2.0)
-        assert np.allclose(hat(M).log_reduced(40), M.log_values(40),
-                           rtol=0, atol=1e-9)
+        reduced = hat(M).log_values(40) - [math.lgamma(p + 1) for p in range(41)]
+        assert np.allclose(reduced, M.log_values(40), rtol=0, atol=1e-9)
 
     def test_hat_quotient_law(self):
         assert hat(gevrey(1.0)).quotient(4) == pytest.approx(16.0, rel=1e-12)
