@@ -522,17 +522,17 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     P = N._capped(int(config.p_max))
     # N's order-r sums, read here and again by the (L, N) mixed comparison
     sums = SuffixSums(N, P)
-    sweep = sums.at(inv_r)
     log_mu = N.log_quotients(P)
     lp = log_p(1, P)
     # log domain throughout: tau_p underflows linearly for fast bases
     log_tau = np.multiply(log_mu[1:], inv_r)
     np.subtract(lp, log_tau, out=log_tau)
-    np.logaddexp(log_tau, sweep.log_T, out=log_tau)
-    tau1 = float(np.exp(log_tau[0]))
+    np.logaddexp(log_tau, sums.at(inv_r), out=log_tau)
+    log_tau1 = float(log_tau[0])
+    tau1 = float(np.exp(log_tau1))
     lsig = np.empty(P + 1)
     lsig[0] = math.nan
-    np.add(math.log(tau1), lp, out=lsig[1:])
+    np.add(log_tau1, lp, out=lsig[1:])
     lsig[1:] -= log_tau
 
     tm = N.tail_model
@@ -554,7 +554,7 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
             if p <= P:
                 out[i] = lsig[p]
             else:
-                out[i] = math.log(tau1) + math.log(p) - log_tau_beyond(p)
+                out[i] = log_tau1 + math.log(p) - log_tau_beyond(p)
         return out
 
     s_tail = None

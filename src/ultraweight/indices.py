@@ -26,7 +26,7 @@ from .functions import (GrowthModel, OmegaNodes, WeightFunction, _shape_cmp,
                         grid_bounded, windows_verdict)
 from .quadrature import SuffixSamples, power_log_tail
 from .sequences import (RatioSweep, SuffixSums, WeightSequence, check_lc,
-                        check_nq_r, finish_sup_verdict)
+                        check_nq_r, log_ratio_limit)
 from .special import hurwitz_zeta
 from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
                       ConditionVerdict, GridTooCoarse, InternalInconsistency,
@@ -169,27 +169,9 @@ def _quotient_ratio_bounded(M: WeightSequence, N: WeightSequence,
                             P: int) -> tuple[Optional[bool], dict]:
     """Is mu_p / nu_p bounded over the working range?  (True/False/None)."""
     tm, tn = M.tail_model, N.tail_model
-    if tm is not None and tn is not None:
-        if tm.kind == "power" and tn.kind == "power":
-            if tm.e_hi < tn.e_lo:
-                return True, {"model": "quotient ratio vanishes"}
-            if tm.e_lo > tn.e_hi:
-                return False, {"model": "quotient exponent gap",
-                               "gap": tm.e_lo - tn.e_hi}
-            if tm.exact and tn.exact:  # equal exponents
-                return True, {"model": "equal exponents",
-                              "limit": tm.c_hi / tn.c_hi}
-        elif tm.kind == "loglinear" and tn.kind == "power":
-            return False, {"model": "supra-polynomial over polynomial"}
-        elif tm.kind == "power" and tn.kind == "loglinear":
-            return True, {"model": "polynomial over supra-polynomial"}
-        else:  # both loglinear, always exact
-            if tm.a != tn.a:
-                return tm.a < tn.a, {"model": "loglinear slope gap"}
-            if tm.g != tn.g:
-                return tm.g < tn.g, {"model": "loglinear log-term gap"}
-            return True, {"model": "equal loglinear laws",
-                          "limit": math.exp(tm.b - tn.b)}
+    limit = None if tm is None or tn is None else log_ratio_limit(tm, tn)
+    if limit is not None:
+        return limit < math.inf, {"model": "tail laws", "log_ratio_limit": limit}
     P = min(M._capped(P), N._capped(P))
     d = M.log_quotients(P)[1:] - N.log_quotients(P)[1:]
     running = np.maximum.accumulate(d)
@@ -260,7 +242,7 @@ class MixedSeqProbe:
             return ConditionVerdict.violated("mixed_seq", counter,
                 reason="quotient ratio mu/nu unbounded on range (precondition)",
                 **{k: v for k, v in pre_info.items() if k not in counter})
-        verdict = self.closed(r) or finish_sup_verdict("mixed_seq", self.sweep.at(1.0 / r))
+        verdict = self.closed(r) or self.sweep.verdict("mixed_seq", 1.0 / r)
         diag = dict(verdict.diagnostics)
         diag["r"] = r
         if pre is None:

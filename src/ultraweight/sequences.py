@@ -34,6 +34,7 @@ DEFAULT_P_MAX = 10 ** 5
 _LC_TOL = 1e-12
 _BETA_P_CAP = 20000  # beta1/beta3 read mu_{Qp}/mu_p for p up to this
 _BETA_Q_MAX = 8  # and for Q up to this
+_MG_P_CAP = 4096  # check_mg probes indices up to this: its defect table is quadratic
 _SUM_BLOCK = 1024  # log_suffix_sums: terms per block sharing one scale
 _MAX_BLOCK_SPAN = 600.0  # nats from a block's max to its min that one scale holds
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows from here
@@ -272,6 +273,27 @@ class TailModel:
         if self.e_lo * inv_r > 1:
             return True
         return None
+
+
+def log_ratio_limit(tm: TailModel, tn: TailModel) -> Optional[float]:
+    """lim log(mu_p/nu_p) for quotients mu_p on the law tm and nu_p on tn: a
+    real, +-inf, or None when the two laws do not decide it.
+
+    By Cesaro's mean it is also the limit of log(M_p/N_p)/p.
+    """
+    if tm.kind != tn.kind:
+        return math.inf if tm.superpolynomial else -math.inf
+    if tm.kind == "power":
+        if tm.e_hi < tn.e_lo:
+            return -math.inf
+        if tm.e_lo > tn.e_hi:
+            return math.inf
+        return math.log(tm.c_hi) - math.log(tn.c_hi) if tm.exact and tn.exact else None
+    if tm.a != tn.a:
+        return math.inf if tm.a > tn.a else -math.inf
+    if tm.g != tn.g:
+        return math.inf if tm.g > tn.g else -math.inf
+    return tm.b - tn.b
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +547,6 @@ def hat(M: WeightSequence) -> WeightSequence:
 # suffix-sum machinery (shared with the indices module)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuffixSweep:
-    """log T_p = log sum_{k>=p} nu_k**(-inv_r) for p = 1..P, with tail status."""
-
-    log_T: np.ndarray          # log T_p at index p - 1, p = 1..P
-    tail_bracket: tuple[float, float] | None  # sum beyond P per the model
-    converges: Optional[bool]  # None = unknown
-    P: int
-
-
 def log_sum_exp(x: np.ndarray, out: np.ndarray | None = None) -> float:
     """log sum_k exp(x_k), shifted by the max term; -inf for no terms.
 
@@ -627,7 +639,7 @@ class SuffixSums:
         self.N = N
         self.P = N._capped(P)
         self.log_nu = read_only(N.log_quotients(self.P)[1:])  # log nu_k, k = 1..P
-        self._last: tuple[float, SuffixSweep] | None = None  # the last order's sweep
+        self._last: tuple[float, np.ndarray] | None = None  # the last order's log_T
 
     def tail(self, inv_r: float) -> tuple[tuple[float, float] | None, Optional[bool]]:
         """N's tail bracket past P and whether its tail model says the sum converges.
@@ -644,14 +656,15 @@ class SuffixSums:
             converges = None  # a convergent tail that no float bounds certifies nothing
         return bracket, converges
 
-    def at(self, inv_r: float) -> SuffixSweep:
+    def at(self, inv_r: float) -> np.ndarray:
         return self.summed(inv_r, *self.tail(inv_r))
 
     def summed(self, inv_r: float, tail: tuple[float, float] | None,
-               converges: Optional[bool]) -> SuffixSweep:
-        """The sweep at one order, given that order's `tail`.
+               converges: Optional[bool]) -> np.ndarray:
+        """log T_p = log sum_{k>=p} nu_k**(-inv_r) for p = 1..P (at index
+        p - 1), completed by that order's `tail`; read-only.
 
-        The last order's sweep is kept, so two readers of one order sum once.
+        The last order's sums are kept, so two readers of one order sum once.
         """
         last = self._last
         if last is not None and last[0] == inv_r:
@@ -662,14 +675,14 @@ class SuffixSums:
         elif tail is not None and math.isfinite(tail[1]) and tail[1] > 0:
             seed = math.log(tail[1])
         terms = -inv_r * self.log_nu  # log of nu_k**(-inv_r), k = 1..P
-        sweep = SuffixSweep(log_T=read_only(log_suffix_sums(terms, seed)),
-                            tail_bracket=tail, converges=converges, P=self.P)
-        self._last = (inv_r, sweep)
-        return sweep
+        log_T = read_only(log_suffix_sums(terms, seed))
+        self._last = (inv_r, log_T)
+        return log_T
 
 
 class RatioSweep:
-    """sup_ratio_sweep of one pair (M, N) up to P, at any order.
+    """sup_p (mu_p**inv_r / p) * sum_{k>=p} nu_k**(-inv_r) of one pair (M, N)
+    over p = 1..P, at any order.
 
     The log quotients of M and N and log p are read once; each order computes
     only N's suffix sums and the per-p log values, and none of them when N's
@@ -686,56 +699,24 @@ class RatioSweep:
         self.log_mu = read_only(M.log_quotients(self.P)[1: self.P + 1])
         self.log_p = log_p(1, self.P)
 
-    def at(self, inv_r: float) -> dict:
-        """The sweep at one order, as the dict `finish_sup_verdict` reads.
+    def verdict(self, cond: str, inv_r: float) -> ConditionVerdict:
+        """The verdict on the sup at one order.
 
-        `log_F`: log F_p = inv_r log mu_p - log p + log T_p for p = 1..P, with
-        T_p N's tail-completed suffix sum; None when N's tail model refutes the
-        order, and then nothing is summed and the three logs below are +inf.
-        `sup_log`: max log_F, the running sup's last value.
-        `half_log`: max log_F[: n // 2 + 1], the running sup's middle value.
-        `first_log`: log_F[0], the running sup's first value.
-        `tail_converges`, `tail_bracket`: N's tail past P, as in SuffixSums.
-        `P`: the last index swept.
+        log F_p = inv_r log mu_p - log p + log T_p for p = 1..P, with T_p N's
+        tail-completed suffix sum; nothing is summed when N's tail model
+        refutes the order.
         """
         tail, converges = self.sums.tail(inv_r)
         if converges is False:
-            return {"log_F": None, "sup_log": math.inf, "half_log": math.inf,
-                    "first_log": math.inf, "tail_converges": False,
-                    "tail_bracket": tail, "P": self.P}
-        log_T = self.sums.summed(inv_r, tail, converges).log_T
+            return finish_sup_verdict(cond, None, converges, self.P)
+        log_T = self.sums.summed(inv_r, tail, converges)
         log_F = np.multiply(self.log_mu, inv_r)
         log_F -= self.log_p
         # a quotient past the float range meets a suffix sum that vanishes
         # there: inf - inf is nan, which the verdict reads as such
         with np.errstate(invalid="ignore"):
             log_F += log_T[: self.P]
-        return {"log_F": log_F, **running_sup_reads(log_F),
-                "tail_converges": converges, "tail_bracket": tail, "P": self.P}
-
-
-def running_sup_reads(log_F: np.ndarray) -> dict:
-    """The values of log_F's running sup that a sup verdict reads: last, middle, first.
-
-    All three are nan for no terms; a nan anywhere in log_F makes the last nan.
-    """
-    n = len(log_F)
-    if not n:
-        return {"sup_log": math.nan, "half_log": math.nan, "first_log": math.nan}
-    return {"sup_log": float(np.max(log_F)),
-            "half_log": float(np.max(log_F[: n // 2 + 1])),
-            "first_log": float(log_F[0])}
-
-
-def sup_ratio_sweep(M: WeightSequence, N: WeightSequence, inv_r: float,
-                    P: int) -> dict:
-    """Evidence for sup_p (mu_p**inv_r / p) * sum_{k>=p} nu_k**(-inv_r).
-
-    Returns the per-p log values, three values of their running sup, and tail
-    information (`RatioSweep.at` gives the layout); the caller turns this into
-    a verdict.
-    """
-    return RatioSweep(M, N, P).at(inv_r)
+        return finish_sup_verdict(cond, log_F, converges, self.P)
 
 
 # ---------------------------------------------------------------------------
@@ -809,14 +790,15 @@ def _monotone_satisfied(M: WeightSequence, cond: str, P: int, shift: float) -> C
 def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
     """Moderate growth: M_{p+q} <= C**(p+q) M_p M_q for some C.
 
-    P is the largest index probed, so p and q run up to P // 2.  An
+    P is the largest index probed, at most `_MG_P_CAP`, so p and q run up
+    to P // 2, which the evidence reports as `checked_up_to`.  An
     existential constant can never be refuted from finite data, so the
     verdict is Satisfied (running max of the normalized defect stabilizes)
     or Inconclusive, never Violated.  The witness `C` is that running max;
     on an exact power tail from index 1 with M_0 >= 1 it is at least 2**e,
     which bounds the defect for every p and q, not only on the probed range.
     """
-    P = M._capped(P) // 2
+    P = min(M._capped(P), _MG_P_CAP) // 2
     if P < 8:
         return ConditionVerdict.inconclusive("mg", {"checked_up_to": P},
                                              note="range too short")
@@ -986,44 +968,45 @@ def check_beta3(M: WeightSequence, P: int = 160000) -> ConditionVerdict:
 
 def check_gamma1(M: WeightSequence, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
     """sup_p (mu_p / p) * sum_{k>=p} 1/mu_k < infinity."""
-    sweep = sup_ratio_sweep(M, M, 1.0, P)
-    return finish_sup_verdict("gamma1", sweep)
+    return RatioSweep(M, M, P).verdict("gamma1", 1.0)
 
 
-def finish_sup_verdict(cond: str, sweep: dict) -> ConditionVerdict:
-    """Turn a sup-of-suffix-sums sweep into a verdict (shared with indices).
+def finish_sup_verdict(cond: str, log_F: Optional[np.ndarray], converges: Optional[bool],
+                       P: int) -> ConditionVerdict:
+    """Turn a sup-of-suffix-sums sweep log_F over p = 1..P into a verdict
+    (None when N's tail model says the inner sum diverges).
 
-    The running sup of log_F is finite everywhere exactly when its first value
-    and its last are finite; it is built in full only to report a sup that is
-    still moving.
+    The verdict reads three values of log_F's running sup: its first, its
+    middle and its last.  The running sup is finite everywhere exactly when
+    the first and the last are; it is built in full only to report a sup
+    that is still moving.
     """
-    if sweep["tail_converges"] is False:
+    if log_F is None:
         return ConditionVerdict.violated(cond, {
             "p": 1, "inner_sum": math.inf},
             reason="inner sum diverges per the tail model")
-    ends = (sweep["first_log"], sweep["sup_log"])
-    if math.inf in ends:
+    n = len(log_F)
+    first, last = (float(log_F[0]), float(np.max(log_F))) if n else (math.nan, math.nan)
+    if math.inf in (first, last):
         return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf},
                                          reason="inner sum not finite on range")
-    if not all(map(math.isfinite, ends)):
+    if not (math.isfinite(first) and math.isfinite(last)):
         # nan where a quotient past the float range meets a vanishing sum
         # (inf - inf), or no term at all: the sweep shows nothing
-        return ConditionVerdict.inconclusive(cond, {"P": sweep["P"]},
+        return ConditionVerdict.inconclusive(cond, {"P": P},
             note="the sweep is not finite on range (quotients past the float range)")
-    sup = math.exp(sweep["sup_log"])
-    is_stable = (len(sweep["log_F"]) >= 4
-                 and settled(sweep["half_log"], sweep["sup_log"]))
-    tail_known = sweep["tail_converges"] is True
-    if is_stable and tail_known:
-        return ConditionVerdict.satisfied(cond, {"sup": sup, "P": sweep["P"]},
+    sup = math.exp(last)
+    is_stable = n >= 4 and settled(float(np.max(log_F[: n // 2 + 1])), last)
+    if is_stable and converges is True:
+        return ConditionVerdict.satisfied(cond, {"sup": sup, "P": P},
                                           certified="range-stabilized+tail-model")
-    if is_stable and sweep["tail_converges"] is None:
+    if is_stable:
         return ConditionVerdict.inconclusive(cond, {
-            "sup_on_range": sup, "P": sweep["P"]},
+            "sup_on_range": sup, "P": P},
             note="sup stabilized but the inner-sum tail is uncertified")
-    running = np.maximum.accumulate(sweep["log_F"])
+    running = np.maximum.accumulate(log_F)
     return ConditionVerdict.inconclusive(cond, {
-        "sup_on_range": sup, "P": sweep["P"],
+        "sup_on_range": sup, "P": P,
         "running_sup_log": [float(v) for v in running[:: max(1, len(running) // 16)]]},
         note="running sup still moving at range end")
 
@@ -1040,6 +1023,11 @@ SEQUENCE_CHECKS = {"lc": check_lc, "slc": check_slc, "mg": check_mg,
 # ---------------------------------------------------------------------------
 
 _RELATIONS = ("precsim", "vartriangleleft", "equivalent")
+
+
+def _exp(x: float) -> float:
+    """exp(x), and inf past the float range."""
+    return math.inf if x >= _LOG_FLOAT_MAX else math.exp(x)
 
 
 def compare(M: WeightSequence, N: WeightSequence, relation: str,
@@ -1069,53 +1057,37 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
     d = (M.log_values(P)[1:] - N.log_values(P)[1:]) / np.arange(1, P + 1)
     sup_d = float(np.max(d))
     win = _window(d)
-    trend = {"sup_log": sup_d, "window_mean_log": float(np.mean(win)),
+    trend = {"log_sup": sup_d, "window_mean_log": float(np.mean(win)),
              "window_last_log": float(win[-1]), "P": P}
 
-    limit = _model_ratio_limit(M, N)  # limit of d_p, or None
+    tm, tn = M.tail_model, N.tail_model
+    exact = tm is not None and tn is not None and tm.exact and tn.exact
+    limit = log_ratio_limit(tm, tn) if exact else None  # limit of d_p, or None
     if relation == "precsim":
         if limit is not None:
             if limit < math.inf:
-                return ConditionVerdict.satisfied("precsim", {"sup": math.exp(sup_d)},
+                return ConditionVerdict.satisfied("precsim", {"sup": _exp(sup_d)},
                                                   certified="tail-model")
             return ConditionVerdict.violated("precsim", {
-                "p": P, "ratio_root": math.exp(float(d[-1]))},
+                "p": P, "ratio_root": _exp(float(d[-1]))},
                 reason="model: (M_p/N_p)^(1/p) diverges")
         slope = float(win[-1] - win[0])
         if slope <= COMPARE_SLOPE * max(1.0, abs(sup_d)):
             return grid_decided("precsim", Verdict.SATISFIED, "window slope",
-                                {"sup": math.exp(sup_d)})
+                                {"sup": _exp(sup_d)})
         return grid_decided("precsim", Verdict.INCONCLUSIVE, "window slope", trend)
     # vartriangleleft
     if limit is not None:
         if limit == -math.inf:
             return ConditionVerdict.satisfied("vartriangleleft",
-                                              {"limit": 0.0, "window_value": math.exp(float(win[-1]))},
+                                              {"limit": 0.0, "window_value": _exp(float(win[-1]))},
                                               certified="tail-model")
         return ConditionVerdict.violated("vartriangleleft", {
-            "p": P, "ratio_root": math.exp(float(win[-1])),
-            "limit": math.exp(limit) if limit < 700 else math.inf},
+            "p": P, "ratio_root": _exp(float(win[-1])),
+            "limit": _exp(limit)},
             reason="model: ratio root does not vanish")
     if float(win[-1]) < float(win[0]) and win[-1] < math.log(COMPARE_ROOT):
         return grid_decided("vartriangleleft", Verdict.SATISFIED, "window root",
-                            {"limit_bound": math.exp(float(win[-1]))})
+                            {"limit_bound": _exp(float(win[-1]))})
     return grid_decided("vartriangleleft", Verdict.INCONCLUSIVE, "window root", trend)
 
-
-def _model_ratio_limit(M: WeightSequence, N: WeightSequence) -> Optional[float]:
-    """Limit of log(M_p/N_p)/p from exact models: a real, +-inf, or None."""
-    tm, tn = M.tail_model, N.tail_model
-    if tm is None or tn is None or not (tm.exact and tn.exact):
-        return None
-    if tm.kind == "loglinear" or tn.kind == "loglinear":
-        if tm.kind == tn.kind == "loglinear":
-            if tm.a != tn.a:
-                return math.inf if tm.a > tn.a else -math.inf
-            if tm.g != tn.g:
-                return math.inf if tm.g > tn.g else -math.inf
-            return tm.b - tn.b
-        return math.inf if tm.kind == "loglinear" else -math.inf
-    if tm.e_hi != tn.e_hi:
-        # d_p ~ (e_M - e_N)/p * sum log k -> +-inf
-        return math.inf if tm.e_hi > tn.e_hi else -math.inf
-    return math.log(tm.c_hi / tn.c_hi)

@@ -224,14 +224,16 @@ class TestCheckDefaults:
         assert (est["lower"], est["upper"]) == (INDEX_CAP, INDEX_CAP)
 
     def test_descend_at_a_tiny_order(self, capsys):
-        # sigma_2 = tau_1 * 2 / tau_2 leaves the float range: reported as inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "descend", "--sequence", "gevrey:2",
-                                 "--r", "1e-300")
-        assert code == cli.EXIT_OK, err
-        assert err == "" and "nan" not in out
-        assert json.loads(out)["results"]["diagnostics"]["sigma_2"] == "inf"
+        # sigma_2 = tau_1 * 2 / tau_2 leaves the float range: reported as inf;
+        # on qgevrey tau_1 underflows to 0, and sigma is built from log tau_1
+        for base in ("gevrey:2", "qgevrey:2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "descend", "--sequence", base,
+                                     "--r", "1e-300")
+            assert code == cli.EXIT_OK, err
+            assert err == "" and "nan" not in out
+            assert json.loads(out)["results"]["diagnostics"]["sigma_2"] == "inf"
 
     @pytest.mark.parametrize("omega", [
         "assoc(descendant(qgevrey:2,1))",

@@ -22,8 +22,7 @@ from ultraweight import indices, sequences
 from ultraweight.functions import OmegaNodes
 from ultraweight.indices import INDEX_FLOOR, MixedFunProbe, MixedSeqProbe
 from ultraweight.quadrature import PanelSamples, SuffixSamples, TailSamples
-from ultraweight.sequences import (RatioSweep, SuffixSums, finish_sup_verdict,
-                                   running_sup_reads, sup_ratio_sweep)
+from ultraweight.sequences import RatioSweep, SuffixSums, finish_sup_verdict
 from ultraweight.verdict import (STABILIZE_REL, ConditionVerdict, Verdict,
                                 stabilized)
 
@@ -194,7 +193,7 @@ def test_sequence_context_arrays_are_read_only():
     # qgevrey has no power law, so the probe sweeps
     probe = MixedSeqProbe(uw.qgevrey(2.0), uw.qgevrey(2.0), FAST)
     probe(1.5)
-    assert_read_only(probe, 3)  # log nu, log mu, log p
+    assert_read_only(probe, 4)  # log nu, log mu, log p, the last order's log T
 
 
 def test_function_context_arrays_are_read_only():
@@ -259,9 +258,7 @@ def sweep_logs(draw):
 
 
 def assert_verdict_matches_reference(log_F, tail_converges):
-    sweep = {"log_F": log_F, **running_sup_reads(log_F),
-             "tail_converges": tail_converges, "tail_bracket": None, "P": len(log_F)}
-    got = finish_sup_verdict("mixed_seq", sweep).to_dict()
+    got = finish_sup_verdict("mixed_seq", log_F, tail_converges, len(log_F)).to_dict()
     assert got == reference_sup_verdict("mixed_seq", log_F, tail_converges).to_dict()
 
 
@@ -284,8 +281,7 @@ def test_sup_verdict_on_the_stabilize_boundary():
 
 def test_running_sup_samples_of_a_moving_sweep():
     """gevrey:2 over gevrey:1.5 at r = 1: F_p ~ 2 sqrt(p) keeps rising."""
-    verdict = finish_sup_verdict("mixed_seq", sup_ratio_sweep(
-        uw.gevrey(2.0), uw.gevrey(1.5), 1.0, 4096))
+    verdict = RatioSweep(uw.gevrey(2.0), uw.gevrey(1.5), 4096).verdict("mixed_seq", 1.0)
     assert verdict.is_inconclusive
     assert verdict.diagnostics["note"] == "running sup still moving at range end"
     assert verdict.trend["P"] == 4096
@@ -320,6 +316,18 @@ def test_a_refuted_order_sums_nothing(monkeypatch):
         probe(1.0)
 
 
+def test_gamma1_at_a_refuted_order_sums_nothing(monkeypatch):
+    """gevrey:1's tail model says the inner sum of 1/k diverges."""
+    def summed(*args, **kwargs):
+        raise RuntimeError("log_suffix_sums called")
+
+    monkeypatch.setattr(sequences, "log_suffix_sums", summed)
+    assert sequences.check_gamma1(uw.gevrey(1.0)).to_dict() == {
+        "condition": "gamma1", "status": "violated",
+        "counterexample": {"p": 1, "inner_sum": "inf"},
+        "diagnostics": {"reason": "inner sum diverges per the tail model"}}
+
+
 # ---------------------------------------------------------------------------
 # exact power laws from index 1: the sup is F_1, in closed form
 
@@ -348,7 +356,7 @@ def test_closed_sup_matches_the_sweep(pair):
     e_M, c_M, e_N, c_N, r = pair
     M, N = power_law(e_M, c_M), power_law(e_N, c_N)
     closed = MixedSeqProbe(M, N, FAST)(r)
-    swept = finish_sup_verdict("mixed_seq", RatioSweep(M, N, FAST.p_max).at(1.0 / r))
+    swept = RatioSweep(M, N, FAST.p_max).verdict("mixed_seq", 1.0 / r)
     assert closed.diagnostics["certified"] == "tail-model"
     assert closed.status == swept.status == Verdict.SATISFIED
     assert closed.witness["P"] == swept.witness["P"]

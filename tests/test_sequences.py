@@ -10,7 +10,8 @@ from ultraweight import (check_beta1, check_beta3, check_gamma1, check_lc,
                          check_mg, check_nq, check_nq_r, check_slc, compare,
                          explicit, factorial_shift, gevrey, hat, power,
                          qgevrey)
-from ultraweight.sequences import SEQUENCE_CHECKS
+from ultraweight import sequences
+from ultraweight.sequences import SEQUENCE_CHECKS, TailModel
 
 from conftest import assert_status
 
@@ -146,6 +147,12 @@ class TestModerateGrowth:
         log_ratio = 2.0 * (math.lgamma(2 * n + 1) - 2.0 * math.lgamma(n + 1))
         assert log_ratio <= 2 * n * math.log(C)
 
+    def test_range_is_capped(self, monkeypatch):
+        # the defect table is quadratic in the range, so p and q stop at
+        # half the cap whatever P asks for
+        monkeypatch.setattr(sequences, "_MG_P_CAP", 64)
+        assert check_mg(gevrey(2.0), 10 ** 5).witness["checked_up_to"] == 32
+
     def test_qgevrey_does_not_stabilize(self):
         v = check_mg(qgevrey(2.0))
         assert v.status.value == "inconclusive"
@@ -256,6 +263,43 @@ class TestCompare:
         assert bwd.trend["P"] == 4000
         assert not fwd.diagnostics and not bwd.diagnostics
 
+
+def law(e: float, c: float) -> uw.WeightSequence:
+    """mu_p = c p**e exactly, with that tail model."""
+    return uw.WeightSequence(f"law({e}, {c})",
+                             lambda lo, hi: e * sequences.log_p(lo, hi) + math.log(c),
+                             tail_model=TailModel.power(e, c))
+
+
+LAWS = {"law:2,3": (2.0, 3.0), "law:2,1": (2.0, 1.0)}
+
+
+# (M, N, precsim, vartriangleleft, mixed_seq Violated by its precondition),
+# the statuses that lim log(mu_p/nu_p) of the two tail laws gives
+@pytest.mark.parametrize("M, N, precsim, vartriangleleft, unbounded", [
+    ("gevrey:1", "gevrey:2", "satisfied", "satisfied", False),  # exponent below: -inf
+    ("gevrey:2", "gevrey:1", "violated", "violated", True),  # exponent above: +inf
+    ("law:2,3", "law:2,1", "satisfied", "violated", False),  # equal exponents: log 3
+    ("qgevrey:2", "qgevrey:2", "satisfied", "violated", False),  # equal log-linear laws: 0
+    ("gevrey:2", "qgevrey:2", "satisfied", "satisfied", False),  # power under log-linear: -inf
+    ("qgevrey:2", "gevrey:2", "violated", "violated", True),  # log-linear over power: +inf
+    ("qgevrey:2", "qgevrey:3", "satisfied", "satisfied", False),  # slope gap: -inf
+    ("shift(qgevrey:2,0.5)", "qgevrey:2", "violated", "violated", True),  # log-term gap: +inf
+    ("qgevrey:2", "shift(qgevrey:2,0.5)", "satisfied", "satisfied", False),  # log-term gap: -inf
+    # S's power bracket overlaps N's exponent: the laws leave it to the data
+    ("descendant(gevrey:2,1)", "gevrey:2", "satisfied", "inconclusive", False),
+])
+def test_two_tail_laws_compare_once(M, N, precsim, vartriangleleft, unbounded):
+    M, N = (law(*LAWS[x]) if x in LAWS else uw.make_sequence(x) for x in (M, N))
+    decided = M.tail_model.exact and N.tail_model.exact
+    for relation, status in (("precsim", precsim), ("vartriangleleft", vartriangleleft)):
+        v = compare(M, N, relation)
+        assert_status(v, status)
+        evidence = v.witness or v.counterexample or v.trend
+        assert evidence.get("grid_only", False) is not decided
+    v = uw.mixed_condition_seq(M, N)
+    assert (v.diagnostics.get("reason") ==
+            "quotient ratio mu/nu unbounded on range (precondition)") is unbounded
 
 
 @pytest.mark.parametrize("name", sorted(SEQUENCE_CHECKS))
