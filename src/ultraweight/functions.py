@@ -7,7 +7,7 @@ transform kappa, and piecewise glues used by the reduction builder.  Each node
 carries an optional GrowthModel describing its large-t shape.  Where neither
 the model nor the node's structure decides a check, the check reads the trend
 on the finite grid through one shared step, and the verdict, in any status,
-says `grid_only`: it rests on the finite window alone.
+has provenance `trend`: it rests on the finite window alone.
 
 Condition names: omega1 (doubling), omega2 (at most linear), omega3 (beats
 log), omega4 (convexity in log coordinates), omega5 (sublinear, little-o),
@@ -607,8 +607,8 @@ def check_omega1(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     if not math.isfinite(limit):
         return grid_bounded("omega1", ratio, ts, "omega(2t)/(omega(t)+1)")
     sup = float(np.max(ratio))
-    return ConditionVerdict.satisfied("omega1",
-        {"C": max(sup, limit) * REL_MARGIN, "grid_sup": sup, "model_limit": limit})
+    return ConditionVerdict.satisfied("omega1", {"C": max(sup, limit) * REL_MARGIN,
+                                      "grid_sup": sup, "model_limit": limit}, "growth-model")
 
 
 def check_omega2(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
@@ -618,10 +618,10 @@ def check_omega2(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         return grid_bounded("omega2", ratio, ts, "omega(t)/(t+1)")
     if _shape_cmp(m, _LINEAR) > 0:
         return ConditionVerdict.violated("omega2", {"t": float(ts[-1]),
-            "ratio": float(ratio[-1]), "trend": "omega(t)/t grows without bound"})
+            "ratio": float(ratio[-1]), "trend": "omega(t)/t grows without bound"}, "growth-model")
     return ConditionVerdict.satisfied("omega2",
         {"ratio_at_tmax": float(ratio[-1]), "model_exponent": m.exponent,
-         "C": float(np.max(ratio)) * REL_MARGIN})
+         "C": float(np.max(ratio)) * REL_MARGIN}, "growth-model")
 
 
 def check_omega5(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
@@ -634,9 +634,9 @@ def check_omega5(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         return ConditionVerdict.violated("omega5", {"t": float(ts[-1]),
             "ratio": float(ratio[-1]),
             "trend": ("limit of omega(t)/t is positive" if c == 0
-                      else "omega(t)/t grows without bound")})
+                      else "omega(t)/t grows without bound")}, "growth-model")
     return ConditionVerdict.satisfied("omega5",
-        {"ratio_at_tmax": float(ratio[-1]), "model_exponent": m.exponent})
+        {"ratio_at_tmax": float(ratio[-1]), "model_exponent": m.exponent}, "growth-model")
 
 
 def check_omega3(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
@@ -654,12 +654,12 @@ def check_omega3(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     a, k = m.shape
     if a > 0 or (a == 0 and k > 1):
         return ConditionVerdict.satisfied("omega3",
-            {"ratio_at_tmax": float(ratio[-1]), "model_shape": (a, k)})
+            {"ratio_at_tmax": float(ratio[-1]), "model_shape": (a, k)}, "growth-model")
     limit = m.coeff if (a == 0 and k == 1 and m.coeff is not None) else None
     return ConditionVerdict.violated("omega3",
         {"t": float(ts[-1]), "ratio": float(ratio[-1]),
          "trend": "omega/log t stays bounded",
-         **({"limit": limit} if limit is not None else {})})
+         **({"limit": limit} if limit is not None else {})}, "growth-model")
 
 
 def _convexity_samples(omega: WeightFunction):
@@ -673,7 +673,7 @@ def _convexity_samples(omega: WeightFunction):
 def check_omega4(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     structural = _structural_convexity(omega)
     if structural is not None:
-        return structural
+        return ConditionVerdict.satisfied("omega4", structural, "structure")
     y, phi, d2, scale = _convexity_samples(omega)
     tol = 1e-9 * scale
     bad = int(np.argmin(d2))
@@ -682,38 +682,25 @@ def check_omega4(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         return ConditionVerdict.violated("omega4",
             {"triple_y": (float(y[i - 1]), float(y[i]), float(y[i + 1])),
              "triple_phi": (float(phi[i - 1]), float(phi[i]), float(phi[i + 1])),
-             "second_difference": float(d2[bad])})
+             "second_difference": float(d2[bad])}, "trend")
     return ConditionVerdict.satisfied("omega4",
-        {"min_second_difference": float(d2[bad]), "method": "sampled",
-         "points": len(y)})
+        {"min_second_difference": float(d2[bad]), "points": len(y)}, "trend")
 
 
-def _structural_convexity(omega: WeightFunction) -> Optional[ConditionVerdict]:
-    """Exact convexity of phi(y) = omega(e^y) where the node shape decides it."""
+def _structural_convexity(omega: WeightFunction) -> Optional[dict]:
+    """Why phi(y) = omega(e^y) is exactly convex, where the node shape decides
+    it; None where it does not (a concave LogPower among them: sampling then
+    finds the witness triple)."""
     if isinstance(omega, AssociatedOf):
-        return ConditionVerdict.satisfied("omega4",
-            {"method": "structural", "note": "pointwise sup of affine maps of y"})
+        return {"note": "pointwise sup of affine maps of y"}
     if isinstance(omega, PowerLaw):
-        return ConditionVerdict.satisfied("omega4",
-            {"method": "structural", "note": "exponential in y"})
+        return {"note": "exponential in y"}
     if isinstance(omega, LogPower):
-        if omega.k >= 1.0:
-            return ConditionVerdict.satisfied("omega4",
-                {"method": "structural", "note": "y**k with k >= 1"})
-        return None  # concave in y; let sampling produce the witness triple
-    if isinstance(omega, PowerSubst):
-        inner = _structural_convexity(omega.base)
-        if inner is not None and inner.is_satisfied:
-            return ConditionVerdict.satisfied("omega4",
-                {"method": "structural", "note": "affine reparametrization of y",
-                 "base": omega.base.label})
-        return None
-    if isinstance(omega, NormalizedShift):
-        inner = _structural_convexity(omega.base)
-        if inner is not None and inner.is_satisfied:
-            return ConditionVerdict.satisfied("omega4",
-                {"method": "structural",
-                 "note": "base shifted by a constant on y >= 0", "base": omega.base.label})
+        return {"note": "y**k with k >= 1"} if omega.k >= 1.0 else None
+    if isinstance(omega, (PowerSubst, NormalizedShift)) and _structural_convexity(omega.base):
+        note = ("affine reparametrization of y" if isinstance(omega, PowerSubst)
+                else "base shifted by a constant on y >= 0")
+        return {"note": note, "base": omega.base.label}
     return None
 
 
@@ -727,7 +714,8 @@ def check_omega6(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         defect = float(np.max(2.0 * vals - omega.eval(H * ts)))
         return ConditionVerdict.violated("omega6",
             {"t": float(ts[-1]), "H_probe": H, "defect": defect,
-             "trend": "2*omega(t) - omega(Ht) grows like omega for every fixed H"})
+             "trend": "2*omega(t) - omega(Ht) grows like omega for every fixed H"},
+            "growth-model")
     candidates: list[float] = []
     if m is not None and m.exponent > 0:
         candidates.append(float(2.0 ** (1.0 / m.exponent)))
@@ -745,7 +733,7 @@ def check_omega6(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
     else:
         status, evidence = Verdict.INCONCLUSIVE, {"tried": tried[:6]}
     if m is not None and status is Verdict.SATISFIED:
-        return ConditionVerdict.satisfied("omega6", evidence)
+        return ConditionVerdict.satisfied("omega6", evidence, "growth-model")
     return grid_decided("omega6", status, "H search", evidence)
 
 
@@ -801,16 +789,15 @@ class OmegaNodes:
             try:
                 res = self.from_one.integral(s, tail)
                 return ConditionVerdict.satisfied(cond,
-                    {"integral": res.value, "tail": res.tail_method, "r": r})
+                    {"integral": res.value, "tail": res.tail_method, "r": r}, "growth-model")
             except GridTooCoarse:
-                return ConditionVerdict.satisfied(cond,
-                    {"integral": None, "r": r,
-                     "note": "model certifies convergence; tail fit unstable"})
+                return ConditionVerdict.satisfied(cond, {"integral": None, "r": r,
+                    "note": "model certifies convergence; tail fit unstable"}, "growth-model")
         windows, decays, flat = self.integral_trend(s)
         if conv is False:
             return ConditionVerdict.violated(cond,
                 {"partial_integrals": [round(w, 6) for w in windows.tolist()],
-                 "trend": "model exponent at or above kernel order", "r": r})
+                 "trend": "model exponent at or above kernel order", "r": r}, "growth-model")
         if decays:
             try:
                 res = self.from_one.integral(s)
@@ -846,10 +833,10 @@ def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdic
     if pre.is_violated:
         return ConditionVerdict.violated("omega_snq",
             {"precondition": "omega_nq violated, kernel average diverges",
-             **(pre.counterexample or {})})
+             **(pre.counterexample or {})}, pre.provenance)
     if pre.is_inconclusive:
         return ConditionVerdict.inconclusive("omega_snq", dict(pre.trend or {}),
-                                             note="omega_nq itself inconclusive")
+                                             pre.provenance, note="omega_nq itself inconclusive")
     kap = KappaPower(omega, 1.0)
     ts = config.grid.geometric()
     ratio = kap.eval(ts) / (omega.eval(ts) + 1.0)
@@ -862,7 +849,7 @@ def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdic
         limit = 1.0 / (1.0 - m.exponent)
     return ConditionVerdict.satisfied("omega_snq",
         {"C": max(sup, limit or 0.0) * REL_MARGIN, "grid_sup": sup,
-         **({"model_ratio_limit": limit} if limit else {})})
+         **({"model_ratio_limit": limit} if limit else {})}, "growth-model")
 
 
 # condition name -> checker(omega, config); one whose name ends in "_r" takes
@@ -912,14 +899,14 @@ def compare_preceq(a: WeightFunction, b: WeightFunction,
         return grid_bounded(cond, ratio, ts, "b(t)/(a(t)+1)", flat=RATIO_TREND_FLAT)
     if cmp > 0:
         return ConditionVerdict.violated(cond,
-            {"t": float(ts[-1]), **info, "trend": "ratio grows without bound"})
+            {"t": float(ts[-1]), **info, "trend": "ratio grows without bound"}, "growth-model")
     if cmp < 0:
         return ConditionVerdict.satisfied(cond,
-            {"C": info["grid_sup"] * REL_MARGIN, **info})
+            {"C": info["grid_sup"] * REL_MARGIN, **info}, "growth-model")
     limit = b.model.coeff / a.model.coeff
     return ConditionVerdict.satisfied(cond,
         {"C": max(info["grid_sup"], limit) * REL_MARGIN,
-         "model_ratio_limit": limit, **info})
+         "model_ratio_limit": limit, **info}, "growth-model")
 
 
 def compare_o(a: WeightFunction, b: WeightFunction,
@@ -931,11 +918,11 @@ def compare_o(a: WeightFunction, b: WeightFunction,
         return grid_vanishing(cond, ratio, ts, "b(t)/(a(t)+1)",
                               stays=GAUGE_NOT_VANISH)
     if cmp < 0:
-        return ConditionVerdict.satisfied(cond, info)
+        return ConditionVerdict.satisfied(cond, info, "growth-model")
     return ConditionVerdict.violated(cond,
         {"t": float(ts[-1]), **info,
          "trend": ("ratio grows without bound" if cmp > 0
-                   else "same growth shape, ratio does not vanish")})
+                   else "same growth shape, ratio does not vanish")}, "growth-model")
 
 
 def equivalent_fun(a: WeightFunction, b: WeightFunction,
@@ -943,14 +930,16 @@ def equivalent_fun(a: WeightFunction, b: WeightFunction,
     config = config or RunConfig()
     fwd = compare_preceq(a, b, config)
     bwd = compare_preceq(b, a, config)
+    # both directions read the same two models, or not both have one: one provenance
     if fwd.is_satisfied and bwd.is_satisfied:
-        return ConditionVerdict.satisfied("equivalent",
-            {"C_forward": fwd.witness.get("C"), "C_backward": bwd.witness.get("C")})
+        return ConditionVerdict.satisfied("equivalent", {"C_forward": fwd.witness.get("C"),
+            "C_backward": bwd.witness.get("C")}, fwd.provenance)
     if fwd.is_violated or bwd.is_violated:
         side = fwd if fwd.is_violated else bwd
-        return ConditionVerdict.violated("equivalent", dict(side.counterexample or {}))
+        return ConditionVerdict.violated("equivalent", dict(side.counterexample or {}),
+                                         side.provenance)
     return ConditionVerdict.inconclusive("equivalent",
-        {"forward": fwd.status.value, "backward": bwd.status.value})
+        {"forward": fwd.status.value, "backward": bwd.status.value}, fwd.provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def _quotient_ratio_bounded(M: WeightSequence, N: WeightSequence,
     tm, tn = M.tail_model, N.tail_model
     limit = None if tm is None or tn is None else log_ratio_limit(tm, tn)
     if limit is not None:
-        return limit < math.inf, {"model": "tail laws", "log_ratio_limit": limit}
+        return limit < math.inf, {"log_ratio_limit": limit}
     P = min(M._capped(P), N._capped(P))
     d = M.log_quotients(P)[1:] - N.log_quotients(P)[1:]
     running = np.maximum.accumulate(d)
@@ -231,15 +231,15 @@ class MixedSeqProbe:
         if not 0.0 < sup < math.inf:
             return None
         P = min(self.M._capped(self.P), self.N._capped(self.P))
-        return ConditionVerdict.satisfied("mixed_seq", {"sup": sup, "P": P},
-                                          certified="tail-model")
+        return ConditionVerdict.satisfied("mixed_seq", {"sup": sup, "P": P}, "tail-model")
 
     def __call__(self, r: float) -> ConditionVerdict:
         pre, pre_info = self.pre, self.pre_info
         if pre is False:
             counter = {"p": pre_info.get("p", 0), "r": r,
                        "mu_over_nu": pre_info.get("ratio", math.inf)}
-            return ConditionVerdict.violated("mixed_seq", counter,
+            how = "tail-model" if "log_ratio_limit" in pre_info else "trend"
+            return ConditionVerdict.violated("mixed_seq", counter, how,
                 reason="quotient ratio mu/nu unbounded on range (precondition)",
                 **{k: v for k, v in pre_info.items() if k not in counter})
         verdict = self.closed(r) or self.sweep.verdict("mixed_seq", 1.0 / r)
@@ -343,11 +343,11 @@ class MixedFunProbe:
         conv = m.converges_against(s) if m is not None else None
         if conv is False:
             return ConditionVerdict.violated(cond, {"t": 1.0, "r": r,
-                "integral": math.inf},
+                "integral": math.inf}, "growth-model",
                 reason="kernel integral diverges at this order")
         if m is not None and ms is not None and _shape_cmp(m, ms) > 0:
             return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
-                "omega_over_sigma": float(self.omega_top / (sig[-1] + 1.0))},
+                "omega_over_sigma": float(self.omega_top / (sig[-1] + 1.0))}, "growth-model",
                 reason="integral >= r*omega(t) and omega/sigma is unbounded")
         if (m is None or ms is None) and self.omega_over_sigma.is_violated:
             return self.omega_over_sigma
@@ -378,14 +378,14 @@ class MixedFunProbe:
         c = _shape_cmp(m, ms)  # c <= 0 at this point
         if c < 0:
             return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info},
-                                              note="ratio to sigma vanishes at infinity")
+                "growth-model", note="ratio to sigma vanishes at infinity")
         limit = None
         if m.coeff is not None and ms.coeff is not None:
             denom = 1.0 / r - m.exponent
             if denom > 0:
                 limit = m.coeff / (denom * ms.coeff)
         C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
-        return ConditionVerdict.satisfied(cond, {"C": C, **info},
+        return ConditionVerdict.satisfied(cond, {"C": C, **info}, "growth-model",
             **({"model_ratio_limit": limit} if limit is not None else {}))
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from . import __version__
-from .verdict import _jsonify
+from .verdict import PROVENANCE, _jsonify
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 TOOL_NAME = "ultraweight"
 
 
@@ -50,12 +50,14 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+_STATUSES = ("satisfied", "violated", "inconclusive")
+
+
 def iter_statuses(obj: Any) -> Iterator[str]:
     """Every verdict status string buried anywhere in a result tree."""
     if isinstance(obj, Mapping):
         status = obj.get("status")
-        if isinstance(status, str) and status in ("satisfied", "violated",
-                                                  "inconclusive"):
+        if isinstance(status, str) and status in _STATUSES:
             yield status
         for v in obj.values():
             yield from iter_statuses(v)
@@ -87,11 +89,14 @@ def validate_report(data: Mapping[str, Any]) -> list[str]:
 
     def walk(obj: Any, path: str) -> None:
         if isinstance(obj, Mapping):
-            status = obj.get("status")
+            # a verdict, or an index sample with its status under "verdict"
+            status = obj.get("status", obj.get("verdict"))
             if status == "satisfied" and not obj.get("witness"):
                 problems.append(f"{path}: satisfied without witness")
             if status == "violated" and not obj.get("counterexample"):
                 problems.append(f"{path}: violated without counterexample")
+            if status in _STATUSES and obj.get("provenance") not in PROVENANCE:
+                problems.append(f"{path}: provenance {obj.get('provenance')!r}")
             for k, v in obj.items():
                 walk(v, f"{path}.{k}")
         elif isinstance(obj, (list, tuple)):

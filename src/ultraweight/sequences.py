@@ -738,7 +738,7 @@ def check_lc(M: WeightSequence, P: int = 2000) -> ConditionVerdict:
     if bad is not None:
         p = bad + 2  # first p with mu_p < mu_{p-1}
         return ConditionVerdict.violated("lc", {
-            "p": p, "mu_prev": math.exp(log_mu[p - 1]), "mu_p": math.exp(log_mu[p])})
+            "p": p, "mu_prev": math.exp(log_mu[p - 1]), "mu_p": math.exp(log_mu[p])}, "trend")
     return _monotone_satisfied(M, "lc", P, shift=0.0)
 
 
@@ -752,7 +752,7 @@ def check_slc(M: WeightSequence, P: int = 2000) -> ConditionVerdict:
     if bad is not None:
         q = bad + 2  # first p with mu_p/p < mu_{p-1}/(p-1)
         return ConditionVerdict.violated("slc", {
-            "p": q, "prev": math.exp(red[q - 2]), "mu_p_over_p": math.exp(red[q - 1])})
+            "p": q, "prev": math.exp(red[q - 2]), "mu_p_over_p": math.exp(red[q - 1])}, "trend")
     return _monotone_satisfied(M, "slc", P, shift=-1.0)
 
 
@@ -765,14 +765,14 @@ def _monotone_satisfied(M: WeightSequence, cond: str, P: int, shift: float) -> C
     structural fact recorded by a construction.
     """
     if cond in M.structural:
-        return ConditionVerdict.satisfied(cond, {"checked_up_to": P}, certified="structural")
+        return ConditionVerdict.satisfied(cond, {"checked_up_to": P}, "structure")
     if M.finite_size is not None:
-        return ConditionVerdict.satisfied(cond, {"checked_up_to": P}, certified="finite-domain")
+        return ConditionVerdict.satisfied(cond, {"checked_up_to": P}, "finite-domain")
     tm = M.tail_model
     if tm is not None and tm.exact:
         eventually = (tm.e_hi + shift >= 0) if tm.kind == "power" else True
         if eventually and P >= tm.start:
-            return ConditionVerdict.satisfied(cond, {"checked_up_to": P}, certified="tail-model")
+            return ConditionVerdict.satisfied(cond, {"checked_up_to": P}, "tail-model")
         if not eventually:
             # quotient law eventually decreasing: locate a concrete violation
             probe = max(P, tm.start) + 1
@@ -781,10 +781,9 @@ def _monotone_satisfied(M: WeightSequence, cond: str, P: int, shift: float) -> C
             red = lm[1:] + shift * np.log(pr)
             bad = _first_violation(np.diff(red), 0.0)
             if bad is not None:
-                return ConditionVerdict.violated(cond, {"p": bad + 1})
+                return ConditionVerdict.violated(cond, {"p": bad + 1}, "tail-model")
     return ConditionVerdict.inconclusive(cond, {
-        "checked_up_to": P, "monotone_on_range": True},
-        note="no model certifies behaviour beyond the computed range")
+        "checked_up_to": P, "monotone_on_range": True}, "trend")
 
 
 def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
@@ -800,7 +799,7 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
     """
     P = min(M._capped(P), _MG_P_CAP) // 2
     if P < 8:
-        return ConditionVerdict.inconclusive("mg", {"checked_up_to": P},
+        return ConditionVerdict.inconclusive("mg", {"checked_up_to": P}, "trend",
                                              note="range too short")
     log_M = M.log_values(2 * P)
     idx = np.arange(P + 1)
@@ -824,7 +823,7 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
         return ConditionVerdict.inconclusive("mg", {
             "running_max_log": [v for v in running if math.isfinite(v)],
             "checked_up_to": P, "log_M_infinite_from_p": int(np.argmin(inside)),
-            "note": "log M_p leaves the float range"})
+            "note": "log M_p leaves the float range"}, "trend")
     model_bounded = None
     tm = M.tail_model
     if tm is not None:
@@ -832,7 +831,8 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
     if model_bounded is False:
         return ConditionVerdict.inconclusive("mg", {
             "running_max_log": running, "checked_up_to": P,
-            "model": "quotients grow supra-polynomially; no constant can work"})
+            "model": "quotients grow supra-polynomially; no constant can work"}, "tail-model")
+    how = "tail-model" if model_bounded else "stabilized-range"
     if stabilized(np.array(running)) or model_bounded:
         # M_{p+q} / (M_p M_q) = binom(p+q, p)**e / M_0 <= 2**(e (p+q)) for
         # every p, q on an exact power tail from index 1, also past the range
@@ -842,15 +842,14 @@ def check_mg(M: WeightSequence, P: int = 1024) -> ConditionVerdict:
         if not log_C < _LOG_FLOAT_MAX:
             return ConditionVerdict.inconclusive("mg", {
                 "running_max_log": running, "checked_up_to": P,
-                "note": "the constant C exceeds the float range"})
+                "note": "the constant C exceeds the float range"}, how)
         C = math.exp(running[-1])
         if e is not None:
             C = max(C, 2.0 ** e)
-        return ConditionVerdict.satisfied("mg", {"C": C, "checked_up_to": P},
-                                          certified="tail-model" if model_bounded else "range-stabilized")
+        return ConditionVerdict.satisfied("mg", {"C": C, "checked_up_to": P}, how)
     return ConditionVerdict.inconclusive("mg", {
         "running_max_log": running, "checked_up_to": P,
-        "note": "running max still growing at range end"})
+        "note": "running max still growing at range end"}, "trend")
 
 
 def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
@@ -877,28 +876,27 @@ def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> Condition
             return ConditionVerdict.satisfied(cond, {
                 "sum": math.exp(total_hi),
                 "sum_lower": math.exp(total_lo),
-                "partial_terms": P}, certified="tail-model")
+                "partial_terms": P}, "tail-model")
         if conv is False:
             return ConditionVerdict.violated(cond, {
                 "partial_sum": math.exp(log_s1), "at_p": P,
                 "tail_exponent": tm.e_hi * inv_r if tm.kind == "power" else math.inf},
-                reason="tail model certifies a divergent minorant p-series")
+                "tail-model")
     # no usable model: look at the partial-sum trend over successive doublings
     if P < 8:
         return ConditionVerdict.inconclusive(cond, {
-            "partial_sum": math.exp(log_s1), "at_p": P},
+            "partial_sum": math.exp(log_s1), "at_p": P}, "trend",
             note="range too short for a trend call")
     s4, s2, s1 = math.exp(log_s4), math.exp(log_s2), math.exp(log_s1)
     d_prev, d_last = s2 - s4, s1 - s2
     if d_last > SUM_UNDIMINISHED * d_prev and d_last > 1e-12 * s1:
         return ConditionVerdict.violated(cond, {
             "partial_sum": s1, "at_p": P,
-            "increment_last_doubling": d_last, "increment_previous": d_prev},
+            "increment_last_doubling": d_last, "increment_previous": d_prev}, "trend",
             reason="partial sums keep growing at an undiminished rate")
     return ConditionVerdict.inconclusive(cond, {
         "partial_sum": s1, "at_p": P,
-        "increment_last_doubling": d_last, "increment_previous": d_prev},
-        note="no tail model; finite data cannot certify convergence")
+        "increment_last_doubling": d_last, "increment_previous": d_prev}, "trend")
 
 
 def check_nq(M: WeightSequence, P: int = DEFAULT_P_MAX) -> ConditionVerdict:
@@ -946,16 +944,15 @@ def _check_beta(M: WeightSequence, threshold: str, P: int) -> ConditionVerdict:
                 witness = {"Q": Q, "liminf": math.exp(min(limit, 700.0))}
                 if window:
                     witness["window_liminf"] = math.exp(min(window["window_liminf_log"], 700.0))
-                return ConditionVerdict.satisfied(cond, witness, certified="tail-model")
+                return ConditionVerdict.satisfied(cond, witness, "tail-model")
     if tm is not None and tm.exact and tm.kind == "power":
         e = tm.e_hi
         fails = (e <= 1.0) if threshold == "Q" else (e <= 0.0)
         if fails:
             return ConditionVerdict.violated(cond, {
-                "Q_max": _BETA_Q_MAX, "quotient_exponent": e},
+                "Q_max": _BETA_Q_MAX, "quotient_exponent": e}, "tail-model",
                 reason="ratio liminf equals Q**e for every Q, below the threshold")
-    return ConditionVerdict.inconclusive(cond, {"per_Q": evidence},
-                                         note="no model certifies the liminf")
+    return ConditionVerdict.inconclusive(cond, {"per_Q": evidence}, "trend")
 
 
 def check_beta1(M: WeightSequence, P: int = 160000) -> ConditionVerdict:
@@ -982,33 +979,30 @@ def finish_sup_verdict(cond: str, log_F: Optional[np.ndarray], converges: Option
     that is still moving.
     """
     if log_F is None:
-        return ConditionVerdict.violated(cond, {
-            "p": 1, "inner_sum": math.inf},
-            reason="inner sum diverges per the tail model")
+        return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf}, "tail-model")
     n = len(log_F)
     first, last = (float(log_F[0]), float(np.max(log_F))) if n else (math.nan, math.nan)
     if math.inf in (first, last):
-        return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf},
+        return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf}, "trend",
                                          reason="inner sum not finite on range")
     if not (math.isfinite(first) and math.isfinite(last)):
         # nan where a quotient past the float range meets a vanishing sum
         # (inf - inf), or no term at all: the sweep shows nothing
-        return ConditionVerdict.inconclusive(cond, {"P": P},
+        return ConditionVerdict.inconclusive(cond, {"P": P}, "trend",
             note="the sweep is not finite on range (quotients past the float range)")
     sup = math.exp(last)
     is_stable = n >= 4 and settled(float(np.max(log_F[: n // 2 + 1])), last)
     if is_stable and converges is True:
         return ConditionVerdict.satisfied(cond, {"sup": sup, "P": P},
-                                          certified="range-stabilized+tail-model")
+                                          "stabilized-range+tail-model")
     if is_stable:
-        return ConditionVerdict.inconclusive(cond, {
-            "sup_on_range": sup, "P": P},
-            note="sup stabilized but the inner-sum tail is uncertified")
+        return ConditionVerdict.inconclusive(cond, {"sup_on_range": sup, "P": P},
+            "stabilized-range", note="sup stabilized but the inner-sum tail is uncertified")
     running = np.maximum.accumulate(log_F)
     return ConditionVerdict.inconclusive(cond, {
         "sup_on_range": sup, "P": P,
         "running_sup_log": [float(v) for v in running[:: max(1, len(running) // 16)]]},
-        note="running sup still moving at range end")
+        "trend", note="running sup still moving at range end")
 
 
 # condition name -> checker; every checker takes P, the largest index probed,
@@ -1045,13 +1039,14 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
         bwd = compare(N, M, "precsim", P)
         if fwd.is_satisfied and bwd.is_satisfied:
             w = max(fwd.witness["sup"], bwd.witness["sup"])
-            return ConditionVerdict.satisfied("equivalent", {"sup_both_ways": w})
+            return ConditionVerdict.satisfied("equivalent", {"sup_both_ways": w}, fwd.provenance)
         if fwd.is_violated or bwd.is_violated:
             loser = fwd if fwd.is_violated else bwd
             return ConditionVerdict.violated("equivalent", dict(loser.counterexample),
-                                             direction="forward" if fwd.is_violated else "backward")
+                loser.provenance, direction="forward" if fwd.is_violated else "backward")
+        # both directions read the same two laws, or neither has them: one provenance
         return ConditionVerdict.inconclusive("equivalent", {
-            "forward": fwd.status.value, "backward": bwd.status.value})
+            "forward": fwd.status.value, "backward": bwd.status.value}, fwd.provenance)
 
     P = min(M._capped(P), N._capped(P))
     d = (M.log_values(P)[1:] - N.log_values(P)[1:]) / np.arange(1, P + 1)
@@ -1066,10 +1061,9 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
     if relation == "precsim":
         if limit is not None:
             if limit < math.inf:
-                return ConditionVerdict.satisfied("precsim", {"sup": _exp(sup_d)},
-                                                  certified="tail-model")
+                return ConditionVerdict.satisfied("precsim", {"sup": _exp(sup_d)}, "tail-model")
             return ConditionVerdict.violated("precsim", {
-                "p": P, "ratio_root": _exp(float(d[-1]))},
+                "p": P, "ratio_root": _exp(float(d[-1]))}, "tail-model",
                 reason="model: (M_p/N_p)^(1/p) diverges")
         slope = float(win[-1] - win[0])
         if slope <= COMPARE_SLOPE * max(1.0, abs(sup_d)):
@@ -1080,11 +1074,10 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
     if limit is not None:
         if limit == -math.inf:
             return ConditionVerdict.satisfied("vartriangleleft",
-                                              {"limit": 0.0, "window_value": _exp(float(win[-1]))},
-                                              certified="tail-model")
+                {"limit": 0.0, "window_value": _exp(float(win[-1]))}, "tail-model")
         return ConditionVerdict.violated("vartriangleleft", {
             "p": P, "ratio_root": _exp(float(win[-1])),
-            "limit": _exp(limit)},
+            "limit": _exp(limit)}, "tail-model",
             reason="model: ratio root does not vanish")
     if float(win[-1]) < float(win[0]) and win[-1] < math.log(COMPARE_ROOT):
         return grid_decided("vartriangleleft", Verdict.SATISFIED, "window root",

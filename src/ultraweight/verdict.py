@@ -3,7 +3,8 @@
 A condition check never returns a bare bool: asymptotic facts decided from
 finite data carry their evidence.  `Satisfied` must name at least one witness
 constant, `Violated` must point at a counterexample, and `Inconclusive`
-carries the trend data that stopped short of a decision.
+carries the trend data that stopped short of a decision.  Each names what
+decided it, its provenance, from the one vocabulary `PROVENANCE`.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ class EvaluationRangeError(UltraweightError):
     """Evaluation requested beyond the range supported by the data."""
 
 
+# what decided a verdict, in any status: a structural fact of the object, a
+# finite list's whole domain, a sequence's tail law, a function's growth model,
+# a running sup settled on the computed range (with a tail law for the rest),
+# or "trend": the finite data alone, a rule on the range or a counterexample in it
+PROVENANCE = frozenset({"structure", "finite-domain", "tail-model", "growth-model",
+                        "stabilized-range", "stabilized-range+tail-model", "trend"})
+
+
 class Verdict(enum.Enum):
     SATISFIED = "satisfied"
     VIOLATED = "violated"
@@ -91,17 +100,21 @@ class ConditionVerdict:
 
     `witness` holds the constants certifying a Satisfied verdict, `counterexample`
     the point (and offending values) behind a Violated one, `trend` whatever
-    finite evidence was gathered when neither could be concluded.
+    finite evidence was gathered when neither could be concluded, and
+    `provenance` what decided it (one of `PROVENANCE`).
     """
 
     condition: str
     status: Verdict
+    provenance: str
     witness: Mapping[str, float] = field(default_factory=dict)
     counterexample: Mapping[str, float] = field(default_factory=dict)
     trend: Mapping[str, Any] = field(default_factory=dict)
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.provenance not in PROVENANCE:
+            raise InternalInconsistency(f"{self.condition!r}: provenance {self.provenance!r}")
         if self.status is Verdict.SATISFIED and not self.witness:
             raise InternalInconsistency(
                 f"Satisfied verdict for {self.condition!r} lacks a witness constant")
@@ -122,25 +135,26 @@ class ConditionVerdict:
         return self.status is Verdict.INCONCLUSIVE
 
     @staticmethod
-    def satisfied(condition: str, witness: Mapping[str, float],
+    def satisfied(condition: str, witness: Mapping[str, float], provenance: str,
                   **diag: Any) -> "ConditionVerdict":
-        return ConditionVerdict(condition, Verdict.SATISFIED, witness=dict(witness),
-                                diagnostics=diag)
+        return ConditionVerdict(condition, Verdict.SATISFIED, provenance,
+                                witness=dict(witness), diagnostics=diag)
 
     @staticmethod
-    def violated(condition: str, counterexample: Mapping[str, float],
+    def violated(condition: str, counterexample: Mapping[str, float], provenance: str,
                  **diag: Any) -> "ConditionVerdict":
-        return ConditionVerdict(condition, Verdict.VIOLATED,
+        return ConditionVerdict(condition, Verdict.VIOLATED, provenance,
                                 counterexample=dict(counterexample), diagnostics=diag)
 
     @staticmethod
-    def inconclusive(condition: str, trend: Mapping[str, Any],
+    def inconclusive(condition: str, trend: Mapping[str, Any], provenance: str,
                      **diag: Any) -> "ConditionVerdict":
-        return ConditionVerdict(condition, Verdict.INCONCLUSIVE, trend=dict(trend),
-                                diagnostics=diag)
+        return ConditionVerdict(condition, Verdict.INCONCLUSIVE, provenance,
+                                trend=dict(trend), diagnostics=diag)
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {"condition": self.condition, "status": self.status.value}
+        out: dict[str, Any] = {"condition": self.condition, "status": self.status.value,
+                               "provenance": self.provenance}
         if self.witness:
             out["witness"] = _jsonify(self.witness)
         if self.counterexample:
@@ -158,11 +172,10 @@ _EVIDENCE = {Verdict.SATISFIED: "witness", Verdict.VIOLATED: "counterexample",
 
 def grid_decided(cond: str, status: Verdict, rule: str,
                  evidence: Mapping[str, Any]) -> ConditionVerdict:
-    """A verdict the finite grid decided alone, with no model behind it: the
-    one writer of `grid_only`, which the evidence of its status carries
-    together with the rule that decided."""
-    return ConditionVerdict(cond, status, **{_EVIDENCE[status]: {
-        "rule": rule, **evidence, "grid_only": True}})
+    """A verdict the finite grid decided alone, with no model behind it:
+    provenance `trend`, and the rule that decided in its diagnostics."""
+    return ConditionVerdict(cond, status, "trend", diagnostics={"rule": rule},
+                            **{_EVIDENCE[status]: dict(evidence)})
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

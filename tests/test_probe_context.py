@@ -213,22 +213,22 @@ def reference_sup_verdict(cond, log_F, tail_converges):
     """finish_sup_verdict on the full running sup, for a tail that may converge."""
     running = np.maximum.accumulate(log_F)
     if len(running) and math.inf in (running[0], running[-1]):
-        return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf},
+        return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf}, "trend",
                                          reason="inner sum not finite on range")
     if not len(running) or not np.all(np.isfinite(running)):
-        return ConditionVerdict.inconclusive(cond, {"P": len(log_F)},
+        return ConditionVerdict.inconclusive(cond, {"P": len(log_F)}, "trend",
             note="the sweep is not finite on range (quotients past the float range)")
     sup, P = math.exp(float(running[-1])), len(log_F)
     if stabilized(running) and tail_converges is True:
         return ConditionVerdict.satisfied(cond, {"sup": sup, "P": P},
-                                          certified="range-stabilized+tail-model")
+                                          "stabilized-range+tail-model")
     if stabilized(running):
         return ConditionVerdict.inconclusive(cond, {"sup_on_range": sup, "P": P},
-            note="sup stabilized but the inner-sum tail is uncertified")
+            "stabilized-range", note="sup stabilized but the inner-sum tail is uncertified")
     return ConditionVerdict.inconclusive(cond, {
         "sup_on_range": sup, "P": P,
         "running_sup_log": [float(v) for v in running[:: max(1, len(running) // 16)]]},
-        note="running sup still moving at range end")
+        "trend", note="running sup still moving at range end")
 
 
 def on_the_boundary(half: float) -> float:
@@ -309,9 +309,8 @@ def test_a_refuted_order_sums_nothing(monkeypatch):
     monkeypatch.setattr(sequences, "log_suffix_sums", summed)
     probe = MixedSeqProbe(uw.gevrey(1.0), inexact(uw.gevrey(2.0)), uw.RunConfig())
     assert probe(4.0).to_dict() == {
-        "condition": "mixed_seq", "status": "violated",
-        "counterexample": {"p": 1, "inner_sum": "inf"},
-        "diagnostics": {"reason": "inner sum diverges per the tail model", "r": 4.0}}
+        "condition": "mixed_seq", "status": "violated", "provenance": "tail-model",
+        "counterexample": {"p": 1, "inner_sum": "inf"}, "diagnostics": {"r": 4.0}}
     with pytest.raises(RuntimeError, match="log_suffix_sums called"):
         probe(1.0)
 
@@ -323,9 +322,8 @@ def test_gamma1_at_a_refuted_order_sums_nothing(monkeypatch):
 
     monkeypatch.setattr(sequences, "log_suffix_sums", summed)
     assert sequences.check_gamma1(uw.gevrey(1.0)).to_dict() == {
-        "condition": "gamma1", "status": "violated",
-        "counterexample": {"p": 1, "inner_sum": "inf"},
-        "diagnostics": {"reason": "inner sum diverges per the tail model"}}
+        "condition": "gamma1", "status": "violated", "provenance": "tail-model",
+        "counterexample": {"p": 1, "inner_sum": "inf"}}
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def test_closed_sup_matches_the_sweep(pair):
     M, N = power_law(e_M, c_M), power_law(e_N, c_N)
     closed = MixedSeqProbe(M, N, FAST)(r)
     swept = RatioSweep(M, N, FAST.p_max).verdict("mixed_seq", 1.0 / r)
-    assert closed.diagnostics["certified"] == "tail-model"
+    assert closed.provenance == "tail-model"
     assert closed.status == swept.status == Verdict.SATISFIED
     assert closed.witness["P"] == swept.witness["P"]
     assert closed.witness["sup"] == pytest.approx(swept.witness["sup"], rel=1e-12)
@@ -377,7 +375,8 @@ def test_closed_sup_reads_no_quotient(monkeypatch, M, N):
         monkeypatch.setattr(seq, "log_quotients", read)
     verdict = MixedSeqProbe(M, N, uw.RunConfig())(1.25)
     assert verdict.is_satisfied
-    assert verdict.diagnostics == {"certified": "tail-model", "r": 1.25}
+    assert verdict.provenance == "tail-model"
+    assert verdict.diagnostics == {"r": 1.25}
     assert verdict.witness["P"] == uw.RunConfig().p_max
     assert math.isfinite(verdict.witness["sup"])
 
@@ -386,4 +385,4 @@ def test_closed_sup_leaves_a_refuted_order_to_the_sweep():
     """At r >= e_N the closed form is inf: the sweep's tail model refutes."""
     probe = MixedSeqProbe(uw.gevrey(1.0), uw.gevrey(2.0), FAST)
     assert probe(2.0).is_violated
-    assert probe(2.0).diagnostics["reason"] == "inner sum diverges per the tail model"
+    assert probe(2.0).provenance == "tail-model"

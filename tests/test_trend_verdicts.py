@@ -7,8 +7,8 @@ for the associated function of the quotients p**2.  Neither carries a
 on the finite grid alone; the mixed condition is also run against the power
 laws t**0.1 and t**0.3, whose model cannot decide it while sigma has none.
 
-Each case pins its status, and a verdict says `grid_only` exactly when no model
-or structure decided it.
+Each case pins its status, and a verdict has provenance `trend` exactly when
+no model or structure decided it.
 """
 
 from __future__ import annotations
@@ -134,34 +134,35 @@ def verdicts():
 
 
 def test_satisfied_on_the_grid_says_so(verdicts):
-    """A Satisfied verdict's witness says grid_only exactly when the grid
+    """A Satisfied verdict has provenance trend exactly when the grid
     decided it, including the mixed condition against a power law whose
     model certifies convergence while sigma has no model."""
     wrong = [case for case, v, on_grid in verdicts
-             if v.is_satisfied and bool(v.witness.get("grid_only")) != on_grid]
+             if v.is_satisfied and (v.provenance == "trend") != on_grid]
     assert not wrong
 
 
 def test_every_grid_verdict_says_so(verdicts):
     """Violated and Inconclusive verdicts decided on the grid say so as well."""
     wrong = [case for case, v, on_grid in verdicts
-             if bool(_evidence(v).get("grid_only")) != on_grid]
+             if (v.provenance == "trend") != on_grid]
     assert not wrong
 
 
 def test_trend_rules_share_one_layout(verdicts):
     """Verdicts of the bounded and the vanishing rule carry the same keys:
-    the rule, the quantity it read, the grid end and the running sup at the
-    quarter, the middle and the end of the grid; a bounded Satisfied adds C,
-    the vanishing rule the ratio itself at the middle and the end."""
+    the quantity it read, the grid end and the running sup at the quarter,
+    the middle and the end of the grid; a bounded Satisfied adds C, the
+    vanishing rule the ratio itself at the middle and the end.  The rule
+    itself is in the diagnostics."""
     seen = set()
     for case, v, _ in verdicts:
-        ev = _evidence(v)
-        if ev.get("rule") not in ("bounded", "vanishing"):
+        ev, rule = _evidence(v), v.diagnostics.get("rule")
+        if rule not in ("bounded", "vanishing"):
             continue
-        seen.add(ev["rule"])
-        keys = {"rule", "of", "t", "sup", "grid_only"}
-        if ev["rule"] == "vanishing":
+        seen.add(rule)
+        keys = {"of", "t", "sup"}
+        if rule == "vanishing":
             keys.add("ratio")
         elif v.is_satisfied:
             keys.add("C")
