@@ -152,7 +152,9 @@ def _bisect_index(name: str, probe: Callable[[float], ConditionVerdict], *,
     diag = dict(diagnostics)
     diag["probes"] = spent
     diag["tol_target"] = tol
-    method = "bisection"
+    # an end that a trend-decided probe fixed is no certified end
+    ends = (samples[r].provenance for r in (lo, hi) if r in samples)
+    method = "bisection+trend" if "trend" in ends else "bisection"
     if all_inconclusive:
         lo, hi = 0.0, INDEX_CAP
         method = "bisection+undecided"
@@ -202,7 +204,9 @@ class MixedSeqProbe:
     precondition and the sweep set-up (log quotients of M and N, log p) do
     not depend on r: one index call computes them once for all its probes.
     The sweep is set up on the first order that needs it, on `sums`, N's
-    SuffixSums up to p_max, when the caller holds them.
+    SuffixSums up to p_max, when the caller holds them, and reads the
+    quotients on the first order that sums: an order N's law refutes reads
+    none.
     """
 
     def __init__(self, M: WeightSequence, N: WeightSequence, config: RunConfig,

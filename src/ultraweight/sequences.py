@@ -19,6 +19,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -631,15 +632,19 @@ class SuffixSums:
     """Tail-completed suffix sums of nu_k**(-inv_r) of one sequence N up to P,
     at any order.
 
-    N's log quotients are read once; each order computes only its terms, its
-    tail bracket and their log suffix sums.
+    N's log quotients are read once, on the first order that sums; each order
+    computes only its terms, its tail bracket and their log suffix sums.
     """
 
     def __init__(self, N: WeightSequence, P: int):
         self.N = N
         self.P = N._capped(P)
-        self.log_nu = read_only(N.log_quotients(self.P)[1:])  # log nu_k, k = 1..P
         self._last: tuple[float, np.ndarray] | None = None  # the last order's log_T
+
+    @cached_property
+    def log_nu(self) -> np.ndarray:
+        """log nu_k, k = 1..P, read on the first order that sums."""
+        return read_only(self.N.log_quotients(self.P)[1:])
 
     def tail(self, inv_r: float) -> tuple[tuple[float, float] | None, Optional[bool]]:
         """N's tail bracket past P and whether its tail model says the sum converges.
@@ -684,10 +689,11 @@ class RatioSweep:
     """sup_p (mu_p**inv_r / p) * sum_{k>=p} nu_k**(-inv_r) of one pair (M, N)
     over p = 1..P, at any order.
 
-    The log quotients of M and N and log p are read once; each order computes
-    only N's suffix sums and the per-p log values, and none of them when N's
-    tail model says the inner sum diverges.  `sums`, N's SuffixSums up to P
-    when the caller holds them already, are read and not summed again.
+    The log quotients of M and N and log p are read once, on the first order
+    that sums; each order computes only N's suffix sums and the per-p log
+    values, and reads nothing when N's tail model says the inner sum
+    diverges.  `sums`, N's SuffixSums up to P when the caller holds them
+    already, are read and not summed again.
     """
 
     def __init__(self, M: WeightSequence, N: WeightSequence, P: int,
@@ -695,9 +701,15 @@ class RatioSweep:
         self.sums = SuffixSums(N, P) if sums is None else sums
         if self.sums.N is not N or self.sums.P != N._capped(P):
             raise InternalInconsistency("suffix sums of another sequence or range")
-        self.P = min(self.sums.P, M._capped(P))
-        self.log_mu = read_only(M.log_quotients(self.P)[1: self.P + 1])
-        self.log_p = log_p(1, self.P)
+        self.M, self.P = M, min(self.sums.P, M._capped(P))
+
+    @cached_property
+    def log_mu(self) -> np.ndarray:
+        return read_only(self.M.log_quotients(self.P)[1: self.P + 1])
+
+    @cached_property
+    def log_p(self) -> np.ndarray:
+        return log_p(1, self.P)
 
     def verdict(self, cond: str, inv_r: float) -> ConditionVerdict:
         """The verdict on the sup at one order.
@@ -873,6 +885,10 @@ def check_nq_r(M: WeightSequence, r: float, P: int = DEFAULT_P_MAX) -> Condition
             lo_t, hi_t = tm.tail_power_sum(inv_r, P + 1)
             total_hi = float(np.logaddexp(log_s1, math.log(hi_t) if hi_t > 0 else -math.inf))
             total_lo = float(np.logaddexp(log_s1, math.log(lo_t) if lo_t > 0 else -math.inf))
+            if not total_hi < _LOG_FLOAT_MAX:
+                # a convergent tail that no float bounds certifies nothing
+                return ConditionVerdict.inconclusive(cond, {
+                    "partial_sum": math.exp(log_s1), "at_p": P, "tail_lower": lo_t}, "tail-model")
             return ConditionVerdict.satisfied(cond, {
                 "sum": math.exp(total_hi),
                 "sum_lower": math.exp(total_lo),
@@ -990,7 +1006,11 @@ def finish_sup_verdict(cond: str, log_F: Optional[np.ndarray], converges: Option
         # (inf - inf), or no term at all: the sweep shows nothing
         return ConditionVerdict.inconclusive(cond, {"P": P}, "trend",
             note="the sweep is not finite on range (quotients past the float range)")
+    # exp of a log sup below about -708 loses precision, and below -745
+    # rounds to 0: the next float up keeps the sup an upper bound
     sup = math.exp(last)
+    if sup < sys.float_info.min:
+        sup = math.nextafter(sup, math.inf)
     is_stable = n >= 4 and settled(float(np.max(log_F[: n // 2 + 1])), last)
     if is_stable and converges is True:
         return ConditionVerdict.satisfied(cond, {"sup": sup, "P": P},

@@ -242,6 +242,27 @@ class TestCheckDefaults:
             assert err == "" and not has_nan(out)
             assert json.loads(out)["results"]["diagnostics"]["sigma_2"] == "inf"
 
+    def test_a_sup_witness_below_the_float_range_stays_positive(self, capsys):
+        # on qgevrey:2 at r = 1e-300 the log sup of (L, N) is far below -745,
+        # where exp gives 0: the witness rounds up to the smallest float
+        code, out, err = run(capsys, "descend", "--sequence", "qgevrey:2", "--r", "1e-300")
+        assert code == cli.EXIT_OK, err
+        mixed = json.loads(out)["results"]["checks"]["mixed_L_N"]
+        assert mixed["status"] == "satisfied"
+        assert mixed["witness"]["sup"] == 5e-324
+
+    def test_a_tail_bracket_past_the_float_range_is_no_sum(self, capsys):
+        # a = 4.4e-316: the law says the sum converges, but no float bounds
+        # its tail, so the law leaves it undecided; the undiminished-increment
+        # rule on the partial sums would have called it Violated
+        code, out, err = run(capsys, "check", "--sequence",
+                             "power(qgevrey:1.0000000000000002,1e-300)",
+                             "--conditions", "nq_r", "--r", "1e10")
+        assert code == cli.EXIT_INCONCLUSIVE, err
+        v = json.loads(out)["results"]["nq_r"]
+        assert (v["status"], v["provenance"]) == ("inconclusive", "tail-model")
+        assert "inf" not in json.dumps(v["trend"])
+
     @pytest.mark.parametrize("omega", [
         "assoc(descendant(qgevrey:2,1))",
         '{"kind":"assoc","sequence":{"family":"explicit",'
@@ -327,6 +348,18 @@ class TestIndexCommand:
         for sample in est["samples"]:
             if sample["verdict"] != "satisfied":
                 assert sample["r"] >= est["lower"]
+
+    def test_a_bracket_fixed_by_a_trend_says_so(self, capsys):
+        # no growth model: the window integrals decide every probe, so the
+        # bracket around mu = 8.1 rests on a trend (the truth is the cap)
+        code, rep = run_json(capsys, "index", "mu", "--omega",
+                             '{"kind":"assoc","sequence":{"family":"explicit",'
+                             '"values":[1,1,2,6,24,120]}}')
+        est = rep["results"]["estimate"]
+        assert est["method"] == "bisection+trend"
+        assert (est["lower"], est["upper"]) == (8.1015625, 8.109375)
+        ends = [s for s in est["samples"] if s["r"] in (est["lower"], est["upper"])]
+        assert [s["provenance"] for s in ends] == ["trend", "trend"]
 
     def test_index_needs_an_input(self, capsys):
         assert run(capsys, "index", "gamma")[0] == cli.EXIT_USAGE

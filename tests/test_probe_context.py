@@ -11,8 +11,10 @@ sup matches the sweep's.
 """
 
 import math
+import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +221,8 @@ def reference_sup_verdict(cond, log_F, tail_converges):
         return ConditionVerdict.inconclusive(cond, {"P": len(log_F)}, "trend",
             note="the sweep is not finite on range (quotients past the float range)")
     sup, P = math.exp(float(running[-1])), len(log_F)
+    if sup < sys.float_info.min:  # rounded up: the sup stays an upper bound
+        sup = math.nextafter(sup, math.inf)
     if stabilized(running) and tail_converges is True:
         return ConditionVerdict.satisfied(cond, {"sup": sup, "P": P},
                                           "stabilized-range+tail-model")
@@ -324,6 +328,27 @@ def test_gamma1_at_a_refuted_order_sums_nothing(monkeypatch):
     assert sequences.check_gamma1(uw.gevrey(1.0)).to_dict() == {
         "condition": "gamma1", "status": "violated", "provenance": "tail-model",
         "counterexample": {"p": 1, "inner_sum": "inf"}}
+
+
+@pytest.mark.parametrize("pair", [("gevrey:1.7", "gevrey:1.7"), ("gevrey:1.1", "gevrey:1.7")])
+def test_a_refuted_probe_grows_no_table(monkeypatch, pair):
+    """At r = 2 N's law refutes the inner sum: neither table grows."""
+    def read(*args, **kwargs):
+        raise RuntimeError("a quotient table grew")
+
+    M, N = (uw.make_sequence(x) for x in pair)
+    for seq in (M, N):
+        monkeypatch.setattr(seq, "ensure", read)
+    verdict = MixedSeqProbe(M, N, uw.RunConfig())(2.0)
+    assert verdict.is_violated and verdict.provenance == "tail-model"
+    assert verdict.counterexample == {"p": 1, "inner_sum": math.inf}
+
+
+@pytest.mark.parametrize("last", [-700.0, -720.0, -745.0, -746.0, -800.0, -1e6])
+def test_a_sup_below_the_float_range_stays_an_upper_bound(last):
+    log_F = np.array([last - 3.0, last, last - 2.0, last, last - 0.5])  # settled
+    sup = finish_sup_verdict("mixed_seq", log_F, True, len(log_F)).witness["sup"]
+    assert sup > 0.0 and mpmath.mpf(sup) >= mpmath.exp(last)
 
 
 # ---------------------------------------------------------------------------
