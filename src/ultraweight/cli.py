@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .verdict import (DEFAULT_INDEX_TOL, Grid, InvalidArgument, InvalidSpec,
-                      PreconditionError, RunConfig, UltraweightError)
+from .verdict import (DEFAULT_INDEX_TOL, DEFAULT_P_MAX, Grid, InvalidArgument,
+                      InvalidSpec, PreconditionError, RunConfig,
+                      UltraweightError)
 from .sequences import SEQUENCE_CHECKS
 from .functions import OMEGA_CHECKS, check_omega_condition
 from .indices import gamma_index_fun, gamma_index_seq, mu_fun, mu_seq
@@ -42,7 +43,7 @@ def _grid(args) -> Grid:
 
 
 def _config(args) -> RunConfig:
-    p_max = 10 ** 5 if args.pmax is None else args.pmax
+    p_max = DEFAULT_P_MAX if args.pmax is None else args.pmax
     return RunConfig(grid=_grid(args), p_max=p_max, index_tol=args.tol)
 
 

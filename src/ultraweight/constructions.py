@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +34,9 @@ from .functions import (AssociatedOf, ConvexPL, KappaPower, PiecewiseGlue,
                         conjugate_pl, convexify, normalize)
 from .indices import (Gamma1Witness, MixedSeqProbe, find_gamma1_witness,
                       mixed_condition_fun)
-from .sequences import (SuffixSums, TailModel, WeightSequence, check_lc,
-                        check_nq_r, check_slc, hat, log_p, power)
+from .sequences import (PRECONDITION_P, SuffixSums, TailModel,
+                        WeightSequence, check_nq_r, check_slc, hat, log_p,
+                        power, require_log_convex)
 from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
                       GammaNotAboveOne, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, NotNonQuasianalytic,
@@ -45,6 +46,7 @@ from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
 DEFAULT_LEVELS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 _LADDER = 64  # 1.05 steps per eval call in _monotone_threshold
 DEFAULT_J_MAX = 64
+_SANDWICH_SAMPLES = 200  # reduction_build: sandwich samples per glue segment
 
 _HAT_X_TOP = float(1 << 20)  # conjugate slope coverage for the function route
 
@@ -53,24 +55,15 @@ _HAT_X_TOP = float(1 << 20)  # conjugate slope coverage for the function route
 # sup transform: sequence -> function
 # ---------------------------------------------------------------------------
 
-def _lc_verdict(M: WeightSequence, config: RunConfig) -> ConditionVerdict:
-    return check_lc(M, min(int(config.p_max), 20000))
+def _require_sup_transform(M: WeightSequence, config: RunConfig) -> None:
+    """The domain of the sup transform: M log-convex (NotLogConvex), and the
+    transform finite everywhere, which needs (M_p)^(1/p) -> inf
+    (DivergentAssociated).
 
-
-def _require_log_convex(M: WeightSequence, config: RunConfig) -> ConditionVerdict:
-    verdict = _lc_verdict(M, config)
-    if verdict.is_violated:
-        raise NotLogConvex(f"{M.label} is not log-convex: "
-                           f"{dict(verdict.counterexample)}")
-    return verdict
-
-
-def _require_quotients_unbounded(M: WeightSequence) -> None:
-    """The sup transform is finite everywhere only if (M_p)^(1/p) -> inf.
-
-    For log-convex M that is equivalent to unbounded quotients.  Finite lists
-    are always fine (the sup runs over finitely many slopes).
+    For log-convex M the latter is equivalent to unbounded quotients.  Finite
+    lists are always fine (the sup runs over finitely many slopes).
     """
+    require_log_convex(M, config.p_max)
     if M.finite_size is not None:
         return
     tm = M.tail_model
@@ -103,8 +96,7 @@ def associated_function(M: WeightSequence, *,
     it fails omega3 by rights: that verdict is recorded, not enforced.
     """
     config = config or RunConfig()
-    _require_log_convex(M, config)
-    _require_quotients_unbounded(M)
+    _require_sup_transform(M, config)
     fn = AssociatedOf(M)
     checks: dict[str, ConditionVerdict] = {}
     for cond in ("omega3", "omega4"):
@@ -126,9 +118,7 @@ def associated_eval(M: WeightSequence, t, *,
     Same domain checks as associated_function, without the grid postconditions
     (handy for single-point queries).
     """
-    config = config or RunConfig()
-    _require_log_convex(M, config)
-    _require_quotients_unbounded(M)
+    _require_sup_transform(M, config or RunConfig())
     fn = AssociatedOf(M)
     arr = np.asarray(t, dtype=float)
     out = fn.eval(arr)
@@ -155,9 +145,12 @@ def _conjugate_sequence(omega: WeightFunction, base: WeightFunction,
     if base is not omega or not isinstance(omega, AssociatedOf):
         return None
     M = omega.seq
-    if M.log_m0 != 0.0 or not _lc_verdict(M, config).is_satisfied:
+    if M.log_m0 != 0.0:
         return None
-    return M
+    try:
+        return M if require_log_convex(M, config.p_max).is_satisfied else None
+    except NotLogConvex:
+        return None
 
 
 def _refuse_past_last_index(omega: WeightFunction, x_top: float, what: str) -> None:
@@ -411,6 +404,18 @@ def omega_hat(arg, *, config: Optional[RunConfig] = None) -> WeightFunction:
 # kernel averages
 # ---------------------------------------------------------------------------
 
+def _require_kernel_integrable(omega: WeightFunction, cond: str, r: float,
+                               config: RunConfig) -> ConditionVerdict:
+    """omega's order-r kernel integrability verdict `cond`; NotNonQuasianalytic
+    when it is Violated (the order-r average is then identically infinite)."""
+    verdict = check_omega_condition(omega, cond, r=r, config=config)
+    if verdict.is_violated:
+        raise NotNonQuasianalytic(
+            f"{omega.label}: order-{r:g} kernel integral diverges: "
+            f"{dict(verdict.counterexample)}")
+    return verdict
+
+
 def kappa(omega: WeightFunction, *,
           config: Optional[RunConfig] = None) -> WeightFunction:
     """Kernel average t * integral_t^inf omega(u)/u^2 du as a function node.
@@ -418,12 +423,7 @@ def kappa(omega: WeightFunction, *,
     Requires the integrability verdict to hold (a Violated one means the
     average is identically infinite).
     """
-    config = config or RunConfig()
-    verdict = check_omega_condition(omega, "omega_nq", config=config)
-    if verdict.is_violated:
-        raise NotNonQuasianalytic(
-            f"{omega.label}: kernel integral diverges: "
-            f"{dict(verdict.counterexample)}")
+    verdict = _require_kernel_integrable(omega, "omega_nq", 1.0, config or RunConfig())
     node = KappaPower(omega, 1.0)
     node.precondition = verdict
     return node
@@ -442,11 +442,7 @@ def kappa_power_normalized(omega: WeightFunction, r: float, *,
     if not 0 < r < math.inf:
         raise InvalidArgument("order r must be finite and > 0")
     config = config or RunConfig()
-    verdict = check_omega_condition(omega, "omega_nq_r", r=r, config=config)
-    if verdict.is_violated:
-        raise NotNonQuasianalytic(
-            f"{omega.label}: order-{r:g} kernel integral diverges: "
-            f"{dict(verdict.counterexample)}")
+    verdict = _require_kernel_integrable(omega, "omega_nq_r", r, config)
     out = normalize(KappaPower(omega, float(r)))
     out.precondition = verdict
     chk = mixed_condition_fun(out, omega, 0.95 * r, config=config)
@@ -507,8 +503,8 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     if not 0 < r < math.inf:
         raise InvalidArgument("order r must be finite and > 0")
     config = config or RunConfig()
-    _require_log_convex(N, config)
-    pre = check_nq_r(N, r, int(config.p_max))
+    require_log_convex(N, config.p_max)
+    pre = check_nq_r(N, r, config.p_max)
     if pre.is_violated:
         raise NotNonQuasianalytic(
             f"{N.label}: order-{r:g} tail sums diverge: "
@@ -519,7 +515,7 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
             "(no usable tail model)")
 
     inv_r = 1.0 / r
-    P = N._capped(int(config.p_max))
+    P = N._capped(config.p_max)
     # N's order-r sums, read here and again by the (L, N) mixed comparison
     sums = SuffixSums(N, P)
     log_mu = N.log_quotients(P)
@@ -583,7 +579,7 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
         L.tail_model = replace(L.tail_model, e_lo=tm.e_hi, e_hi=tm.e_hi)
 
     checks: dict[str, ConditionVerdict] = {}
-    slc = check_slc(S, min(P, 20000))
+    slc = check_slc(S, min(P, PRECONDITION_P))
     checks["slc_S"] = slc
     if slc.is_violated:
         raise InternalInconsistency(
@@ -596,7 +592,7 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
             f"descendant fails its mixed comparison at order {r:g}: "
             f"{dict(mixed.counterexample)}")
 
-    p_probe = min(P, 20000)
+    p_probe = min(P, PRECONDITION_P)
     ratio = r * lsig[1: p_probe + 1] - log_mu[1: p_probe + 1]
     running = np.maximum.accumulate(ratio)
     model_limit = None
@@ -682,16 +678,23 @@ def _forall_tail_threshold(f: WeightFunction, sigma: WeightFunction,
     if not bad.any():
         return 1.0, "grid"
     i = int(np.nonzero(bad)[0][-1])
-    lo, hi = float(ts[i]), float(ts[i + 1])
+    return _geometric_crossing(lambda x: f.value(x) >= factor * sigma.value(x),
+                               float(ts[i]), float(ts[i + 1])), "grid"
+
+
+def _geometric_crossing(reached: Callable[[float], bool], lo: float,
+                        hi: float) -> float:
+    """The point in (lo, hi] where `reached` turns true (false at lo, true at
+    hi), by geometric bisection to relative 1e-9, in 80 halvings at most."""
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if f.value(mid) >= factor * sigma.value(mid):
+        if reached(mid):
             hi = mid
         else:
             lo = mid
         if hi - lo <= 1e-9 * hi:
             break
-    return hi, "grid"
+    return hi
 
 
 def _monotone_threshold(g: WeightFunction, target: float,
@@ -713,16 +716,8 @@ def _monotone_threshold(g: WeightFunction, target: float,
         n = int(np.count_nonzero(ladder[:-1] < 1e12))  # steps taken below 1e12
         hit = np.flatnonzero(g.eval(ladder[1: n + 1]) >= target)
         if hit.size:
-            lo, hi = float(ladder[hit[0]]), float(ladder[hit[0] + 1])
-            for _ in range(80):
-                mid = math.sqrt(lo * hi)
-                if g.value(mid) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo <= 1e-9 * hi:
-                    break
-            return hi
+            return _geometric_crossing(lambda x: g.value(x) >= target,
+                                       float(ladder[hit[0]]), float(ladder[hit[0] + 1]))
         x = float(ladder[n])
     raise PreconditionInconclusive(
         f"{g.label} never reaches {target:g} below 1e12")
@@ -747,8 +742,9 @@ def _absorption_onset(H: float, H1: float) -> int:
 
 
 def _sandwich_report(base: WeightFunction, glue: WeightFunction,
-                     xs: Sequence[float], samples: int) -> dict:
-    """Verify (n-2) * base <= glue <= n * base on each segment [x_n, x_{n+1})."""
+                     xs: Sequence[float]) -> dict:
+    """Verify (n-2) * base <= glue <= n * base at `_SANDWICH_SAMPLES` points
+    of each segment [x_n, x_{n+1})."""
     violations = 0
     total = 0
     worst_upper = -math.inf
@@ -757,7 +753,7 @@ def _sandwich_report(base: WeightFunction, glue: WeightFunction,
     for n in range(2, n_break + 1):
         lo = xs[n - 1]
         hi = xs[n] if n < n_break else xs[-1] * 10.0
-        ts = np.geomspace(lo, hi, samples, endpoint=False)
+        ts = np.geomspace(lo, hi, _SANDWICH_SAMPLES, endpoint=False)
         g = glue.eval(ts)
         b = base.eval(ts)
         scale = np.maximum(1.0, n * b)
@@ -789,8 +785,7 @@ def _growth_ratio_report(small: WeightFunction, big: WeightFunction,
 
 def reduction_build(sigma: WeightFunction, omega: WeightFunction,
                     f: WeightFunction, n_break: int = 12, *,
-                    config: Optional[RunConfig] = None,
-                    samples_per_segment: int = 200) -> ReductionResult:
+                    config: Optional[RunConfig] = None) -> ReductionResult:
     """Glued pair dominating (sigma, omega) below a faster weight f.
 
     Preconditions: a doubling-domination witness for (sigma, omega) must
@@ -895,10 +890,8 @@ def reduction_build(sigma: WeightFunction, omega: WeightFunction,
         "continuity": {"omega_tilde": omega_tilde.continuity_defect(),
                        "sigma_tilde": sigma_tilde.continuity_defect()},
         "sandwich": {
-            "omega": _sandwich_report(omega, omega_tilde, xs,
-                                      samples_per_segment),
-            "sigma": _sandwich_report(sigma, sigma_tilde, xs,
-                                      samples_per_segment)},
+            "omega": _sandwich_report(omega, omega_tilde, xs),
+            "sigma": _sandwich_report(sigma, sigma_tilde, xs)},
         "output_domination": {"rows": out_rows, "worst_ratio": worst,
                               "passed": bool(worst <= 1.0 + 1e-9)},
         "little_o": {

@@ -33,9 +33,9 @@ from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
                       TREND_GROW, VANISH, WINDOW_DECAY, WINDOW_FLAT,
                       ConditionVerdict, ConvexityViolation,
                       EvaluationRangeError, GridTooCoarse, InvalidArgument,
-                      RunConfig, Verdict, Y_GRID, grid_decided)
+                      RunConfig, Verdict, Y_GRID, both_ways, grid_decided)
 
-_ASSOC_TABLE_CAP = 1 << 21
+_ASSOC_TABLE_CAP = 1 << 21  # the quotient table of a sequence without a closed form
 # a sequence with an exact closed form is tabulated up to this index at most:
 # its tail model serves every index past it
 _ASSOC_CLOSED_READ = 1 << 14
@@ -63,15 +63,6 @@ class GrowthModel:
     @property
     def shape(self) -> tuple[float, float]:
         return (self.exponent, self.log_power)
-
-    def eval(self, t: np.ndarray) -> np.ndarray:
-        if self.coeff is None:
-            raise InvalidArgument("model has no known constant")
-        t = np.asarray(t, dtype=float)
-        out = self.coeff * t ** self.exponent
-        if self.log_power != 0.0:
-            out = out * np.log(np.maximum(t, 1.0 + 1e-300)) ** self.log_power
-        return out - self.offset
 
     def ratio_limit(self, factor: float) -> float:
         """lim omega(factor * t) / omega(t); log factors wash out."""
@@ -260,13 +251,13 @@ class AssociatedOf(WeightFunction):
     evaluation in closed form, a finite list keeps its last index, and
     otherwise the argument range is capped.  A sequence with an exact closed
     form is tabulated only up to 2**14 quotients: past them both the
-    maximizer and log M_p come from the tail model.  `table_cap` bounds the
-    table only of sequences without one.
+    maximizer and log M_p come from the tail model.  `_ASSOC_TABLE_CAP`
+    bounds the table only of sequences without one.
     """
 
     blocked = True
 
-    def __init__(self, seq: WeightSequence, table_cap: int = _ASSOC_TABLE_CAP):
+    def __init__(self, seq: WeightSequence):
         tm = seq.tail_model
         model = None
         if tm is not None:
@@ -278,16 +269,13 @@ class AssociatedOf(WeightFunction):
                 model = GrowthModel(0.0, 2.0, 1.0 / (2.0 * tm.a), 0.0, exact=False)
         super().__init__(f"assoc({seq.label})", model)
         self.seq = seq
-        self.table_cap = table_cap
         self._closed = (tm is not None and tm.exact and tm.start == 1
                         and seq.log_m0 == 0.0 and not seq.finite_size)
         # (table length checked, whether its quotients never decrease there)
         self._ascends = (1, True)
 
     def _table_limit(self) -> int:
-        if self.seq.finite_size:
-            return self.seq.finite_size
-        return self.table_cap
+        return self.seq.finite_size or _ASSOC_TABLE_CAP
 
     def _read_limit(self) -> int:
         """Last index read from the table; the exact tail model serves the rest."""
@@ -732,7 +720,10 @@ def check_omega6(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         tried.append((H, round(defect, 6)))
     else:
         status, evidence = Verdict.INCONCLUSIVE, {"tried": tried[:6]}
-    if m is not None and status is Verdict.SATISFIED:
+    if (status is Verdict.SATISFIED and m is not None and m.exact and m.log_power >= 0
+            and H ** m.exponent >= 2.0 and m.offset >= -H):
+        # past the model's start 2*omega(t) - omega(Ht) <= -offset <= H: the
+        # model bounds the deficit beyond the grid too
         return ConditionVerdict.satisfied("omega6", evidence, "growth-model")
     return grid_decided("omega6", status, "H search", evidence)
 
@@ -928,18 +919,8 @@ def compare_o(a: WeightFunction, b: WeightFunction,
 def equivalent_fun(a: WeightFunction, b: WeightFunction,
                    config: Optional[RunConfig] = None) -> ConditionVerdict:
     config = config or RunConfig()
-    fwd = compare_preceq(a, b, config)
-    bwd = compare_preceq(b, a, config)
-    # both directions read the same two models, or not both have one: one provenance
-    if fwd.is_satisfied and bwd.is_satisfied:
-        return ConditionVerdict.satisfied("equivalent", {"C_forward": fwd.witness.get("C"),
-            "C_backward": bwd.witness.get("C")}, fwd.provenance)
-    if fwd.is_violated or bwd.is_violated:
-        side = fwd if fwd.is_violated else bwd
-        return ConditionVerdict.violated("equivalent", dict(side.counterexample or {}),
-                                         side.provenance)
-    return ConditionVerdict.inconclusive("equivalent",
-        {"forward": fwd.status.value, "backward": bwd.status.value}, fwd.provenance)
+    return both_ways(compare_preceq(a, b, config), compare_preceq(b, a, config),
+                     lambda fw, bw: {"C_forward": fw["C"], "C_backward": bw["C"]})
 
 
 # ---------------------------------------------------------------------------

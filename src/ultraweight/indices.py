@@ -25,12 +25,13 @@ import numpy as np
 from .functions import (GrowthModel, OmegaNodes, WeightFunction, _shape_cmp,
                         grid_bounded, windows_verdict)
 from .quadrature import SuffixSamples, power_log_tail
-from .sequences import (RatioSweep, SuffixSums, WeightSequence, check_lc,
-                        check_nq_r, log_ratio_limit)
+from .sequences import (PRECONDITION_P, RatioSweep, SuffixSums,
+                        WeightSequence, check_nq_r, log_ratio_limit,
+                        require_log_convex)
 from .special import hurwitz_zeta
 from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
                       ConditionVerdict, GridTooCoarse, InternalInconsistency,
-                      InvalidArgument, NotLogConvex, RunConfig,
+                      InvalidArgument, RunConfig,
                       UltraweightError, _jsonify, read_only)
 
 INDEX_FLOOR = 1.0 / 64.0  # smallest order probed while expanding downward
@@ -212,7 +213,7 @@ class MixedSeqProbe:
     def __init__(self, M: WeightSequence, N: WeightSequence, config: RunConfig,
                  sums: Optional[SuffixSums] = None):
         self.M, self.N, self.P, self.sums = M, N, config.p_max, sums
-        self.pre, self.pre_info = _quotient_ratio_bounded(M, N, min(config.p_max, 20000))
+        self.pre, self.pre_info = _quotient_ratio_bounded(M, N, min(config.p_max, PRECONDITION_P))
         laws = (M.tail_model, N.tail_model)
         self.laws = laws if self.pre is True and all(
             tm is not None and tm.power_law for tm in laws) else None
@@ -288,10 +289,7 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
     the bracket; when every probe is Inconclusive the bracket is [0, cap].
     """
     config = config or RunConfig()
-    lcv = check_lc(N, min(config.p_max, 20000))
-    if lcv.is_violated:
-        raise NotLogConvex(
-            f"{N.label}: quotients decrease at p={lcv.counterexample.get('p')}")
+    lcv = require_log_convex(N, config.p_max)
 
     def probe(r: float) -> ConditionVerdict:
         return check_nq_r(N, r, config.p_max)

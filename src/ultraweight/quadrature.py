@@ -110,16 +110,11 @@ class PanelSamples:
 
 def sample_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
                   kinks: Sequence[float] = ()) -> PanelSamples:
-    """f at the nodes `kernel_window` reads on [a, b], for any order s."""
+    """f at the log-axis Gauss-Legendre nodes of [a, b]: `.integral(s)` is
+    integral_a^b f(u) u**(-s) du, for any order s."""
     if not (0 < a < b):
-        raise InvalidArgument("kernel_window needs 0 < a < b")
+        raise InvalidArgument("a quadrature window needs 0 < a < b")
     return PanelSamples(f, _edges(a, b, kinks))
-
-
-def kernel_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  s: float, *, kinks: Sequence[float] = ()) -> float:
-    """integral_a^b f(u) u**(-s) du via log-axis Gauss-Legendre panels."""
-    return sample_window(f, a, b, kinks=kinks).integral(s)
 
 
 def power_log_tail(c: float, a: float, k: float, off: float, s: float,

@@ -25,13 +25,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .special import gammaln, hurwitz_zeta
-from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, SUM_UNDIMINISHED,
-                      ConditionVerdict, EvaluationRangeError,
+from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, DEFAULT_P_MAX,
+                      SUM_UNDIMINISHED, ConditionVerdict, EvaluationRangeError,
                       InternalInconsistency, InvalidArgument, InvalidSpec,
-                      Verdict, grid_decided, read_only, settled,
-                      stabilized)
+                      NotLogConvex, Verdict, both_ways, grid_decided,
+                      read_only, settled, stabilized)
 
-DEFAULT_P_MAX = 10 ** 5
+# a precondition or postcondition on a sequence (log-convexity, a bounded
+# quotient ratio) reads p up to this
+PRECONDITION_P = 20000
 _LC_TOL = 1e-12
 _BETA_P_CAP = 20000  # beta1/beta3 read mu_{Qp}/mu_p for p up to this
 _BETA_Q_MAX = 8  # and for Q up to this
@@ -482,8 +484,8 @@ def explicit(values) -> WeightSequence:
 
 
 def from_quotients(rule: Callable[[int], float], *, label: str = "quotients",
-                   tail_model: TailModel | None = None, log_scale: bool = False,
-                   structural: frozenset[str] = frozenset()) -> WeightSequence:
+                   tail_model: TailModel | None = None,
+                   log_scale: bool = False) -> WeightSequence:
     """Sequence defined by a quotient rule p -> mu_p (or log mu_p)."""
 
     def fn(lo: int, hi: int) -> np.ndarray:
@@ -493,7 +495,7 @@ def from_quotients(rule: Callable[[int], float], *, label: str = "quotients",
             out[i] = v if log_scale else math.log(v)
         return out
 
-    return WeightSequence(label, fn, tail_model=tail_model, structural=structural)
+    return WeightSequence(label, fn, tail_model=tail_model)
 
 
 def power(M: WeightSequence, r: float) -> WeightSequence:
@@ -735,9 +737,21 @@ class RatioSweep:
 # condition checks
 # ---------------------------------------------------------------------------
 
-def _first_violation(diffs: np.ndarray, tol: float) -> Optional[int]:
-    bad = np.nonzero(diffs < -tol)[0]
-    return int(bad[0]) if len(bad) else None
+# the counterexample keys of a decrease: the previous value and the value at p
+_DECREASE_KEYS = {"lc": ("mu_prev", "mu_p"), "slc": ("prev", "mu_p_over_p")}
+
+
+def _first_decrease(cond: str, red: np.ndarray, tol: float,
+                    provenance: str) -> Optional[ConditionVerdict]:
+    """Violated at the first p with red_p < red_{p-1} - tol, where red[i] is
+    the log quotient (lc) or log(mu_p/p) (slc) at p = i + 1; None if none."""
+    bad = np.nonzero(np.diff(red) < -tol)[0]
+    if not len(bad):
+        return None
+    p = int(bad[0]) + 2
+    prev, cur = _DECREASE_KEYS[cond]
+    return ConditionVerdict.violated(cond, {
+        "p": p, prev: math.exp(red[p - 2]), cur: math.exp(red[p - 1])}, provenance)
 
 
 def check_lc(M: WeightSequence, P: int = 2000) -> ConditionVerdict:
@@ -746,26 +760,27 @@ def check_lc(M: WeightSequence, P: int = 2000) -> ConditionVerdict:
     log_mu = M.log_quotients(P)
     scale = max(1.0, float(np.max(np.abs(log_mu))))
     # the condition lives on p >= 1; mu_0 = 1 is a convention, not a constraint
-    bad = _first_violation(np.diff(log_mu[1:]), _LC_TOL * scale)
-    if bad is not None:
-        p = bad + 2  # first p with mu_p < mu_{p-1}
-        return ConditionVerdict.violated("lc", {
-            "p": p, "mu_prev": math.exp(log_mu[p - 1]), "mu_p": math.exp(log_mu[p])}, "trend")
-    return _monotone_satisfied(M, "lc", P, shift=0.0)
+    return (_first_decrease("lc", log_mu[1:], _LC_TOL * scale, "trend")
+            or _monotone_satisfied(M, "lc", P, shift=0.0))
 
 
 def check_slc(M: WeightSequence, P: int = 2000) -> ConditionVerdict:
     """Strong log-convexity: log-convexity of m_p = M_p / p! (quotients mu_p/p)."""
     P = M._capped(P)
-    log_mu = M.log_quotients(P)
-    red = log_mu[1:] - log_p(1, P)  # red[i] = log(mu_{i+1}/(i+1))
+    red = M.log_quotients(P)[1:] - log_p(1, P)  # red[i] = log(mu_{i+1}/(i+1))
     scale = max(1.0, float(np.max(np.abs(red))))
-    bad = _first_violation(np.diff(red), _LC_TOL * scale)
-    if bad is not None:
-        q = bad + 2  # first p with mu_p/p < mu_{p-1}/(p-1)
-        return ConditionVerdict.violated("slc", {
-            "p": q, "prev": math.exp(red[q - 2]), "mu_p_over_p": math.exp(red[q - 1])}, "trend")
-    return _monotone_satisfied(M, "slc", P, shift=-1.0)
+    return (_first_decrease("slc", red, _LC_TOL * scale, "trend")
+            or _monotone_satisfied(M, "slc", P, shift=-1.0))
+
+
+def require_log_convex(M: WeightSequence, p_max: int) -> ConditionVerdict:
+    """check_lc on p up to min(p_max, PRECONDITION_P), the one gate of every
+    operation that needs M log-convex; NotLogConvex when it is Violated."""
+    verdict = check_lc(M, min(p_max, PRECONDITION_P))
+    if verdict.is_violated:
+        raise NotLogConvex(f"{M.label} is not log-convex: "
+                           f"{dict(verdict.counterexample)}")
+    return verdict
 
 
 def _monotone_satisfied(M: WeightSequence, cond: str, P: int, shift: float) -> ConditionVerdict:
@@ -788,12 +803,10 @@ def _monotone_satisfied(M: WeightSequence, cond: str, P: int, shift: float) -> C
         if not eventually:
             # quotient law eventually decreasing: locate a concrete violation
             probe = max(P, tm.start) + 1
-            lm = M.log_quotients(probe + 1)
-            pr = np.arange(1, probe + 2, dtype=float)
-            red = lm[1:] + shift * np.log(pr)
-            bad = _first_violation(np.diff(red), 0.0)
-            if bad is not None:
-                return ConditionVerdict.violated(cond, {"p": bad + 1}, "tail-model")
+            red = M.log_quotients(probe + 1)[1:] + shift * log_p(1, probe + 1)
+            found = _first_decrease(cond, red, 0.0, "tail-model")
+            if found is not None:
+                return found
     return ConditionVerdict.inconclusive(cond, {
         "checked_up_to": P, "monotone_on_range": True}, "trend")
 
@@ -1055,18 +1068,8 @@ def compare(M: WeightSequence, N: WeightSequence, relation: str,
     if relation not in _RELATIONS:
         raise InvalidArgument(f"unknown relation {relation!r}")
     if relation == "equivalent":
-        fwd = compare(M, N, "precsim", P)
-        bwd = compare(N, M, "precsim", P)
-        if fwd.is_satisfied and bwd.is_satisfied:
-            w = max(fwd.witness["sup"], bwd.witness["sup"])
-            return ConditionVerdict.satisfied("equivalent", {"sup_both_ways": w}, fwd.provenance)
-        if fwd.is_violated or bwd.is_violated:
-            loser = fwd if fwd.is_violated else bwd
-            return ConditionVerdict.violated("equivalent", dict(loser.counterexample),
-                loser.provenance, direction="forward" if fwd.is_violated else "backward")
-        # both directions read the same two laws, or neither has them: one provenance
-        return ConditionVerdict.inconclusive("equivalent", {
-            "forward": fwd.status.value, "backward": bwd.status.value}, fwd.provenance)
+        return both_ways(compare(M, N, "precsim", P), compare(N, M, "precsim", P),
+                         lambda fw, bw: {"sup_both_ways": max(fw["sup"], bw["sup"])})
 
     P = min(M._capped(P), N._capped(P))
     d = (M.log_values(P)[1:] - N.log_values(P)[1:]) / np.arange(1, P + 1)

@@ -12,12 +12,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 INDEX_CAP = 64.0  # encodes "infinite beyond tested range" for index estimates
 DEFAULT_INDEX_TOL = 1e-2
+DEFAULT_P_MAX = 10 ** 5  # largest sequence index a sweep probes by default
 
 
 class UltraweightError(Exception):
@@ -178,6 +179,22 @@ def grid_decided(cond: str, status: Verdict, rule: str,
                             **{_EVIDENCE[status]: dict(evidence)})
 
 
+def both_ways(fwd: ConditionVerdict, bwd: ConditionVerdict,
+              witness: Callable[[Mapping, Mapping], Mapping]) -> ConditionVerdict:
+    """"equivalent" from its two one-way verdicts, with `witness(fwd.witness,
+    bwd.witness)` when both hold and the `direction` of the first that fails.
+    Both read the same two laws or models, or not both have one: one provenance."""
+    if fwd.is_satisfied and bwd.is_satisfied:
+        return ConditionVerdict.satisfied("equivalent", witness(fwd.witness, bwd.witness),
+                                          fwd.provenance)
+    if fwd.is_violated or bwd.is_violated:
+        loser, direction = (fwd, "forward") if fwd.is_violated else (bwd, "backward")
+        return ConditionVerdict.violated("equivalent", dict(loser.counterexample),
+                                         loser.provenance, direction=direction)
+    return ConditionVerdict.inconclusive("equivalent", {
+        "forward": fwd.status.value, "backward": bwd.status.value}, fwd.provenance)
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """`a` with writes refused: arrays shared across the probes of one index
     call must not be changed by any of them."""
@@ -234,12 +251,14 @@ class RunConfig:
     """Deterministic knobs shared by library sweeps and the CLI."""
 
     grid: Grid = field(default_factory=Grid)
-    p_max: int = 10 ** 5
+    p_max: int = DEFAULT_P_MAX
     index_tol: float = DEFAULT_INDEX_TOL
 
     def __post_init__(self) -> None:
         if not self.index_tol > 0:  # NaN included
             raise InvalidArgument("tolerance must be positive")
+        if not isinstance(self.p_max, (int, np.integer)):
+            raise InvalidArgument(f"p_max must be an integer, got {self.p_max!r}")
         if self.p_max < 4:
             raise InvalidArgument("p_max must be at least 4")
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import ultraweight as uw
-from ultraweight import conjugate_pl, young_conjugate
+from ultraweight import conjugate_pl, constructions, young_conjugate
 
 from conftest import brute_associated_log, brute_mixed_sup_seq
 
@@ -262,11 +262,11 @@ def test_criterion_08_descendant_of_squared_factorials():
          time.perf_counter() - start, 10.0)
 
 
-def test_criterion_09_reduction_glue_certificates():
+def test_criterion_09_reduction_glue_certificates(monkeypatch):
     start = time.perf_counter()
+    monkeypatch.setattr(constructions, "_SANDWICH_SAMPLES", 1000)
     built = uw.reduction_build(uw.PowerLaw(0.5), uw.PowerLaw(1.0 / 3.0),
-                               uw.PowerLaw(1.0), n_break=12,
-                               samples_per_segment=1000)
+                               uw.PowerLaw(1.0), n_break=12)
     problems = []
     w = built.witness
     if (w.C, w.K, w.H, w.t0) != (1.0, 8.0, 3.0, 1.0):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import ultraweight as uw
-from ultraweight import constructions, sequences
+from ultraweight import constructions, functions, sequences
 from ultraweight.constructions import _monotone_threshold
 from ultraweight.functions import AssociatedOf, PowerLaw
 from ultraweight.indices import MixedSeqProbe
@@ -152,9 +152,11 @@ class TestAssociatedBlocks:
             assert got.shape == () and same_bits(got, want)
         assert AssociatedOf(SEQUENCES[name]()).eval(np.empty(0)).shape == (0,)
 
-    def test_range_error_for_the_same_inputs(self):
+    def test_range_error_for_the_same_inputs(self, monkeypatch):
+        monkeypatch.setattr(functions, "_ASSOC_TABLE_CAP", 4096)
+
         def make():
-            return AssociatedOf(gevrey_like(1.0), table_cap=4096)
+            return AssociatedOf(gevrey_like(1.0))
         inside = grid(BLOCK + 1, "sorted")
         inside = inside[inside < 4000.0]
         beyond = np.concatenate([inside, [5000.0]])

@@ -479,6 +479,12 @@ class TestGridEnvironment:
         with pytest.raises(uw.InvalidArgument):
             uw.RunConfig(index_tol=0.0)
 
+    def test_a_non_integer_p_max_is_refused(self):
+        # a float p_max would reach an index slice deep in a sweep
+        with pytest.raises(uw.InvalidArgument, match="integer"):
+            uw.RunConfig(p_max=1e5)
+        assert uw.RunConfig(p_max=np.int64(5000)).p_max == 5000
+
     @pytest.mark.parametrize("end", [math.inf, math.nan])
     def test_non_finite_grid_end_is_refused(self, capsys, end):
         with pytest.raises(uw.InvalidArgument):

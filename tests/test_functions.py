@@ -129,6 +129,16 @@ class TestOmegaConditions:
         assert_status(check_omega_condition(PowerLaw(0.5), "omega4"),
                       "satisfied")
 
+    def test_a_concave_log_profile_is_violated_on_the_grid(self):
+        # (log t)**0.5 is concave in y = log t: no node shape decides it, and
+        # the sampled profile shows a triple that bends the wrong way
+        v = check_omega_condition(LogPower(0.5), "omega4")
+        assert_status(v, "violated")
+        assert v.provenance == "trend"
+        phi = v.counterexample["triple_phi"]
+        d2 = v.counterexample["second_difference"]
+        assert d2 < 0.0 and phi[0] - 2.0 * phi[1] + phi[2] == pytest.approx(d2)
+
     def test_omega6_power_law(self):
         v = check_omega_condition(PowerLaw(0.5), "omega6")
         assert_status(v, "satisfied")

@@ -53,6 +53,14 @@ class TestMixedConditionSeq:
         with pytest.raises(uw.InvalidArgument):
             uw.mixed_condition_seq(gevrey2, gevrey2, 0.0)
 
+    def test_an_unbounded_quotient_ratio_is_read_off_the_data(self):
+        # no tail laws: the ratio mu_p/nu_p = p still climbs over the last
+        # doubling of the precondition range, so no order can hold
+        v = uw.mixed_condition_seq(uw.from_quotients(lambda p: p ** 2),
+                                   uw.from_quotients(lambda p: p))
+        assert v.is_violated and v.provenance == "trend"
+        assert v.counterexample["p"] == uw.sequences.PRECONDITION_P == 20000
+
 
 class TestGammaIndexSeq:
     @pytest.mark.parametrize("s", [1.5, 2.0])

@@ -391,9 +391,10 @@ class TestAssociatedReadLimit:
                        for k in range(p - 1, p + 3))
         assert abs(got - float(want)) <= 1e-13 * abs(float(want))
 
-    def test_inexact_tail_still_tabulates_and_raises(self):
+    def test_inexact_tail_still_tabulates_and_raises(self, monkeypatch):
+        monkeypatch.setattr(functions, "_ASSOC_TABLE_CAP", 1 << 15)
         f = uw.AssociatedOf(gevrey_like(1.5, tail_model=TailModel.power(
-            1.5, exact=False)), table_cap=1 << 15)
+            1.5, exact=False)))
         t = 20000.5 ** 1.5
         got = float(f.eval(np.array([t]))[0])
         assert table_size(f) > 20000
@@ -402,9 +403,10 @@ class TestAssociatedReadLimit:
         with pytest.raises(EvaluationRangeError):
             f.eval(np.array([40000.0 ** 1.5]))
 
-    def test_nonzero_log_m0_still_tabulates_and_raises(self):
+    def test_nonzero_log_m0_still_tabulates_and_raises(self, monkeypatch):
+        monkeypatch.setattr(functions, "_ASSOC_TABLE_CAP", 1 << 15)
         f = uw.AssociatedOf(gevrey_like(1.5, tail_model=TailModel.power(1.5),
-                                        log_m0=0.5), table_cap=1 << 15)
+                                        log_m0=0.5))
         t = 20000.5 ** 1.5
         got = float(f.eval(np.array([t]))[0])
         assert table_size(f) > 20000

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ultraweight as uw
-from ultraweight import indices, sequences
+from ultraweight import functions, indices, sequences
 from ultraweight.functions import OmegaNodes
 from ultraweight.indices import INDEX_FLOOR, MixedFunProbe, MixedSeqProbe
 from ultraweight.quadrature import PanelSamples, SuffixSamples, TailSamples
@@ -152,10 +152,11 @@ def test_witness_on_a_table_capped_function_matches_per_j_loop(monkeypatch):
     # log mu_p = p / 100 without a tail model, tabulated to p = 8192: omega
     # reads up to t = 8^30 * 1e8 but not 16^30 * 1e8, so at K = 16 the batch
     # fails, the loop fails at the same table end, and K = 8 is tried next
+    monkeypatch.setattr(functions, "_ASSOC_TABLE_CAP", 8192)
+
     def make(desc):
         if desc == "capped":
-            seq = uw.from_quotients(lambda p: p / 100.0, log_scale=True)
-            return uw.AssociatedOf(seq, table_cap=8192)
+            return uw.AssociatedOf(uw.from_quotients(lambda p: p / 100.0, log_scale=True))
         return uw.make_function(desc)
     got, _ = search("power:0.5", "capped", False, monkeypatch, make)
     want, _ = search("power:0.5", "capped", True, monkeypatch, make)

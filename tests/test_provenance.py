@@ -68,7 +68,8 @@ FUNCTION_TABLE = {
     "power:0.5": _MODELLED,
     "logpower:2": {**_MODELLED, "omega6": (V, GM), "omega_nq_r": (S, GM),
                    "compare_o": (S, GM), "equivalent_fun": (V, GM)},
-    "assoc(gevrey:2)": _MODELLED,
+    # H = 4 = 2**(1/a) is a boundary an inexact model cannot decide
+    "assoc(gevrey:2)": {**_MODELLED, "omega6": (S, TR)},
     # no growth model: everything but the node's convexity is read off the grid
     "assoc(descendant(qgevrey:2,1))": {
         **{c: (S, TR) for c in _MODELLED}, "omega4": (S, "structure"),

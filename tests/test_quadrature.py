@@ -16,8 +16,8 @@ from ultraweight import GridTooCoarse, InvalidArgument
 from ultraweight.quadrature import (
     Y_CUT,
     integral_to_infinity,
-    kernel_window,
     power_log_tail,
+    sample_window,
     suffix_integral_grid,
 )
 
@@ -27,13 +27,13 @@ class TestKernelWindow:
         f = lambda u: np.log1p(u)
         a, b, s = 0.5, 200.0, 2.0
         oracle, err = quad(lambda u: math.log1p(u) * u ** -s, a, b, limit=400)
-        got = kernel_window(f, a, b, s)
+        got = sample_window(f, a, b).integral(s)
         assert got == pytest.approx(oracle, rel=1e-10, abs=err)
 
     def test_exact_on_pure_power(self):
         # integral_1^b u**(1/2 - 2) du = 2 (1 - b**(-1/2))
         b = 1e6
-        got = kernel_window(np.sqrt, 1.0, b, 2.0)
+        got = sample_window(np.sqrt, 1.0, b).integral(2.0)
         assert got == pytest.approx(2.0 * (1.0 - b ** -0.5), rel=1e-12)
 
     def test_kink_forced_onto_panel_boundary(self):
@@ -41,14 +41,14 @@ class TestKernelWindow:
         s = 2.0
         oracle, err = quad(lambda u: max(u, 10.0) * u ** -s, 1.0, 100.0,
                            points=[10.0], limit=400)
-        got = kernel_window(f, 1.0, 100.0, s, kinks=(10.0,))
+        got = sample_window(f, 1.0, 100.0, kinks=(10.0,)).integral(s)
         assert got == pytest.approx(oracle, rel=1e-10, abs=err)
 
     def test_rejects_bad_window(self):
         with pytest.raises(InvalidArgument):
-            kernel_window(np.sqrt, 0.0, 1.0, 2.0)
+            sample_window(np.sqrt, 0.0, 1.0)
         with pytest.raises(InvalidArgument):
-            kernel_window(np.sqrt, 5.0, 5.0, 2.0)
+            sample_window(np.sqrt, 5.0, 5.0)
 
 
 class TestPowerLogTail:

@@ -131,6 +131,18 @@ class TestLogConvexity:
                               log_scale=True)
         assert_status(check_slc(M), "violated")
 
+    def test_a_decrease_the_law_locates_is_reported_as_one_seen_on_range(self):
+        # mu_p = sqrt(p) below 3000 and 4000/sqrt(p) from there: mu_3000 is
+        # above mu_2999 and mu_3001 the first quotient below its predecessor
+        law = TailModel.power(-0.5, 4000.0, start=3000)
+        M = uw.from_quotients(lambda p: math.sqrt(p) if p < 3000 else 4000.0 / math.sqrt(p),
+                              tail_model=law)
+        by_law, seen = check_lc(M), check_lc(M, 4000)
+        assert (by_law.provenance, seen.provenance) == ("tail-model", "trend")
+        assert by_law.counterexample == seen.counterexample
+        assert set(seen.counterexample) == {"p", "mu_prev", "mu_p"}
+        assert seen.counterexample["p"] == 3001
+
 
 class TestModerateGrowth:
     def test_gevrey_witness_bound(self):

@@ -47,6 +47,18 @@ def test_omega_hat_of_assoc_is_the_sequence_lift(s):
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("s", (1.2, 1.5, 2.0, 3.0))
+def test_sampled_hat_lift_matches_the_structure_route(s):
+    # PowerSubst(., 1) hides the assoc node, so omega_hat samples and refines
+    # the conjugate instead of reading it off the sequence
+    fn = uw.make_function(f"assoc(gevrey:{s})")
+    sampled = uw.omega_hat(uw.PowerSubst(fn, 1.0))
+    assert "W[l=1]" in sampled.label
+    ts = np.geomspace(1.0, 1e12, 400)
+    np.testing.assert_allclose(sampled.eval(ts), uw.omega_hat(fn).eval(ts),
+                               rtol=1e-8, atol=0.0)
+
+
 @pytest.mark.parametrize("s", GEVREY_S)
 def test_matrix_rows_interpolate_log_m(s):
     W = uw.associated_matrix(uw.make_function(f"assoc(gevrey:{s})"),
