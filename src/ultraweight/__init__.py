@@ -24,10 +24,9 @@ from .sequences import (TailModel, WeightSequence, check_beta1, check_beta3,
 from .functions import (AssociatedOf, ConvexPL, KappaPower,
                         LogPower, NormalizedShift, PiecewiseGlue, PowerLaw,
                         PowerSubst, WeightFunction,
-                        check_omega_condition, check_omega_nq_r, compare_o,
-                        compare_preceq, conjugate_pl, convexify,
-                        equivalent_fun, normalize, power_substitute,
-                        young_conjugate)
+                        check_omega_condition, compare_o, compare_preceq,
+                        conjugate_pl, convexify, equivalent_fun, normalize,
+                        power_substitute, young_conjugate)
 from .indices import (Gamma1Witness, IndexEstimate, find_gamma1_witness,
                       gamma_index_fun, gamma_index_seq, mixed_condition_fun,
                       mixed_condition_seq, mu_fun, mu_seq)
@@ -53,7 +52,7 @@ __all__ = [
     "associated_eval", "associated_function", "associated_matrix",
     "check_beta1", "check_beta3",
     "check_gamma1", "check_lc", "check_mg", "check_nq", "check_nq_r",
-    "check_omega_condition", "check_omega_nq_r", "check_slc", "compare",
+    "check_omega_condition", "check_slc", "compare",
     "compare_o", "compare_preceq", "conjugate_pl", "convexify", "descendant",
     "equivalent_fun", "explicit", "factorial_shift", "find_gamma1_witness",
     "from_quotients", "gamma_index_fun", "gamma_index_seq", "gevrey", "hat",

@@ -34,9 +34,9 @@ from .functions import (AssociatedOf, ConvexPL, KappaPower, PiecewiseGlue,
                         conjugate_pl, convexify, normalize)
 from .indices import (Gamma1Witness, MixedSeqProbe, find_gamma1_witness,
                       mixed_condition_fun)
-from .sequences import (PRECONDITION_P, SuffixSums, TailModel,
-                        WeightSequence, check_nq_r, check_slc, hat, log_p,
-                        power, require_log_convex)
+from .sequences import (_LOG_FLOAT_MAX, PRECONDITION_P, SuffixSums,
+                        TailModel, WeightSequence, check_nq_r, check_slc,
+                        hat, log_p, power, require_log_convex)
 from .verdict import (REL_MARGIN, ConditionVerdict, DivergentAssociated,
                       GammaNotAboveOne, GridTooCoarse, InternalInconsistency,
                       InvalidArgument, NotLogConvex, NotNonQuasianalytic,
@@ -171,7 +171,8 @@ def _refined_conjugate(omega: WeightFunction, x_top: float, *,
     """Conjugate of y -> omega(e^y) with the grid adapted to the request.
 
     Starting from `Y_GRID`, the y-range doubles until the sampled slopes
-    cover x_top (otherwise the conjugate would silently extrapolate), then the
+    cover x_top (otherwise the conjugate would silently extrapolate; a slope
+    that e^y needs to pass the float range for is refused), then the
     point count doubles until the conjugate value at x_top moves by at most
     `tol` (absolute on the log scale, i.e. relative on the exponentiated
     entries).
@@ -184,6 +185,10 @@ def _refined_conjugate(omega: WeightFunction, x_top: float, *,
         pl, _defect = convexify(y, omega.eval(np.exp(y)))
         conj = conjugate_pl(pl)
         if conj.xs[-1] < x_top:
+            if 2.0 * y_max > _LOG_FLOAT_MAX:
+                raise InvalidArgument(
+                    f"conjugate slope {x_top:g} lies past the float range: "
+                    f"omega(e^y) for y up to {y_max:g} reaches slope {conj.xs[-1]:g}")
             y_max *= 2.0
             prev = None
             continue

@@ -12,7 +12,8 @@ has provenance `trend`: it rests on the finite window alone.
 Condition names: omega1 (doubling), omega2 (at most linear), omega3 (beats
 log), omega4 (convexity in log coordinates), omega5 (sublinear, little-o),
 omega6 (doubling absorption), omega_nq / omega_nq_r (kernel integrability),
-omega_snq (kappa dominated by the function itself).
+omega_snq (kappa dominated by the function itself: the mixed condition of
+(omega, omega) at order 1).
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import (BLOCK, PanelSamples, TailSamples,
-                         integral_to_infinity, power_log_tail, sample_window,
-                         suffix_integral_grid)
+from .quadrature import (BLOCK, PanelSamples, SuffixSamples, TailSamples,
+                         power_log_tail, sample_window, suffix_integral_grid)
 from .sequences import WeightSequence
 from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
                       NOT_VANISH, RATIO_TREND_FLAT, REL_MARGIN, TREND_FLAT,
                       TREND_GROW, VANISH, WINDOW_DECAY, WINDOW_FLAT,
                       ConditionVerdict, ConvexityViolation,
                       EvaluationRangeError, GridTooCoarse, InvalidArgument,
-                      RunConfig, Verdict, Y_GRID, both_ways, grid_decided)
+                      RunConfig, Verdict, Y_GRID, both_ways, grid_decided,
+                      read_only)
 
 _ASSOC_TABLE_CAP = 1 << 21  # the quotient table of a sequence without a closed form
 # a sequence with an exact closed form is tabulated up to this index at most:
@@ -448,13 +449,8 @@ class KappaPower(WeightFunction):
             return np.full_like(t, math.inf)
         order = np.argsort(t)
         ts, inverse = np.unique(t[order], return_inverse=True)
-        if len(ts) == 1:
-            G = np.array([integral_to_infinity(self.base.eval, float(ts[0]), self.s,
-                                               model_tail=self._tail,
-                                               kinks=self.base.kinks).value])
-        else:
-            G = suffix_integral_grid(self.base.eval, ts, self.s, model_tail=self._tail,
-                                     kinks=self.base.kinks)
+        G = suffix_integral_grid(self.base.eval, ts, self.s, model_tail=self._tail,
+                                 kinks=self.base.kinks)
         vals = ts ** (1.0 / self.r) * G / self.r
         out = np.empty_like(t)
         out[order] = vals[inverse]
@@ -778,9 +774,10 @@ class OmegaNodes:
         if conv is True:
             tail = m.tail_callable(s)
             try:
-                res = self.from_one.integral(s, tail)
-                return ConditionVerdict.satisfied(cond,
-                    {"integral": res.value, "tail": res.tail_method, "r": r}, "growth-model")
+                return ConditionVerdict.satisfied(cond, {
+                    "integral": self.from_one.integral(s, tail),
+                    "tail": "fitted" if tail is None else "closed-form", "r": r},
+                    "growth-model")
             except GridTooCoarse:
                 return ConditionVerdict.satisfied(cond, {"integral": None, "r": r,
                     "note": "model certifies convergence; tail fit unstable"}, "growth-model")
@@ -791,9 +788,8 @@ class OmegaNodes:
                  "trend": "model exponent at or above kernel order", "r": r}, "growth-model")
         if decays:
             try:
-                res = self.from_one.integral(s)
                 return grid_decided(cond, Verdict.SATISFIED, "window integrals",
-                    {"integral": res.value, "tail": res.tail_method, "r": r})
+                    {"integral": self.from_one.integral(s), "tail": "fitted", "r": r})
             except GridTooCoarse:
                 pass
         return windows_verdict(cond, r, windows, flat)
@@ -808,18 +804,99 @@ def windows_verdict(cond: str, r: float, windows: np.ndarray,
         {"r": r, "partial_integrals": [round(w, 6) for w in windows.tolist()]})
 
 
-def check_omega_nq_r(omega: WeightFunction, r: float,
-                     config: Optional[RunConfig] = None,
-                     cond: str = "omega_nq_r") -> ConditionVerdict:
-    # config is part of the checker signature; this check reads no grid
-    return OmegaNodes(omega).nq_r(r, cond)
+class MixedFunProbe:
+    """mixed_condition_fun for one pair (sigma, omega) at any order r.
+
+    sigma and omega on the grid, the trend of omega / (sigma + 1) and omega at
+    every quadrature node do not depend on r: one index call computes each of
+    them once, on the first order that needs it, and every probe applies only
+    its own kernel.  omega_snq is this probe for (omega, omega) at r = 1.
+    """
+
+    def __init__(self, sigma: WeightFunction, omega: WeightFunction,
+                 config: RunConfig):
+        self.sigma, self.omega = sigma, omega
+        self.ts = read_only(config.grid.geometric())
+        self.sig = read_only(sigma.eval(self.ts))
+        if float(np.max(self.sig)) <= 0.0:
+            raise InvalidArgument("sigma vanishes on the whole evaluation grid")
+        self.nodes = OmegaNodes(omega)
+
+    @cached_property
+    def omega_top(self) -> float:
+        return self.omega.value(self.ts[-1])
+
+    @cached_property
+    def omega_over_sigma(self) -> ConditionVerdict:
+        """Does omega / (sigma + 1) stay bounded on the grid?  The integral is
+        at least r*omega(t), so where it does not, no order satisfies."""
+        return grid_bounded("mixed_fun", self.omega.eval(self.ts) / (self.sig + 1.0),
+                            self.ts, "omega(t)/(sigma(t)+1)")
+
+    @cached_property
+    def suffix(self) -> SuffixSamples:
+        return SuffixSamples(self.omega.eval, self.ts, kinks=self.omega.kinks)
+
+    def __call__(self, r: float) -> ConditionVerdict:
+        cond = "mixed_fun"
+        s = 1.0 + 1.0 / r
+        ts, sig = self.ts, self.sig
+        m, ms = self.omega.model, self.sigma.model
+        conv = m.converges_against(s) if m is not None else None
+        if conv is False:
+            return ConditionVerdict.violated(cond, {"t": 1.0, "r": r,
+                "integral": math.inf}, "growth-model",
+                reason="kernel integral diverges at this order")
+        if m is not None and ms is not None and _shape_cmp(m, ms) > 0:
+            return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
+                "omega_over_sigma": float(self.omega_top / (sig[-1] + 1.0))}, "growth-model",
+                reason="integral >= r*omega(t) and omega/sigma is unbounded")
+        if (m is None or ms is None) and self.omega_over_sigma.is_violated:
+            return self.omega_over_sigma
+
+        tail = m.tail_callable(s) if m is not None else None
+        tail_info = {}
+        if tail is None and conv is True and m is not None and m.coeff is not None:
+            # no exact closed form, but the growth model certifies convergence and
+            # pins the leading coefficient; an asymptotic tail beats a blind fit
+            # near the convergence threshold
+            def tail(y_cut: float, _m: GrowthModel = m, _s: float = s) -> float:
+                return power_log_tail(_m.coeff, _m.exponent, _m.log_power,
+                                      _m.offset, _s, y_cut)
+            tail_info = {"tail": "model-asymptotic"}
+        try:
+            G = self.suffix.integrals(s, tail)
+        except GridTooCoarse:
+            windows, _, flat = self.nodes.integral_trend(s)
+            return windows_verdict(cond, r, windows, flat)
+
+        F = ts ** (1.0 / r) * G / (sig + 1.0)
+        if m is None or ms is None:
+            return grid_bounded(cond, F, ts, "t^(1/r)*integral_t^inf omega(u) "
+                                "u^(-1-1/r) du/(sigma(t)+1)", r=r, **tail_info)
+
+        sup = float(np.max(F))
+        info = {"r": r, "sup": sup, "grid_points": len(ts), **tail_info}
+        c = _shape_cmp(m, ms)  # c <= 0 at this point
+        if c < 0:
+            return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info},
+                "growth-model", note="ratio to sigma vanishes at infinity")
+        limit = None
+        if m.coeff is not None and ms.coeff is not None:
+            denom = 1.0 / r - m.exponent
+            if denom > 0:
+                limit = m.coeff / (denom * ms.coeff)
+        C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
+        return ConditionVerdict.satisfied(cond, {"C": C, **info}, "growth-model",
+            **({"model_ratio_limit": limit} if limit is not None else {}))
 
 
 def check_omega_nq(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
-    return check_omega_nq_r(omega, 1.0, config, cond="omega_nq")
+    return OmegaNodes(omega).nq_r(1.0, "omega_nq")
 
 
 def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
+    """The mixed condition of (omega, omega) at order 1, once omega_nq holds."""
     pre = check_omega_nq(omega, config)
     if pre.is_violated:
         return ConditionVerdict.violated("omega_snq",
@@ -828,19 +905,7 @@ def check_omega_snq(omega: WeightFunction, config: RunConfig) -> ConditionVerdic
     if pre.is_inconclusive:
         return ConditionVerdict.inconclusive("omega_snq", dict(pre.trend or {}),
                                              pre.provenance, note="omega_nq itself inconclusive")
-    kap = KappaPower(omega, 1.0)
-    ts = config.grid.geometric()
-    ratio = kap.eval(ts) / (omega.eval(ts) + 1.0)
-    m = omega.model
-    if m is None or not m.exponent < 1.0:
-        return grid_bounded("omega_snq", ratio, ts, "kappa(t)/(omega(t)+1)")
-    sup = float(np.max(ratio))
-    limit = None
-    if m.exponent > 0 or m.log_power >= 0:
-        limit = 1.0 / (1.0 - m.exponent)
-    return ConditionVerdict.satisfied("omega_snq",
-        {"C": max(sup, limit or 0.0) * REL_MARGIN, "grid_sup": sup,
-         **({"model_ratio_limit": limit} if limit else {})}, "growth-model")
+    return replace(MixedFunProbe(omega, omega, config)(1.0), condition="omega_snq")
 
 
 # condition name -> checker(omega, config); one whose name ends in "_r" takes
@@ -849,7 +914,7 @@ OMEGA_CHECKS = {"omega1": check_omega1, "omega2": check_omega2,
                 "omega3": check_omega3, "omega4": check_omega4,
                 "omega5": check_omega5, "omega6": check_omega6,
                 "omega_nq": check_omega_nq, "omega_snq": check_omega_snq,
-                "omega_nq_r": check_omega_nq_r}
+                "omega_nq_r": lambda omega, r, config: OmegaNodes(omega).nq_r(r)}
 
 
 def check_omega_condition(omega: WeightFunction, cond: str, *,

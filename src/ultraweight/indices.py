@@ -22,17 +22,14 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .functions import (GrowthModel, OmegaNodes, WeightFunction, _shape_cmp,
-                        grid_bounded, windows_verdict)
-from .quadrature import SuffixSamples, power_log_tail
+from .functions import MixedFunProbe, OmegaNodes, WeightFunction, _shape_cmp
 from .sequences import (PRECONDITION_P, RatioSweep, SuffixSums,
                         WeightSequence, check_nq_r, log_ratio_limit,
                         require_log_convex)
 from .special import hurwitz_zeta
-from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, REL_MARGIN,
-                      ConditionVerdict, GridTooCoarse, InternalInconsistency,
-                      InvalidArgument, RunConfig,
-                      UltraweightError, _jsonify, read_only)
+from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, ConditionVerdict,
+                      InternalInconsistency, InvalidArgument, RunConfig,
+                      UltraweightError, _jsonify)
 
 INDEX_FLOOR = 1.0 / 64.0  # smallest order probed while expanding downward
 _PROBE_BUDGET = 40
@@ -303,93 +300,6 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
 # ---------------------------------------------------------------------------
 # function-level mixed condition and indices
 # ---------------------------------------------------------------------------
-
-class MixedFunProbe:
-    """mixed_condition_fun for one pair (sigma, omega) at any order r.
-
-    sigma and omega on the grid, the trend of omega / (sigma + 1) and omega at
-    every quadrature node do not depend on r: one index call computes each of
-    them once, on the first order that needs it, and every probe applies only
-    its own kernel.
-    """
-
-    def __init__(self, sigma: WeightFunction, omega: WeightFunction,
-                 config: RunConfig):
-        self.sigma, self.omega = sigma, omega
-        self.ts = read_only(config.grid.geometric())
-        self.sig = read_only(sigma.eval(self.ts))
-        if float(np.max(self.sig)) <= 0.0:
-            raise InvalidArgument("sigma vanishes on the whole evaluation grid")
-        self.nodes = OmegaNodes(omega)
-
-    @cached_property
-    def omega_top(self) -> float:
-        return self.omega.value(self.ts[-1])
-
-    @cached_property
-    def omega_over_sigma(self) -> ConditionVerdict:
-        """Does omega / (sigma + 1) stay bounded on the grid?  The integral is
-        at least r*omega(t), so where it does not, no order satisfies."""
-        return grid_bounded("mixed_fun", self.omega.eval(self.ts) / (self.sig + 1.0),
-                            self.ts, "omega(t)/(sigma(t)+1)")
-
-    @cached_property
-    def suffix(self) -> SuffixSamples:
-        return SuffixSamples(self.omega.eval, self.ts, kinks=self.omega.kinks)
-
-    def __call__(self, r: float) -> ConditionVerdict:
-        cond = "mixed_fun"
-        s = 1.0 + 1.0 / r
-        ts, sig = self.ts, self.sig
-        m, ms = self.omega.model, self.sigma.model
-        conv = m.converges_against(s) if m is not None else None
-        if conv is False:
-            return ConditionVerdict.violated(cond, {"t": 1.0, "r": r,
-                "integral": math.inf}, "growth-model",
-                reason="kernel integral diverges at this order")
-        if m is not None and ms is not None and _shape_cmp(m, ms) > 0:
-            return ConditionVerdict.violated(cond, {"t": float(ts[-1]), "r": r,
-                "omega_over_sigma": float(self.omega_top / (sig[-1] + 1.0))}, "growth-model",
-                reason="integral >= r*omega(t) and omega/sigma is unbounded")
-        if (m is None or ms is None) and self.omega_over_sigma.is_violated:
-            return self.omega_over_sigma
-
-        tail = m.tail_callable(s) if m is not None else None
-        tail_info = {}
-        if tail is None and conv is True and m is not None and m.coeff is not None:
-            # no exact closed form, but the growth model certifies convergence and
-            # pins the leading coefficient; an asymptotic tail beats a blind fit
-            # near the convergence threshold
-            def tail(y_cut: float, _m: GrowthModel = m, _s: float = s) -> float:
-                return power_log_tail(_m.coeff, _m.exponent, _m.log_power,
-                                      _m.offset, _s, y_cut)
-            tail_info = {"tail": "model-asymptotic"}
-        try:
-            G = self.suffix.integrals(s, tail)
-        except GridTooCoarse:
-            windows, _, flat = self.nodes.integral_trend(s)
-            return windows_verdict(cond, r, windows, flat)
-
-        F = ts ** (1.0 / r) * G / (sig + 1.0)
-        if m is None or ms is None:
-            return grid_bounded(cond, F, ts, "t^(1/r)*integral_t^inf omega(u) "
-                                "u^(-1-1/r) du/(sigma(t)+1)", r=r, **tail_info)
-
-        sup = float(np.max(F))
-        info = {"r": r, "sup": sup, "grid_points": len(ts), **tail_info}
-        c = _shape_cmp(m, ms)  # c <= 0 at this point
-        if c < 0:
-            return ConditionVerdict.satisfied(cond, {"C": sup * REL_MARGIN, **info},
-                "growth-model", note="ratio to sigma vanishes at infinity")
-        limit = None
-        if m.coeff is not None and ms.coeff is not None:
-            denom = 1.0 / r - m.exponent
-            if denom > 0:
-                limit = m.coeff / (denom * ms.coeff)
-        C = max(sup, limit if limit is not None else 0.0) * REL_MARGIN
-        return ConditionVerdict.satisfied(cond, {"C": C, **info}, "growth-model",
-            **({"model_ratio_limit": limit} if limit is not None else {}))
-
 
 def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] = None,
                         r: float = 1.0, *,

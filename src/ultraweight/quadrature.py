@@ -10,7 +10,9 @@ fitted power-law extrapolation (flagged) otherwise.
 Each integral is two steps: sample f at the nodes (`PanelSamples`,
 `TailSamples`, `SuffixSamples`), then apply the kernel u**(-s) and the
 weights.  The public functions run both back to back; a caller that needs
-one window at many orders s samples f once and keeps the samples.
+one window at many orders s samples f once and keeps the samples.  One
+sampler, `SuffixSamples`, serves integrals to infinity from one lower limit
+or from each point of an ascending grid.
 
 scipy.integrate.quad is deliberately not used here so the test suite can hold
 it up as an independent oracle.
@@ -19,7 +21,6 @@ it up as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -140,18 +141,9 @@ def power_log_tail(c: float, a: float, k: float, off: float, s: float,
     return main
 
 
-@dataclass(frozen=True)
-class TailIntegral:
-    value: float
-    window_value: float
-    tail_value: float
-    cutoff: float
-    tail_method: str  # "closed-form" | "fitted"
-
-
 class TailSamples:
-    """f at every point `integral_to_infinity` reads from t, for any order s:
-    the window [t, Y] with Y = max(t, 1) * Y_CUT, and Y and 2Y, where the
+    """f at every point integral_t^inf f(u) u**(-s) du reads, for any order
+    s: the window [t, Y] with Y = max(t, 1) * Y_CUT, and Y and 2Y, where the
     fitted tail reads f, on first use."""
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], t: float, *,
@@ -169,24 +161,11 @@ class TailSamples:
         return fy, f2y
 
     def integral(self, s: float, model_tail: Callable[[float], float] | None = None
-                 ) -> TailIntegral:
-        Y = self.cutoff
-        window = self.window.integral(s)
-        if model_tail is not None:
-            tail = float(model_tail(Y))
-            method = "closed-form"
-        else:
-            tail = _fitted_tail(*self.far, Y, s)
-            method = "fitted"
-        return TailIntegral(value=window + tail, window_value=window, tail_value=tail,
-                            cutoff=Y, tail_method=method)
-
-
-def integral_to_infinity(f: Callable[[np.ndarray], np.ndarray], t: float, s: float,
-                         *, model_tail: Callable[[float], float] | None = None,
-                         kinks: Sequence[float] = ()) -> TailIntegral:
-    """integral_t^inf f(u) u**(-s) du with an analytic or fitted tail."""
-    return TailSamples(f, t, kinks=kinks).integral(s, model_tail)
+                 ) -> float:
+        """The window integral plus `model_tail(Y)`, or a fitted tail without one."""
+        tail = (float(model_tail(self.cutoff)) if model_tail is not None
+                else _fitted_tail(*self.far, self.cutoff, s))
+        return self.window.integral(s) + tail
 
 
 def _fitted_tail(fy: float, f2y: float, Y: float, s: float) -> float:
@@ -202,37 +181,39 @@ def _fitted_tail(fy: float, f2y: float, Y: float, s: float) -> float:
 
 
 class SuffixSamples:
-    """f at every point `suffix_integral_grid` reads on one ascending grid,
-    for any order s: the panels between grid points and the closing tail."""
+    """f at every point `suffix_integral_grid` reads on one ascending grid of
+    one or more points, for any order s: the panels between grid points (none
+    for one point) and the closing tail past the last."""
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], ts: np.ndarray, *,
                  kinks: Sequence[float] = ()):
         ts = np.asarray(ts, dtype=float)
-        if len(ts) < 2 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
+        if len(ts) < 1 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
             raise InvalidArgument("suffix_integral_grid needs a positive ascending grid")
-        v_edges = np.log(ts)
-        fine = np.concatenate([
-            np.linspace(v_edges[:-1], v_edges[1:], _SUB + 1, axis=0).T[:, :-1].ravel(),
-            v_edges[-1:]])
-        ks = np.log([k for k in kinks if ts[0] < k < ts[-1]])
-        if len(ks):
-            fine = np.unique(np.concatenate([fine, ks]))
-        self.panels = PanelSamples(f, fine)
-        # the coarse grid segment each panel lies in
-        mid = 0.5 * (fine[1:] + fine[:-1])
-        self.segment = read_only(np.searchsorted(v_edges, mid, side="right") - 1)
+        self.panels = None
+        if len(ts) > 1:
+            v_edges = np.log(ts)
+            fine = np.concatenate([
+                np.linspace(v_edges[:-1], v_edges[1:], _SUB + 1, axis=0).T[:, :-1].ravel(),
+                v_edges[-1:]])
+            ks = np.log([k for k in kinks if ts[0] < k < ts[-1]])
+            if len(ks):
+                fine = np.unique(np.concatenate([fine, ks]))
+            self.panels = PanelSamples(f, fine)
+            # the coarse grid segment each panel lies in
+            mid = 0.5 * (fine[1:] + fine[:-1])
+            self.segment = read_only(np.searchsorted(v_edges, mid, side="right") - 1)
         self.closing = TailSamples(f, float(ts[-1]), kinks=kinks)
         self.size = len(ts)
 
     def integrals(self, s: float, model_tail: Callable[[float], float] | None = None
                   ) -> np.ndarray:
-        panel_vals = self.panels.panel_sums(s) * self.panels.half
-        seg_vals = np.zeros(self.size - 1)
-        np.add.at(seg_vals, self.segment, panel_vals)
-        closing = self.closing.integral(s, model_tail)
-        G = np.empty(self.size)
-        G[-1] = closing.value
-        G[:-1] = closing.value + np.cumsum(seg_vals[::-1])[::-1]
+        G = np.full(self.size, self.closing.integral(s, model_tail))
+        if self.panels is not None:
+            panel_vals = self.panels.panel_sums(s) * self.panels.half
+            seg_vals = np.zeros(self.size - 1)
+            np.add.at(seg_vals, self.segment, panel_vals)
+            G[:-1] += np.cumsum(seg_vals[::-1])[::-1]
         return G
 
 

@@ -411,11 +411,10 @@ class WeightSequence:
         return float(self.log_values(p)[p])
 
     def quotient(self, p: int) -> float:
-        return math.exp(self.log_quotient(p))
+        return _exp(self.log_quotient(p))
 
     def value(self, p: int) -> float:
-        v = self.log_value(p)
-        return math.exp(v) if v < 709 else math.inf
+        return _exp(self.log_value(p))
 
     def _check_range(self, p: int) -> None:
         if self.finite_size is not None and p >= self.finite_size:

@@ -263,6 +263,23 @@ class TestCheckDefaults:
         assert (v["status"], v["provenance"]) == ("inconclusive", "tail-model")
         assert "inf" not in json.dumps(v["trend"])
 
+    @pytest.mark.parametrize("s", ["1.02", "1.05"])
+    def test_snq_near_the_kernel_order(self, capsys, s):
+        # the kernel integral of omega ~ t**(1/s) converges slowly here: the
+        # model's asymptotic tail closes it, where a fitted one is refused
+        code, out, err = run(capsys, "check", "--omega", f"assoc(gevrey:{s})",
+                             "--conditions", "omega_snq")
+        assert code == cli.EXIT_OK, err
+        v = json.loads(out)["results"]["omega_snq"]
+        assert (v["status"], v["provenance"]) == ("satisfied", "growth-model")
+
+    def test_snq_and_gamma_refuse_a_gauge_vanishing_on_the_grid(self, capsys):
+        for argv in (("check", "--omega", "normalized(power:0)", "--conditions",
+                      "omega_snq"), ("index", "gamma", "--sigma", "normalized(power:0)")):
+            code, out, err = run(capsys, *argv)
+            assert code == cli.EXIT_USAGE and out == "", err
+            assert "sigma vanishes on the whole evaluation grid" in err
+
     @pytest.mark.parametrize("omega", [
         "assoc(descendant(qgevrey:2,1))",
         '{"kind":"assoc","sequence":{"family":"explicit",'
@@ -509,6 +526,22 @@ class TestGridEnvironment:
         assert any(line.startswith("error:") or ": error: " in line
                    for line in err.splitlines()), err
 
+    @pytest.mark.parametrize("argv", [
+        ("matrix", "--omega", "logpower:2", "--jmax", "1000", "--levels", "8"),
+        ("matrix", "--omega", "power:0.5", "--levels", "1e300")])
+    def test_a_conjugate_slope_past_the_float_range_is_refused(self, capsys, argv):
+        # the slopes of omega(e^y) reach x = level * jmax only where e^y overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == "", err
+        assert len(err.splitlines()) == 1 and err.startswith("error: conjugate slope")
+
+    def test_a_conjugate_slope_inside_the_float_range_is_built(self, capsys):
+        code, _, err = run(capsys, "matrix", "--omega", "logpower:2", "--jmax", "100",
+                           "--levels", "8")
+        assert code == cli.EXIT_OK, err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_order_guards_refuse_non_finite(self, bad):
         g2, pw = make_sequence("gevrey:2"), uw.PowerLaw(0.5)
@@ -516,7 +549,7 @@ class TestGridEnvironment:
                      lambda: uw.PowerSubst(pw, bad),
                      lambda: uw.power_substitute(pw, bad),
                      lambda: uw.KappaPower(pw, bad),
-                     lambda: uw.check_omega_nq_r(pw, bad),
+                     lambda: uw.check_omega_condition(pw, "omega_nq_r", r=bad),
                      lambda: uw.mixed_condition_seq(g2, g2, bad),
                      lambda: uw.mixed_condition_fun(pw, pw, bad),
                      lambda: uw.kappa_power_normalized(pw, bad),

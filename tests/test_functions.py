@@ -7,8 +7,8 @@ import pytest
 
 import ultraweight as uw
 from ultraweight import (LogPower, PowerLaw, check_omega_condition,
-                         check_omega_nq_r, compare_o, compare_preceq,
-                         equivalent_fun, normalize, power_substitute)
+                         compare_o, compare_preceq, equivalent_fun, normalize,
+                         power_substitute)
 
 from ultraweight.specio import make_function
 
@@ -145,8 +145,9 @@ class TestOmegaConditions:
         assert v.witness["H"] >= 1.0
 
     def test_kernel_order_conditions(self):
-        assert_status(check_omega_nq_r(PowerLaw(1.0 / 3.0), 2.0), "satisfied")
-        assert_status(check_omega_nq_r(PowerLaw(1.0 / 3.0), 4.0), "violated")
+        w = PowerLaw(1.0 / 3.0)
+        assert_status(check_omega_condition(w, "omega_nq_r", r=2.0), "satisfied")
+        assert_status(check_omega_condition(w, "omega_nq_r", r=4.0), "violated")
 
     def test_nq_threshold_cases(self):
         assert_status(check_omega_condition(PowerLaw(0.5), "omega_nq"),
@@ -223,6 +224,42 @@ class TestKappaPowerNode:
         node.eval(np.geomspace(1.0, 1e6, 50))
         assert vars(node) == before
         assert node.tail_method == method
+
+
+class TestSnqIsTheMixedCondition:
+    """omega_snq is the order-1 mixed condition of (omega, omega) once
+    omega_nq holds."""
+
+    @pytest.mark.parametrize("spec", [
+        "assoc(gevrey:0.8)", "assoc(gevrey:1.02)", "assoc(gevrey:1.05)",
+        "assoc(gevrey:1.2)", "assoc(gevrey:2)", "power:0.5", "logpower:2",
+        "kappa(power:0.9,1)", "assoc(descendant(qgevrey:2,1))"])
+    def test_same_status_and_constant(self, spec):
+        omega = make_function(spec)
+        snq = check_omega_condition(omega, "omega_snq")
+        mixed = uw.mixed_condition_fun(omega, omega, 1.0)
+        assert snq.condition == "omega_snq"
+        assert (snq.status, snq.provenance) == (mixed.status, mixed.provenance)
+        assert snq.witness.get("C") == mixed.witness.get("C")
+
+    def test_evidence_is_the_mixed_probe_layout(self):
+        v = check_omega_condition(PowerLaw(0.5), "omega_snq")
+        assert_status(v, "satisfied")
+        assert set(v.witness) == {"C", "sup", "r", "grid_points"}
+        assert (v.witness["r"], v.witness["grid_points"]) == (1.0, 600)
+        assert v.diagnostics["model_ratio_limit"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("s", [1.02, 1.05, 1.2, 2.0])
+    def test_inexact_model_takes_the_model_asymptotic_tail(self, s):
+        v = check_omega_condition(make_function(f"assoc(gevrey:{s})"), "omega_snq")
+        assert (v.status.value, v.provenance) == ("satisfied", "growth-model")
+        assert v.witness["tail"] == "model-asymptotic"
+        # the kernel average of t**(1/s) is s/(s-1) times it
+        assert v.diagnostics["model_ratio_limit"] == pytest.approx(s / (s - 1.0))
+
+    def test_a_gauge_vanishing_on_the_grid_is_refused(self):
+        with pytest.raises(uw.InvalidArgument, match="vanishes on the whole"):
+            check_omega_condition(make_function("normalized(power:0)"), "omega_snq")
 
 
 class TestComparisons:

@@ -15,7 +15,8 @@ from scipy.integrate import quad
 from ultraweight import GridTooCoarse, InvalidArgument
 from ultraweight.quadrature import (
     Y_CUT,
-    integral_to_infinity,
+    SuffixSamples,
+    TailSamples,
     power_log_tail,
     sample_window,
     suffix_integral_grid,
@@ -82,31 +83,45 @@ class TestPowerLogTail:
 
 
 class TestIntegralToInfinity:
+    """integral_t^inf from one lower limit: a one-point suffix grid."""
+
     def test_closed_form_tail_on_sqrt_weight(self):
         # integral_t^inf u**(1/2) u**(-2) du = 2 / sqrt(t)
         tail = lambda Y: 2.0 / math.sqrt(Y)
         for t in (1.0, 10.0, 1e4):
-            out = integral_to_infinity(np.sqrt, t, 2.0, model_tail=tail)
-            assert out.value == pytest.approx(2.0 / math.sqrt(t), rel=1e-10)
-            assert out.tail_method == "closed-form"
-            assert out.value == pytest.approx(out.window_value + out.tail_value,
-                                              rel=1e-14)
-            assert out.cutoff == pytest.approx(max(t, 1.0) * Y_CUT)
+            (got,) = suffix_integral_grid(np.sqrt, [t], 2.0, model_tail=tail)
+            assert got == pytest.approx(2.0 / math.sqrt(t), rel=1e-10)
 
     def test_fitted_tail_is_exact_for_power_law(self):
         for t in (1.0, 250.0):
-            out = integral_to_infinity(np.sqrt, t, 2.0)
-            assert out.tail_method == "fitted"
-            assert out.value == pytest.approx(2.0 / math.sqrt(t), rel=1e-10)
+            (got,) = suffix_integral_grid(np.sqrt, [t], 2.0)
+            assert got == pytest.approx(2.0 / math.sqrt(t), rel=1e-10)
 
     def test_fitted_tail_rejected_near_divergence(self):
         f = lambda u: u ** 0.46
         with pytest.raises(GridTooCoarse):
-            integral_to_infinity(f, 1.0, 1.5)
+            suffix_integral_grid(f, [1.0], 1.5)
 
     def test_rejects_nonpositive_lower_limit(self):
         with pytest.raises(InvalidArgument):
-            integral_to_infinity(np.sqrt, 0.0, 2.0)
+            suffix_integral_grid(np.sqrt, [0.0], 2.0)
+        with pytest.raises(InvalidArgument):
+            TailSamples(np.sqrt, 0.0)
+
+    @pytest.mark.parametrize("tail", [None, lambda Y: 2.0 / math.sqrt(Y)])
+    def test_one_point_grid_is_the_tail_sampler(self, tail):
+        for t in (0.5, 1.0, 37.0):
+            (got,) = SuffixSamples(np.sqrt, np.array([t])).integrals(2.0, tail)
+            assert got == TailSamples(np.sqrt, t).integral(2.0, tail)
+
+    def test_one_point_grid_samples_no_panels(self):
+        calls = []
+
+        def f(u):
+            calls.append(np.size(u))
+            return np.sqrt(u)
+        suffix_integral_grid(f, [3.0], 2.0, model_tail=lambda Y: 2.0 / math.sqrt(Y))
+        assert calls == [len(sample_window(np.sqrt, 3.0, 3.0 * Y_CUT).v)]
 
 
 class TestSuffixGrid:
@@ -115,8 +130,8 @@ class TestSuffixGrid:
         tail = lambda Y: 2.0 / math.sqrt(Y)
         G = suffix_integral_grid(np.sqrt, ts, 2.0, model_tail=tail)
         for i, t in enumerate(ts):
-            point = integral_to_infinity(np.sqrt, float(t), 2.0, model_tail=tail)
-            assert G[i] == pytest.approx(point.value, rel=1e-10)
+            (point,) = suffix_integral_grid(np.sqrt, [t], 2.0, model_tail=tail)
+            assert G[i] == pytest.approx(point, rel=1e-10)
             assert G[i] == pytest.approx(2.0 / math.sqrt(t), rel=1e-10)
 
     def test_piecewise_integrand_with_kink(self):

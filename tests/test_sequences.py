@@ -33,6 +33,12 @@ class TestFamilies:
         for p in (1, 2, 7, 40):
             assert M.quotient(p) == pytest.approx(p ** 2.0, rel=1e-13)
 
+    def test_value_and_quotient_at_the_float_range_edge(self):
+        # log 1.5e308 = 709.6 lies inside the float range: no inf there
+        assert explicit([1, 1.5e308]).value(1) == pytest.approx(1.5e308, rel=1e-12)
+        # log mu_1000 = 1999 log 2 lies past it: inf from both, no OverflowError
+        assert qgevrey(2.0).quotient(1000) == math.inf == qgevrey(2.0).value(1000)
+
     def test_invalid_specs(self):
         with pytest.raises(uw.InvalidSpec):
             explicit([1.0, -2.0, 4.0])
