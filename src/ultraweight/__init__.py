@@ -16,25 +16,20 @@ from .verdict import (ConditionVerdict, ConvexityViolation,
                       NotLogConvex, NotNonQuasianalytic, PreconditionError,
                       PreconditionInconclusive, RunConfig, UltraweightError,
                       Verdict)
-from .sequences import (TailModel, WeightSequence, check_beta1, check_beta3,
-                        check_gamma1, check_lc, check_mg, check_nq,
-                        check_nq_r, check_slc, compare, explicit,
-                        factorial_shift, from_quotients, gevrey, hat, power,
-                        qgevrey)
-from .functions import (AssociatedOf, ConvexPL, KappaPower,
-                        LogPower, NormalizedShift, PiecewiseGlue, PowerLaw,
-                        PowerSubst, WeightFunction,
-                        check_omega_condition, compare_o, compare_preceq,
-                        conjugate_pl, convexify, equivalent_fun, normalize,
-                        power_substitute, young_conjugate)
+from .sequences import (TailModel, WeightSequence, check_sequence_condition,
+                        compare, explicit, factorial_shift, from_quotients,
+                        gevrey, hat, power, qgevrey)
+from .functions import (AssociatedOf, ConvexPL, KappaPower, LogPower,
+                        NormalizedShift, PiecewiseGlue, PowerLaw, PowerSubst,
+                        WeightFunction, check_omega_condition, compare_fun,
+                        normalize, power_substitute, young_conjugate)
 from .indices import (Gamma1Witness, IndexEstimate, find_gamma1_witness,
                       gamma_index_fun, gamma_index_seq, mixed_condition_fun,
                       mixed_condition_seq, mu_fun, mu_seq)
 from .constructions import (DescendantPair, ReductionResult, WeightMatrix,
                             associated_eval, associated_function,
                             associated_matrix, descendant, kappa,
-                            kappa_power_normalized,
-                            omega_hat, reduction_build)
+                            kappa_power_normalized, omega_hat, reduction_build)
 from .specio import make_function, make_sequence, spec_of
 
 __version__ = "0.1.0"
@@ -50,12 +45,10 @@ __all__ = [
     "ReductionResult", "RunConfig", "TailModel", "UltraweightError",
     "Verdict", "WeightFunction", "WeightMatrix", "WeightSequence",
     "associated_eval", "associated_function", "associated_matrix",
-    "check_beta1", "check_beta3",
-    "check_gamma1", "check_lc", "check_mg", "check_nq", "check_nq_r",
-    "check_omega_condition", "check_slc", "compare",
-    "compare_o", "compare_preceq", "conjugate_pl", "convexify", "descendant",
-    "equivalent_fun", "explicit", "factorial_shift", "find_gamma1_witness",
-    "from_quotients", "gamma_index_fun", "gamma_index_seq", "gevrey", "hat",
+    "check_omega_condition", "check_sequence_condition", "compare",
+    "compare_fun", "descendant", "explicit", "factorial_shift",
+    "find_gamma1_witness", "from_quotients", "gamma_index_fun",
+    "gamma_index_seq", "gevrey", "hat",
     "kappa", "kappa_power_normalized", "make_function", "make_sequence",
     "mixed_condition_fun", "mixed_condition_seq", "mu_fun", "mu_seq",
     "normalize", "omega_hat", "power", "power_substitute", "qgevrey",

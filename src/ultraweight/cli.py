@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -20,8 +21,8 @@ import numpy as np
 from .verdict import (DEFAULT_INDEX_TOL, DEFAULT_P_MAX, Grid, InvalidArgument,
                       InvalidSpec, PreconditionError, RunConfig,
                       UltraweightError)
-from .sequences import SEQUENCE_CHECKS
-from .functions import OMEGA_CHECKS, check_omega_condition
+from .sequences import check_sequence_condition
+from .functions import check_omega_condition
 from .indices import gamma_index_fun, gamma_index_seq, mu_fun, mu_seq
 from .constructions import (DEFAULT_J_MAX, DEFAULT_LEVELS, associated_matrix,
                             descendant, kappa, kappa_power_normalized,
@@ -73,33 +74,18 @@ def cmd_check(args, config: RunConfig) -> Report:
     if args.sequence:
         M = make_sequence(args.sequence)
         echo = {"sequence": M.spec or M.label}
-        domain, table = "sequence", SEQUENCE_CHECKS
         default = ["lc", "mg", "nq"]
-        pkw = {} if args.pmax is None else {"P": args.pmax}
-
-        def run(cond):
-            order = (args.r,) if cond.endswith("_r") else ()
-            return table[cond](M, *order, **pkw)
+        run = partial(check_sequence_condition, M, r=args.r, P=args.pmax)
     elif args.omega:
         fn = make_function(args.omega)
         echo = {"omega": spec_of(fn)}
-        domain, table = "function", OMEGA_CHECKS
         default = ["omega1", "omega3", "omega4", "omega_nq"]
-
-        def run(cond):
-            return check_omega_condition(fn, cond, r=args.r, config=config)
+        run = partial(check_omega_condition, fn, r=args.r, config=config)
     else:
         raise InvalidSpec("check needs --sequence or --omega")
     wanted = [c.strip() for c in args.conditions.split(",")] \
         if args.conditions else default
-    results = {}
-    for cond in wanted:
-        if cond not in table:
-            raise InvalidSpec(f"unknown {domain} condition {cond!r} "
-                              f"(choose from {', '.join(table)})")
-        if cond.endswith("_r") and args.r is None:
-            raise InvalidSpec(f"condition {cond} needs --r")
-        results[cond] = run(cond).to_dict()
+    results = {cond: run(cond).to_dict() for cond in wanted}
     return Report("check", inputs={**echo, "conditions": wanted, "r": args.r},
                   results=results)
 

@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .functions import (AssociatedOf, ConvexPL, KappaPower, PiecewiseGlue,
-                        WeightFunction, check_omega_condition, compare_o,
+                        WeightFunction, check_omega_condition, compare_fun,
                         conjugate_pl, convexify, normalize)
 from .indices import (Gamma1Witness, MixedSeqProbe, find_gamma1_witness,
                       mixed_condition_fun)
@@ -814,7 +814,7 @@ def reduction_build(sigma: WeightFunction, omega: WeightFunction,
     if witness is None:
         raise GammaNotAboveOne(
             f"no doubling-domination witness for ({sigma.label}, {omega.label})")
-    growth = compare_o(f, sigma, config=config)
+    growth = compare_fun(f, sigma, "little_o", config)
     if growth.is_violated:
         raise InvalidArgument(
             f"{f.label} does not strictly dominate {sigma.label}: "
@@ -906,8 +906,8 @@ def reduction_build(sigma: WeightFunction, omega: WeightFunction,
             "sigma_vs_sigma_tilde": {
                 **_growth_ratio_report(sigma, sigma_tilde, xs[1], xs[-1]),
                 "note": "multiplier frozen beyond the last breakpoint"},
-            "sigma_tilde_vs_f": compare_o(f, sigma_tilde,
-                                          config=config).status.value},
+            "sigma_tilde_vs_f": compare_fun(f, sigma_tilde, "little_o",
+                                            config).status.value},
         "doubling_bound_preserved": w1_report,
     }
     return ReductionResult(breakpoints=tuple(xs), sigma_tilde=sigma_tilde,

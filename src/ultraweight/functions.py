@@ -33,8 +33,8 @@ from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
                       TREND_GROW, VANISH, WINDOW_DECAY, WINDOW_FLAT,
                       ConditionVerdict, ConvexityViolation,
                       EvaluationRangeError, GridTooCoarse, InvalidArgument,
-                      RunConfig, Verdict, Y_GRID, both_ways, grid_decided,
-                      read_only)
+                      RunConfig, Verdict, Y_GRID, both_ways, condition_order,
+                      grid_decided, read_only)
 
 _ASSOC_TABLE_CAP = 1 << 21  # the quotient table of a sequence without a closed form
 # a sequence with an exact closed form is tabulated up to this index at most:
@@ -923,14 +923,8 @@ def check_omega_condition(omega: WeightFunction, cond: str, *,
     """Dispatch a condition check by name.  The verdict depends only on omega,
     the condition, the order r (read only by a condition ending in "_r") and
     the config, never on earlier calls."""
-    if cond not in OMEGA_CHECKS:
-        raise InvalidArgument(f"unknown condition {cond!r}")
-    config = config or RunConfig()
-    if not cond.endswith("_r"):
-        return OMEGA_CHECKS[cond](omega, config)
-    if r is None:
-        raise InvalidArgument(f"{cond} needs the order r")
-    return OMEGA_CHECKS[cond](omega, r, config)
+    order = condition_order("function", OMEGA_CHECKS, cond, r)
+    return OMEGA_CHECKS[cond](omega, *order, config or RunConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -946,46 +940,43 @@ def _gauge_ratio(num: WeightFunction, den: WeightFunction, config: RunConfig):
     return ts, ratio, info, cmp
 
 
-def compare_preceq(a: WeightFunction, b: WeightFunction,
-                   config: Optional[RunConfig] = None) -> ConditionVerdict:
-    """Is b dominated by a, i.e. b(t) <= C (a(t) + 1) for some C?"""
-    cond = "preceq"
-    ts, ratio, info, cmp = _gauge_ratio(b, a, config or RunConfig())
+def compare_fun(a: WeightFunction, b: WeightFunction, relation: str,
+                config: Optional[RunConfig] = None) -> ConditionVerdict:
+    """Compare two gauges through b/(a+1), like `sequences.compare`.
+
+    preceq:     b(t) <= C (a(t) + 1) for some C
+    little_o:   b(t)/(a(t) + 1) -> 0
+    equivalent: preceq both ways
+    """
+    if relation not in ("preceq", "little_o", "equivalent"):
+        raise InvalidArgument(f"unknown relation {relation!r}")
+    config = config or RunConfig()
+    if relation == "equivalent":
+        return both_ways(compare_fun(a, b, "preceq", config), compare_fun(b, a, "preceq", config),
+                         lambda fw, bw: {"C_forward": fw["C"], "C_backward": bw["C"]})
+    ts, ratio, info, cmp = _gauge_ratio(b, a, config)
+    if relation == "little_o":
+        if cmp is None:
+            return grid_vanishing(relation, ratio, ts, "b(t)/(a(t)+1)",
+                                  stays=GAUGE_NOT_VANISH)
+        if cmp < 0:
+            return ConditionVerdict.satisfied(relation, info, "growth-model")
+        return ConditionVerdict.violated(relation,
+            {"t": float(ts[-1]), **info,
+             "trend": ("ratio grows without bound" if cmp > 0
+                       else "same growth shape, ratio does not vanish")}, "growth-model")
     if cmp is None or (cmp == 0 and None in (a.model.coeff, b.model.coeff)):
-        return grid_bounded(cond, ratio, ts, "b(t)/(a(t)+1)", flat=RATIO_TREND_FLAT)
+        return grid_bounded(relation, ratio, ts, "b(t)/(a(t)+1)", flat=RATIO_TREND_FLAT)
     if cmp > 0:
-        return ConditionVerdict.violated(cond,
+        return ConditionVerdict.violated(relation,
             {"t": float(ts[-1]), **info, "trend": "ratio grows without bound"}, "growth-model")
     if cmp < 0:
-        return ConditionVerdict.satisfied(cond,
+        return ConditionVerdict.satisfied(relation,
             {"C": info["grid_sup"] * REL_MARGIN, **info}, "growth-model")
     limit = b.model.coeff / a.model.coeff
-    return ConditionVerdict.satisfied(cond,
+    return ConditionVerdict.satisfied(relation,
         {"C": max(info["grid_sup"], limit) * REL_MARGIN,
          "model_ratio_limit": limit, **info}, "growth-model")
-
-
-def compare_o(a: WeightFunction, b: WeightFunction,
-              config: Optional[RunConfig] = None) -> ConditionVerdict:
-    """Is b negligible against a, i.e. b(t)/a(t) -> 0?"""
-    cond = "little_o"
-    ts, ratio, info, cmp = _gauge_ratio(b, a, config or RunConfig())
-    if cmp is None:
-        return grid_vanishing(cond, ratio, ts, "b(t)/(a(t)+1)",
-                              stays=GAUGE_NOT_VANISH)
-    if cmp < 0:
-        return ConditionVerdict.satisfied(cond, info, "growth-model")
-    return ConditionVerdict.violated(cond,
-        {"t": float(ts[-1]), **info,
-         "trend": ("ratio grows without bound" if cmp > 0
-                   else "same growth shape, ratio does not vanish")}, "growth-model")
-
-
-def equivalent_fun(a: WeightFunction, b: WeightFunction,
-                   config: Optional[RunConfig] = None) -> ConditionVerdict:
-    config = config or RunConfig()
-    return both_ways(compare_preceq(a, b, config), compare_preceq(b, a, config),
-                     lambda fw, bw: {"C_forward": fw["C"], "C_backward": bw["C"]})
 
 
 # ---------------------------------------------------------------------------

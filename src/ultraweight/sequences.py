@@ -28,8 +28,8 @@ from .special import gammaln, hurwitz_zeta
 from .verdict import (COMPARE_ROOT, COMPARE_SLOPE, DEFAULT_P_MAX,
                       SUM_UNDIMINISHED, ConditionVerdict, EvaluationRangeError,
                       InternalInconsistency, InvalidArgument, InvalidSpec,
-                      NotLogConvex, Verdict, both_ways, grid_decided,
-                      read_only, settled, stabilized)
+                      NotLogConvex, Verdict, both_ways, condition_order,
+                      grid_decided, read_only, settled, stabilized)
 
 # a precondition or postcondition on a sequence (log-convexity, a bounded
 # quotient ratio) reads p up to this
@@ -1042,6 +1042,14 @@ def finish_sup_verdict(cond: str, log_F: Optional[np.ndarray], converges: Option
 SEQUENCE_CHECKS = {"lc": check_lc, "slc": check_slc, "mg": check_mg,
                    "nq": check_nq, "nq_r": check_nq_r, "beta1": check_beta1,
                    "beta3": check_beta3, "gamma1": check_gamma1}
+
+
+def check_sequence_condition(M: WeightSequence, cond: str, *, r: Optional[float] = None,
+                             P: Optional[int] = None) -> ConditionVerdict:
+    """Dispatch a condition check by name; P=None keeps the checker's own
+    default, and r is read only by a condition ending in "_r"."""
+    order = condition_order("sequence", SEQUENCE_CHECKS, cond, r)
+    return SEQUENCE_CHECKS[cond](M, *order, **({} if P is None else {"P": P}))
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,17 @@ def both_ways(fwd: ConditionVerdict, bwd: ConditionVerdict,
         "forward": fwd.status.value, "backward": bwd.status.value}, fwd.provenance)
 
 
+def condition_order(domain: str, table: Mapping, cond: str, r) -> tuple:
+    """The order argument of a checker in `table`: (r,) for a name ending in
+    "_r", () otherwise.  An unknown name, or an order without r, is refused."""
+    if cond not in table:
+        raise InvalidArgument(f"unknown {domain} condition {cond!r} "
+                              f"(choose from {', '.join(table)})")
+    if cond.endswith("_r") and r is None:
+        raise InvalidArgument(f"{cond} needs the order r (--r)")
+    return (r,) if cond.endswith("_r") else ()
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """`a` with writes refused: arrays shared across the probes of one index
     call must not be changed by any of them."""
@@ -273,7 +284,7 @@ REL_MARGIN = 1.01  # widens a sup read off the range into a witness constant
 TREND_GROW, TREND_FLAT, RATIO_TREND_FLAT = 1.05, 1.0005, 1.02
 VANISH, NOT_VANISH = 0.5, 0.98  # a ratio that should vanish: end over middle
 LOG_VANISH, LOG_NOT_VANISH = 1 / 1.2, 1 / 1.02  # the same for omega3's log t/omega
-GAUGE_NOT_VANISH = math.inf  # compare_o: no end value refutes b = o(a)
+GAUGE_NOT_VANISH = math.inf  # compare_fun little_o: no end value refutes b = o(a)
 WINDOW_DECAY, WINDOW_FLAT = 0.7, 0.9  # window integrals: last increment over previous
 SUM_UNDIMINISHED = 0.5  # partial sums: last doubling's increment over previous
 COMPARE_SLOPE, COMPARE_ROOT = 1e-3, 0.5  # compare: flat log-ratio slope, vanished root

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 import ultraweight as uw
-from ultraweight import conjugate_pl, constructions, young_conjugate
+from ultraweight import constructions, young_conjugate
+from ultraweight.functions import conjugate_pl
 
 from conftest import brute_associated_log, brute_mixed_sup_seq
 
@@ -120,7 +121,7 @@ def test_criterion_04_index_sandwich_on_ten_pairs():
     problems = []
     diag_cache: dict = {}
     for i, (sigma, omega) in enumerate(pairs, start=1):
-        if not uw.compare_preceq(sigma, omega).is_satisfied:
+        if not uw.compare_fun(sigma, omega, "preceq").is_satisfied:
             problems.append(f"pair {i}: growth ordering not satisfied")
             continue
         key = id(omega)

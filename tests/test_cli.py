@@ -545,7 +545,8 @@ class TestGridEnvironment:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_order_guards_refuse_non_finite(self, bad):
         g2, pw = make_sequence("gevrey:2"), uw.PowerLaw(0.5)
-        for call in (lambda: uw.power(g2, bad), lambda: uw.check_nq_r(g2, bad),
+        for call in (lambda: uw.power(g2, bad),
+                     lambda: uw.check_sequence_condition(g2, "nq_r", r=bad),
                      lambda: uw.PowerSubst(pw, bad),
                      lambda: uw.power_substitute(pw, bad),
                      lambda: uw.KappaPower(pw, bad),

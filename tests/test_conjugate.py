@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import ultraweight as uw
-from ultraweight import (ConvexPL, LogPower, PowerLaw, conjugate_pl,
-                         convexify, normalize, young_conjugate)
+from ultraweight import (ConvexPL, LogPower, PowerLaw, normalize,
+                         young_conjugate)
+from ultraweight.functions import conjugate_pl, convexify
 
 from conftest import brute_conjugate
 

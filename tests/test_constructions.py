@@ -166,12 +166,12 @@ class TestOmegaHat:
 
     def test_sequence_route_lands_one_order_up(self, gevrey1, assoc_g2):
         lifted = uw.omega_hat(gevrey1)
-        v = uw.equivalent_fun(lifted, assoc_g2)
+        v = uw.compare_fun(lifted, assoc_g2, "equivalent")
         assert v.is_satisfied, dict(v.trend)
 
     def test_function_route_matches_sequence_route(self, assoc_g1, assoc_g2):
         lifted = uw.omega_hat(assoc_g1)
-        v = uw.equivalent_fun(lifted, assoc_g2)
+        v = uw.compare_fun(lifted, assoc_g2, "equivalent")
         assert v.is_satisfied, dict(v.trend)
 
     def test_normalized_at_one(self, gevrey1):

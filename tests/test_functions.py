@@ -7,8 +7,7 @@ import pytest
 
 import ultraweight as uw
 from ultraweight import (LogPower, PowerLaw, check_omega_condition,
-                         compare_o, compare_preceq, equivalent_fun, normalize,
-                         power_substitute)
+                         compare_fun, normalize, power_substitute)
 
 from ultraweight.specio import make_function
 
@@ -71,9 +70,9 @@ class TestPowerSubstitute:
                  (PowerLaw(1.0 / 3.0), PowerLaw(0.5))]
         for sigma, tau in pairs:
             for r in (0.5, 2.0):
-                a = compare_preceq(sigma, tau)
-                b = compare_preceq(power_substitute(sigma, r),
-                                   power_substitute(tau, r))
+                a = compare_fun(sigma, tau, "preceq")
+                b = compare_fun(power_substitute(sigma, r),
+                                power_substitute(tau, r), "preceq")
                 assert a.status == b.status, (sigma.label, tau.label, r)
 
     def test_rejects_nonpositive_exponent(self):
@@ -94,7 +93,8 @@ class TestNormalize:
 
     def test_equivalent_to_original(self):
         for base in (PowerLaw(0.5), PowerLaw(1.0), LogPower(2.0)):
-            assert_status(equivalent_fun(base, normalize(base)), "satisfied")
+            assert_status(compare_fun(base, normalize(base), "equivalent"),
+                          "satisfied")
 
     def test_idempotent(self):
         fn = normalize(PowerLaw(0.5))
@@ -214,6 +214,11 @@ class TestOmegaConditions:
         with pytest.raises(uw.InvalidArgument):
             check_omega_condition(PowerLaw(0.5), "omega9")
 
+    def test_an_order_condition_needs_r(self):
+        with pytest.raises(uw.InvalidArgument,
+                           match=r"omega_nq_r needs the order r \(--r\)"):
+            check_omega_condition(PowerLaw(0.5), "omega_nq_r")
+
 
 class TestKappaPowerNode:
     @pytest.mark.parametrize("base, method", [("power:0.5", "closed-form"),
@@ -264,23 +269,34 @@ class TestSnqIsTheMixedCondition:
 
 class TestComparisons:
     def test_preceq_direction(self):
-        assert_status(compare_preceq(PowerLaw(0.5), PowerLaw(1.0 / 3.0)),
+        assert_status(compare_fun(PowerLaw(0.5), PowerLaw(1.0 / 3.0), "preceq"),
                       "satisfied")
 
     def test_preceq_reverse_fails(self):
-        v = compare_preceq(PowerLaw(1.0 / 3.0), PowerLaw(0.5))
+        v = compare_fun(PowerLaw(1.0 / 3.0), PowerLaw(0.5), "preceq")
         assert v.status.value in ("violated", "inconclusive")
 
     def test_small_o_of_itself_fails(self):
-        assert_status(compare_o(PowerLaw(0.5), PowerLaw(0.5)), "violated")
+        assert_status(compare_fun(PowerLaw(0.5), PowerLaw(0.5), "little_o"),
+                      "violated")
 
     def test_small_o_strict(self):
-        assert_status(compare_o(PowerLaw(0.5), PowerLaw(0.25)), "satisfied")
+        assert_status(compare_fun(PowerLaw(0.5), PowerLaw(0.25), "little_o"),
+                      "satisfied")
 
     def test_equivalence_reflexive(self):
-        assert_status(equivalent_fun(PowerLaw(0.5), PowerLaw(0.5)),
+        assert_status(compare_fun(PowerLaw(0.5), PowerLaw(0.5), "equivalent"),
                       "satisfied")
 
     def test_equivalence_rejects_different_growth(self):
-        v = equivalent_fun(PowerLaw(0.5), PowerLaw(0.25))
+        v = compare_fun(PowerLaw(0.5), PowerLaw(0.25), "equivalent")
         assert v.status.value == "violated"
+
+    @pytest.mark.parametrize("relation", ["preceq", "little_o", "equivalent"])
+    def test_the_verdict_names_its_relation(self, relation):
+        v = compare_fun(PowerLaw(0.5), PowerLaw(0.25), relation)
+        assert v.condition == relation
+
+    def test_an_unknown_relation_is_refused(self):
+        with pytest.raises(uw.InvalidArgument):
+            compare_fun(PowerLaw(0.5), PowerLaw(0.25), "precsim")

@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ultraweight as uw
-from ultraweight import convexify, functions, sequences
+from ultraweight import functions, sequences
+from ultraweight.functions import convexify
 from ultraweight.sequences import (TailModel, WeightSequence, log_sum_exp,
                                    log_suffix_sums)
 from ultraweight.verdict import EvaluationRangeError
@@ -303,7 +304,7 @@ class TestLogLinearTailSum:
         assert hi == pytest.approx(ref, rel=1e-11, abs=1e-300)
 
     def test_nq_r_of_a_slow_qgevrey(self):
-        got = uw.check_nq_r(uw.qgevrey(1.001), 64)
+        got = uw.check_sequence_condition(uw.qgevrey(1.001), "nq_r", r=64)
         assert got.witness["sum_lower"] == pytest.approx(32015.9973333679, rel=1e-12)
         assert got.witness["sum"] == pytest.approx(32015.9973333679, rel=1e-11)
 
@@ -326,7 +327,7 @@ class TestLogLinearTailSum:
 
     def test_a_tail_past_the_float_range_certifies_no_sweep(self):
         N = uw.power(uw.qgevrey(1.0000000000000002), 1e-300)  # a = 4.4e-316
-        verdict = uw.check_gamma1(N)
+        verdict = uw.check_sequence_condition(N, "gamma1")
         assert verdict.is_inconclusive
         assert verdict.diagnostics["note"] == ("sup stabilized but the "
                                                "inner-sum tail is uncertified")

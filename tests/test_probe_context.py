@@ -62,7 +62,8 @@ def test_gamma_seq_pair_probes_match_standalone_checks():
 def test_mu_seq_probes_match_standalone_checks(desc):
     est = uw.mu_seq(uw.make_sequence(desc), config=FAST)
     assert dicts(est.r_samples) == [
-        (r, uw.check_nq_r(uw.make_sequence(desc), r, FAST.p_max).to_dict())
+        (r, uw.check_sequence_condition(uw.make_sequence(desc), "nq_r", r=r,
+                                        P=FAST.p_max).to_dict())
         for r, _ in est.r_samples]
 
 

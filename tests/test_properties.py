@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ultraweight as uw
-from ultraweight import ConvexPL, conjugate_pl, young_conjugate
+from ultraweight import ConvexPL, young_conjugate
+from ultraweight.functions import conjugate_pl
 
 from conftest import brute_associated_log
 
@@ -98,7 +99,8 @@ class TestSequenceAlgebraLaws:
     @given(profile=quotient_profiles)
     @settings(**SETTINGS)
     def test_generated_profiles_are_log_convex(self, profile):
-        assert uw.check_lc(explicit_from_profile(profile)).is_satisfied
+        M = explicit_from_profile(profile)
+        assert uw.check_sequence_condition(M, "lc").is_satisfied
 
     @given(profile=quotient_profiles,
            where=st.floats(min_value=0.3, max_value=0.9),
@@ -113,7 +115,7 @@ class TestSequenceAlgebraLaws:
         # bump one value by more than half the local quotient gap, which
         # forces quotient p above quotient p+1
         log_vals[p] += 0.5 * (log_mu[p + 1] - log_mu[p]) + excess
-        v = uw.check_lc(uw.explicit(np.exp(log_vals)))
+        v = uw.check_sequence_condition(uw.explicit(np.exp(log_vals)), "lc")
         assert v.is_violated
         assert v.counterexample["p"] in (p, p + 1)
 

@@ -62,26 +62,30 @@ SEQUENCE_TABLE = {
 _MODELLED = {"omega1": (S, GM), "omega2": (S, GM), "omega3": (S, GM),
              "omega4": (S, "structure"), "omega5": (S, GM), "omega6": (S, GM),
              "omega_nq": (S, GM), "omega_snq": (S, GM), "omega_nq_r": (V, GM),
-             "compare_preceq": (S, GM), "compare_o": (V, GM),
-             "equivalent_fun": (S, GM), "mixed_fun": (S, GM)}
+             "preceq": (S, GM), "little_o": (V, GM), "equivalent": (S, GM),
+             "mixed_fun": (S, GM)}
 FUNCTION_TABLE = {
     "power:0.5": _MODELLED,
     "logpower:2": {**_MODELLED, "omega6": (V, GM), "omega_nq_r": (S, GM),
-                   "compare_o": (S, GM), "equivalent_fun": (V, GM)},
+                   "little_o": (S, GM), "equivalent": (V, GM)},
     # H = 4 = 2**(1/a) is a boundary an inexact model cannot decide
     "assoc(gevrey:2)": {**_MODELLED, "omega6": (S, TR)},
     # no growth model: everything but the node's convexity is read off the grid
     "assoc(descendant(qgevrey:2,1))": {
         **{c: (S, TR) for c in _MODELLED}, "omega4": (S, "structure"),
-        "equivalent_fun": (V, TR)},
+        "equivalent": (V, TR)},
 }
+FUNCTION_RELATIONS = ("preceq", "little_o", "equivalent")
+# a case id names the function each relation had before compare_fun: the ids
+# stay as they were
+CASE_ID = {"preceq": "compare_preceq", "little_o": "compare_o",
+           "equivalent": "equivalent_fun"}
 
 
 def sequence_verdict(name: str, family: str) -> uw.ConditionVerdict:
     M = uw.make_sequence(name)
     if family in SEQUENCE_CHECKS:
-        check = SEQUENCE_CHECKS[family]
-        return check(M, 1.5) if family.endswith("_r") else check(M)
+        return uw.check_sequence_condition(M, family, r=1.5)
     if family == "mixed_seq":
         return uw.mixed_condition_seq(M, r=1.0)
     return uw.compare(M, uw.gevrey(2.0), family)
@@ -93,13 +97,14 @@ def function_verdict(name: str, family: str) -> uw.ConditionVerdict:
         return uw.check_omega_condition(omega, family, r=2.0)
     if family == "mixed_fun":
         return uw.mixed_condition_fun(omega, r=1.0)
-    return getattr(uw, family)(uw.make_function("power:0.5"), omega)
+    return uw.compare_fun(uw.make_function("power:0.5"), omega, family)
 
 
-def _cases(table):
+def _cases(table, ids=None):
     for name, row in table.items():
         for family, (status, provenance) in row.items():
-            yield pytest.param(name, family, status, provenance, id=f"{family}-{name}")
+            yield pytest.param(name, family, status, provenance,
+                               id=f"{(ids or {}).get(family, family)}-{name}")
 
 
 def test_every_family_is_covered():
@@ -107,8 +112,7 @@ def test_every_family_is_covered():
         assert set(row) == set(SEQUENCE_CHECKS) | {"precsim", "vartriangleleft",
                                                    "equivalent", "mixed_seq"}
     for row in FUNCTION_TABLE.values():
-        assert set(row) == set(OMEGA_CHECKS) | {"compare_preceq", "compare_o",
-                                                "equivalent_fun", "mixed_fun"}
+        assert set(row) == set(OMEGA_CHECKS) | {*FUNCTION_RELATIONS, "mixed_fun"}
 
 
 @pytest.mark.parametrize("name, family, status, provenance", _cases(SEQUENCE_TABLE))
@@ -117,10 +121,13 @@ def test_sequence_provenance(name, family, status, provenance):
     assert (v.status.value, v.provenance) == (status, provenance)
 
 
-@pytest.mark.parametrize("name, family, status, provenance", _cases(FUNCTION_TABLE))
+@pytest.mark.parametrize("name, family, status, provenance",
+                         _cases(FUNCTION_TABLE, CASE_ID))
 def test_function_provenance(name, family, status, provenance):
     v = function_verdict(name, family)
     assert (v.status.value, v.provenance) == (status, provenance)
+    if family in FUNCTION_RELATIONS:
+        assert v.condition == family
 
 
 def test_the_vocabulary_is_closed():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import ultraweight as uw
-from ultraweight import (check_beta1, check_beta3, check_gamma1, check_lc,
-                         check_mg, check_nq, check_nq_r, check_slc, compare,
-                         explicit, factorial_shift, gevrey, hat, power,
-                         qgevrey)
+from ultraweight import (compare, explicit, factorial_shift, gevrey, hat,
+                         power, qgevrey)
 from ultraweight import sequences
-from ultraweight.sequences import SEQUENCE_CHECKS, TailModel
+from ultraweight.sequences import (SEQUENCE_CHECKS, TailModel, check_beta1,
+                                   check_beta3, check_gamma1, check_lc,
+                                   check_mg, check_nq, check_nq_r, check_slc)
 
 from conftest import assert_status
 
@@ -332,3 +332,30 @@ def test_checker_probes_no_index_past_P(name, make, monkeypatch):
     order = (1.5,) if name.endswith("_r") else ()
     SEQUENCE_CHECKS[name](M, *order, P=64)
     assert asked and max(asked) <= 64
+
+
+class TestCheckEntry:
+    """check_sequence_condition reaches every checker by name, with the call
+    shape of check_omega_condition."""
+
+    @pytest.mark.parametrize("name", list(SEQUENCE_CHECKS))
+    @pytest.mark.parametrize("desc", ["gevrey:2", "explicit:1,4,8,32"])
+    def test_the_entry_equals_the_checker(self, desc, name):
+        order = (1.5,) if name.endswith("_r") else ()
+        got = uw.check_sequence_condition(uw.make_sequence(desc), name, r=1.5)
+        want = SEQUENCE_CHECKS[name](uw.make_sequence(desc), *order)
+        assert got.to_dict() == want.to_dict()
+
+    def test_P_reaches_the_checker(self):
+        v = uw.check_sequence_condition(gevrey(2.0), "lc", P=50)
+        assert v.witness["checked_up_to"] == 50
+
+    def test_an_unknown_name_lists_the_table(self):
+        with pytest.raises(uw.InvalidArgument) as err:
+            uw.check_sequence_condition(gevrey(2.0), "omega1")
+        assert str(err.value).split("(choose from ")[1].rstrip(")").split(", ") \
+            == list(SEQUENCE_CHECKS)
+
+    def test_an_order_condition_needs_r(self):
+        with pytest.raises(uw.InvalidArgument, match=r"nq_r needs the order r \(--r\)"):
+            uw.check_sequence_condition(gevrey(2.0), "nq_r")

@@ -41,7 +41,11 @@ CONDITION_STATUS = {
 }
 STRUCTURAL = {"omega4"}  # decided by the node shape, not by the grid
 
-# (a, b) -> (compare_preceq(a, b), compare_o(a, b))
+# (a, b) -> statuses of compare_fun(a, b, relation) for each of RELATIONS
+RELATIONS = ("preceq", "little_o")
+# a case id names the function each relation had before compare_fun: the ids
+# stay as they were
+CASE_ID = {"preceq": "compare_preceq", "little_o": "compare_o"}
 COMPARE_STATUS = {
     ("assoc", "assoc"): (S, I),
     ("assoc", "subst"): (V, V),
@@ -69,8 +73,8 @@ def _condition_cases():
 
 def _compare_cases():
     for (a, b), statuses in COMPARE_STATUS.items():
-        for fn, status in zip(("compare_preceq", "compare_o"), statuses):
-            yield pytest.param(fn, a, b, status, id=f"{fn}-{a}-{b}")
+        for relation, status in zip(RELATIONS, statuses):
+            yield pytest.param(relation, a, b, status, id=f"{CASE_ID[relation]}-{a}-{b}")
 
 
 def _mixed_cases():
@@ -83,8 +87,8 @@ def _condition(name, cond):
     return uw.check_omega_condition(build(name), cond, r=2.0)
 
 
-def _compare(fn, a, b):
-    return getattr(uw, fn)(build(a), build(b))
+def _compare(relation, a, b):
+    return uw.compare_fun(build(a), build(b), relation)
 
 
 def _mixed(sigma, omega, r):
@@ -106,9 +110,10 @@ def test_condition_status(name, cond, status):
     assert _condition(name, cond).status.value == status
 
 
-@pytest.mark.parametrize("fn, a, b, status", _compare_cases())
-def test_compare_status(fn, a, b, status):
-    assert _compare(fn, a, b).status.value == status
+@pytest.mark.parametrize("relation, a, b, status", _compare_cases())
+def test_compare_status(relation, a, b, status):
+    verdict = _compare(relation, a, b)
+    assert (verdict.condition, verdict.status.value) == (relation, status)
 
 
 @pytest.mark.parametrize("sigma, omega, r, status", _mixed_cases())
@@ -121,8 +126,8 @@ def _all_verdicts():
         for cond in table:
             yield f"{cond}-{name}", _condition(name, cond), cond not in STRUCTURAL
     for a, b in COMPARE_STATUS:
-        for fn in ("compare_preceq", "compare_o"):
-            yield f"{fn}-{a}-{b}", _compare(fn, a, b), True
+        for relation in RELATIONS:
+            yield f"{CASE_ID[relation]}-{a}-{b}", _compare(relation, a, b), True
     for sigma, omega in MIXED_STATUS:
         for r in MIXED_R:
             yield f"mixed-{sigma}-{omega}-r{r:g}", _mixed(sigma, omega, r), True
