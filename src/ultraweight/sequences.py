@@ -1013,11 +1013,11 @@ def finish_sup_verdict(cond: str, log_F: Optional[np.ndarray], converges: Option
     if math.inf in (first, last):
         return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf}, "trend",
                                          reason="inner sum not finite on range")
-    if not (math.isfinite(first) and math.isfinite(last)):
+    if not (math.isfinite(first) and last < _LOG_FLOAT_MAX):
         # nan where a quotient past the float range meets a vanishing sum
-        # (inf - inf), or no term at all: the sweep shows nothing
+        # (inf - inf), no term at all, or a finite log sup past exp's range
         return ConditionVerdict.inconclusive(cond, {"P": P}, "trend",
-            note="the sweep is not finite on range (quotients past the float range)")
+            note="the sweep is not finite on range, or its sup is past the float range")
     # exp of a log sup below about -708 loses precision, and below -745
     # rounds to 0: the next float up keeps the sup an upper bound
     sup = math.exp(last)

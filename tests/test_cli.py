@@ -542,6 +542,26 @@ class TestGridEnvironment:
                            "--levels", "8")
         assert code == cli.EXIT_OK, err
 
+    @pytest.mark.parametrize("r, expected, status", [
+        (1.93e-40, cli.EXIT_INCONCLUSIVE, "inconclusive"),
+        (1e-300, cli.EXIT_OK, "satisfied"), (1e-5, cli.EXIT_OK, "satisfied")])
+    def test_a_descendant_sup_past_the_float_range_is_inconclusive(self, capsys, r,
+                                                                  expected, status):
+        # at r = 1.93e-40 the (L, N) sweep's log sup is finite but past
+        # log(float max); at the smaller and larger orders its sup is 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(capsys, "descend", "--sequence", "gevrey:2",
+                                 "--r", str(r))
+        assert code == expected
+        mixed = rep["results"]["checks"]["mixed_L_N"]
+        assert mixed["status"] == status
+        evidence = mixed.get("witness") or mixed["trend"]
+        assert all(isinstance(v, (int, float)) and math.isfinite(v)
+                   for v in evidence.values()), evidence
+        if status == "satisfied":
+            assert evidence["sup"] == 1.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_order_guards_refuse_non_finite(self, bad):
         g2, pw = make_sequence("gevrey:2"), uw.PowerLaw(0.5)

@@ -219,9 +219,10 @@ def reference_sup_verdict(cond, log_F, tail_converges):
     if len(running) and math.inf in (running[0], running[-1]):
         return ConditionVerdict.violated(cond, {"p": 1, "inner_sum": math.inf}, "trend",
                                          reason="inner sum not finite on range")
-    if not len(running) or not np.all(np.isfinite(running)):
+    if not len(running) or not np.all(np.isfinite(running)) \
+            or running[-1] >= math.log(sys.float_info.max):
         return ConditionVerdict.inconclusive(cond, {"P": len(log_F)}, "trend",
-            note="the sweep is not finite on range (quotients past the float range)")
+            note="the sweep is not finite on range, or its sup is past the float range")
     sup, P = math.exp(float(running[-1])), len(log_F)
     if sup < sys.float_info.min:  # rounded up: the sup stays an upper bound
         sup = math.nextafter(sup, math.inf)
@@ -259,7 +260,7 @@ def sweep_logs(draw):
                                max_size=3, unique=True)):
         if n:
             x[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = draw(
-                st.sampled_from([math.nan, math.inf, -math.inf]))
+                st.sampled_from([math.nan, math.inf, -math.inf, 800.0]))
     return x
 
 
