@@ -247,8 +247,9 @@ class AssociatedOf(WeightFunction):
     """sup_p (p log t - log M_p): the counting transform of a weight sequence.
 
     Inside the tabulated quotient range the maximizer is found by bisection on
-    the (nondecreasing) quotients, or for a long ascending block by one merge
-    with them (`_merged`); beyond it an exact tail model continues the
+    the quotients (those of the lower hull of (p, log M_p) where they decrease
+    somewhere), or for a long ascending block by one merge with them
+    (`_merged`); beyond it an exact tail model continues the
     evaluation in closed form, a finite list keeps its last index, and
     otherwise the argument range is capped.  A sequence with an exact closed
     form is tabulated only up to 2**14 quotients: past them both the
@@ -274,6 +275,7 @@ class AssociatedOf(WeightFunction):
                         and seq.log_m0 == 0.0 and not seq.finite_size)
         # (table length checked, whether its quotients never decrease there)
         self._ascends = (1, True)
+        self._hull = (0, None, None)  # (table length, its hull's log mu, log M)
 
     def _table_limit(self) -> int:
         return self.seq.finite_size or _ASSOC_TABLE_CAP
@@ -312,6 +314,15 @@ class AssociatedOf(WeightFunction):
             ok = bool(np.all(q[1:] >= q[:-1]))
             self._ascends = (len(log_mu), ok)
         return ok
+
+    def _lower_hull(self, log_M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log mu and log M of the lower hull of (p, log M_p), once per table:
+        the same sup over p (Komatsu 1973), and quotients that never decrease."""
+        if self._hull[0] != len(log_M):
+            ps = np.arange(len(log_M), dtype=float)
+            hull_M = convexify(ps, log_M)[0](ps)
+            self._hull = (len(log_M), np.concatenate([[0.0], np.diff(hull_M)]), hull_M)
+        return self._hull[1:]
 
     def _merged(self, log_mu: np.ndarray, log_t: np.ndarray) -> Optional[np.ndarray]:
         """searchsorted(log_mu[1:], log_t, "right") by one merge of two sorted lists.
@@ -384,6 +395,8 @@ class AssociatedOf(WeightFunction):
         # every p* past the table is past the read limit: the tail model
         # serves it, and the table's log M serves every other
         log_M = self.seq.log_values(len(log_mu) - 1)
+        if not self._table_ascends(log_mu):
+            log_mu, log_M = self._lower_hull(log_M)
         for i in starts:
             b = flat[i: i + BLOCK]
             # a merge pays off only from BLOCK // 8 points

@@ -17,6 +17,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ultraweight as uw
 from ultraweight import constructions, functions, sequences
@@ -294,6 +295,56 @@ class TestMergeSearch:
         got = AssociatedOf(gevrey_like(1.0))._merged(log_mu, log_t)
         assert got is not None
         assert np.array_equal(got, np.searchsorted(q, log_t, side="right"))
+
+
+def brute_sup(f: AssociatedOf, ts) -> np.ndarray:
+    """max over the whole table of p log t - log M_p, one point at a time."""
+    log_t = np.log(np.maximum(ts, 1e-300))
+    log_M = f.seq.log_values(len(f._table(float(log_t.max()))) - 1)
+    ps = np.arange(len(log_M))
+    return np.array([np.max(ps * lt - log_M) for lt in log_t])
+
+
+def assert_sup_equals_brute(f: AssociatedOf, ts) -> None:
+    got, want = f.eval(ts), brute_sup(f, ts)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+class TestLowerHull:
+    """A table whose quotients decrease somewhere is read on the lower hull of
+    (p, log M_p): its quotients never decrease, and the sup over p is the same."""
+
+    def test_the_sup_on_a_decreasing_table(self):
+        f = AssociatedOf(uw.from_quotients(lambda p: p ** 1.5 * (1.0 + 0.5 * math.sin(p))))
+        ts = np.linspace(0.0, 200.0, 3 * BLOCK + 7)
+        assert f.eval(ts)[3 * BLOCK] == pytest.approx(49.7020314592968, rel=1e-12)
+        assert_sup_equals_brute(f, ts)
+
+    def test_the_hull_is_built_once_per_table(self):
+        f = AssociatedOf(uw.from_quotients(lambda p: p ** 1.5 * (1.0 + 0.5 * math.sin(p))))
+        with mock.patch.object(functions, "convexify", wraps=functions.convexify) as hull:
+            for top in (50.0, 100.0, 200.0):
+                f.eval(np.linspace(0.0, top, 100))
+        assert hull.call_count == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(e=st.floats(1.0, 3.0), a=st.floats(0.5, 1.5), b=st.floats(0.5, 3.0),
+           c=st.floats(0.0, 6.0), top=st.floats(2.0, 200.0), shuffled=st.booleans())
+    def test_random_decreasing_rules(self, e, a, b, c, top, shuffled):
+        f = AssociatedOf(uw.from_quotients(
+            lambda p: e * math.log(p) + a * math.sin(b * p + c), log_scale=True))
+        assume(not f._table_ascends(f._table(math.log(top))))
+        ts = np.linspace(0.0, top, BLOCK + 5)
+        if shuffled:
+            ts = np.random.default_rng(0).permutation(ts)
+        assert_sup_equals_brute(f, ts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_q=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=60),
+           log_m0=st.floats(-2.0, 2.0), top=st.floats(0.5, 50.0))
+    def test_random_explicit_lists(self, log_q, log_m0, top):
+        f = AssociatedOf(uw.explicit(np.exp(np.cumsum([log_m0, *log_q]))))
+        assert_sup_equals_brute(f, np.linspace(0.0, top, 300))
 
 
 class TestAssociatedOverflow:
