@@ -76,8 +76,7 @@ FUNCTION_TABLE = {
         "equivalent": (V, TR)},
 }
 FUNCTION_RELATIONS = ("preceq", "little_o", "equivalent")
-# a case id names the function each relation had before compare_fun: the ids
-# stay as they were
+# test ids keep the names of the functions compare_fun replaced, so they stay stable
 CASE_ID = {"preceq": "compare_preceq", "little_o": "compare_o",
            "equivalent": "equivalent_fun"}
 
