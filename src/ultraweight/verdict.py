@@ -195,7 +195,7 @@ def both_ways(fwd: ConditionVerdict, bwd: ConditionVerdict,
         "forward": fwd.status.value, "backward": bwd.status.value}, fwd.provenance)
 
 
-def condition_order(domain: str, table: Mapping, cond: str, r) -> tuple:
+def condition_order(domain: str, table: Mapping, cond: str, r: float | None) -> tuple:
     """The order argument of a checker in `table`: (r,) for a name ending in
     "_r", () otherwise.  An unknown name, or an order without r, is refused."""
     if cond not in table:
