@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import (BLOCK, PanelSamples, SuffixSamples, TailSamples,
+from .quadrature import (BLOCK, Y_CUT, PanelSamples, SuffixSamples, TailSamples,
                          power_log_tail, sample_window, suffix_integral_grid)
 from .sequences import WeightSequence
 from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
@@ -269,6 +269,17 @@ class AssociatedOf(WeightFunction):
                 model = GrowthModel(1.0 / alpha, 0.0, coeff, 0.0, exact=False)
             elif tm.kind == "loglinear" and tm.a > 0:
                 model = GrowthModel(0.0, 2.0, 1.0 / (2.0 * tm.a), 0.0, exact=False)
+        elif seq.finite_size:
+            # past the last quotient of the lower hull of (p, log M_p), the
+            # largest (log M_N - log M_p) / (N - p), the sup takes p = N.  A
+            # closed tail is read from Y_CUT on at the earliest, so the model
+            # is exact only when it holds there
+            N = seq.finite_size - 1
+            log_M = seq.log_values(N)
+            with np.errstate(over="ignore"):
+                start = float(np.exp(np.max((log_M[N] - log_M[:N]) / (N - np.arange(N)))))
+            model = GrowthModel(0.0, 1.0, float(N), float(log_M[N]),
+                                exact=start <= Y_CUT, start=start)
         super().__init__(f"assoc({seq.label})", model)
         self.seq = seq
         self._closed = (tm is not None and tm.exact and tm.start == 1

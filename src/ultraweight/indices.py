@@ -1,8 +1,10 @@
-"""Growth indices and quasianalyticity orders via condition bisection.
+"""Growth indices and quasianalyticity orders, from a law or by bisection.
 
 Every index here has the form sup{r > 0 : condition at order r holds}, where
 the condition is monotone in r: holding at some order implies holding at every
-smaller one.  The engine brackets the supremum by probing the condition at
+smaller one.  When the input's law decides the condition at every order, the
+index is read off that law as a point estimate (`_law_estimate`), with no
+probe.  Otherwise the engine brackets the supremum by probing the condition at
 sampled orders, expanding geometrically from r = 1 and then bisecting.  Probes
 at distinct r are independent pure evaluations; they are cached by r and the
 estimate is assembled single-threaded from the sorted trace, so a concurrent
@@ -22,9 +24,10 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .functions import MixedFunProbe, OmegaNodes, WeightFunction, _shape_cmp
-from .sequences import (PRECONDITION_P, RatioSweep, SuffixSums,
-                        WeightSequence, check_nq_r, log_ratio_limit,
+from .functions import (GrowthModel, MixedFunProbe, OmegaNodes, WeightFunction,
+                        _shape_cmp)
+from .sequences import (_LOG_FLOAT_MAX, PRECONDITION_P, RatioSweep, SuffixSums,
+                        TailModel, WeightSequence, check_nq_r, log_ratio_limit,
                         require_log_convex)
 from .special import hurwitz_zeta
 from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, ConditionVerdict,
@@ -41,7 +44,8 @@ _PROBE_BUDGET = 40
 
 @dataclass(frozen=True)
 class IndexEstimate:
-    """Bracket [lower, upper] for an index, with the full probe trace.
+    """Bracket [lower, upper] for an index, with the full probe trace (none
+    for a point read off a law).
 
     upper == INDEX_CAP encodes "unbounded beyond the tested range".  The
     constructor enforces the trace structure: probes at or below `lower` must
@@ -101,8 +105,38 @@ class IndexEstimate:
 
 
 # ---------------------------------------------------------------------------
-# bisection engine
+# the law, then the bisection engine
 # ---------------------------------------------------------------------------
+
+def _law_estimate(name: str, law: TailModel | GrowthModel | None,
+                  diagnostics: Mapping[str, Any]) -> Optional[IndexEstimate]:
+    """The point index that `law` fixes at every order, None where it fixes none.
+
+    The caller passes the law its probes read: that of N for mu_seq and for
+    gamma_index_seq (which passes it only on exact power laws from index 1
+    with a bounded quotient ratio, where F_1 is finite exactly when r < e_N),
+    and omega's growth model for mu_fun.  A power law with e_lo == e_hi gives
+    e: sum nu_k**(-1/r) converges exactly when r < e.  A log-linear law gives
+    the cap.  A growth model t**a (log t)**k gives 1/a (the kernel integral
+    converges for r < 1/a and diverges for r > 1/a), and the cap at a = 0.
+    A power bracket with e_lo < e_hi fixes no order between them.
+    """
+    if law is None:
+        return None
+    if isinstance(law, GrowthModel):
+        method, kind, exponent = "growth-model", "growth", law.exponent
+        value = 1.0 / exponent if exponent > 0.0 else INDEX_CAP
+    elif law.kind == "loglinear":
+        method, kind, exponent, value = "tail-model", "loglinear", math.inf, INDEX_CAP
+    elif law.e_lo == law.e_hi:
+        method, kind, exponent, value = "tail-model", "power", law.e_hi, law.e_hi
+    else:
+        return None
+    value = float(min(max(value, 0.0), INDEX_CAP))
+    diag = {**diagnostics, "law": {"kind": kind, "exponent": float(exponent),
+                                   "start": law.start}, "probes": 0}
+    return IndexEstimate(name, value, value, method, 0.0, (), diag)
+
 
 def _bisect_index(name: str, probe: Callable[[float], ConditionVerdict], *,
                   tol: float, diagnostics: Mapping[str, Any]) -> IndexEstimate:
@@ -179,8 +213,10 @@ def _quotient_ratio_bounded(M: WeightSequence, N: WeightSequence,
     info = {"max_log_ratio": last, "P": P}
     step = QUOTIENT_RATIO_STEP
     if last > half + max(step, step * abs(half)):
+        # the largest log ratio is `last`, kept finite in the evidence
         p_at = int(np.argmax(d)) + 1
-        info.update({"p": p_at, "ratio": math.exp(float(d[p_at - 1]))})
+        info.update({"p": p_at,
+                     "ratio": math.exp(last) if last < _LOG_FLOAT_MAX else math.inf})
         return False, info
     return None, info
 
@@ -272,18 +308,20 @@ def gamma_index_seq(M: WeightSequence, N: Optional[WeightSequence] = None, *,
     config = config or RunConfig()
     N_eff = M if N is None else N
     probe = MixedSeqProbe(M, N_eff, config)
-    return _bisect_index("gamma_mixed", probe, tol=config.index_tol,
-                         diagnostics={"domain": "sequence", "M": M.label,
-                                      "N": N_eff.label})
+    diag = {"domain": "sequence", "M": M.label, "N": N_eff.label}
+    return (_law_estimate("gamma_mixed", probe.laws and probe.laws[1], diag)
+            or _bisect_index("gamma_mixed", probe, tol=config.index_tol,
+                             diagnostics=diag))
 
 
 def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEstimate:
     """Order of quasianalyticity sup{r > 0 : sum nu_k^{-1/r} < inf}.
 
-    The quotients must increase (log-convexity), then one bisection on the
-    summability check nq_r brackets the order.  An Inconclusive probe pulls
-    the upper end down and never raises the lower one, so uncertainty widens
-    the bracket; when every probe is Inconclusive the bracket is [0, cap].
+    The quotients must increase (log-convexity).  Then N's tail law gives
+    the order when it fixes one; otherwise one bisection on the summability
+    check nq_r brackets it.  An Inconclusive probe pulls the upper end down
+    and never raises the lower one, so uncertainty widens the bracket; when
+    every probe is Inconclusive the bracket is [0, cap].
     """
     config = config or RunConfig()
     lcv = require_log_convex(N, config.p_max)
@@ -294,7 +332,8 @@ def mu_seq(N: WeightSequence, *, config: Optional[RunConfig] = None) -> IndexEst
     diag: dict[str, Any] = {"domain": "sequence", "N": N.label}
     if lcv.is_inconclusive:
         diag["log_convexity"] = "monotone on range, uncertified beyond"
-    return _bisect_index("mu", probe, tol=config.index_tol, diagnostics=diag)
+    return (_law_estimate("mu", N.tail_model, diag)
+            or _bisect_index("mu", probe, tol=config.index_tol, diagnostics=diag))
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +369,13 @@ def gamma_index_fun(sigma: WeightFunction, omega: Optional[WeightFunction] = Non
 
 def mu_fun(omega: WeightFunction, *,
            config: Optional[RunConfig] = None) -> IndexEstimate:
-    """Order of quasianalyticity sup{r > 0 : kernel integral of order r converges}."""
+    """Order of quasianalyticity sup{r > 0 : kernel integral of order r converges},
+    from omega's growth model when it has one, else by bisection."""
     config = config or RunConfig()
-    return _bisect_index("mu", OmegaNodes(omega).nq_r, tol=config.index_tol,
-                         diagnostics={"domain": "function", "omega": omega.label})
+    diag = {"domain": "function", "omega": omega.label}
+    return (_law_estimate("mu", omega.model, diag)
+            or _bisect_index("mu", OmegaNodes(omega).nq_r, tol=config.index_tol,
+                             diagnostics=diag))
 
 
 # ---------------------------------------------------------------------------

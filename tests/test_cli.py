@@ -368,15 +368,29 @@ class TestIndexCommand:
 
     def test_a_bracket_fixed_by_a_trend_says_so(self, capsys):
         # no growth model: the window integrals decide every probe, so the
-        # bracket around mu = 8.1 rests on a trend (the truth is the cap)
+        # bracket around mu = 6.07 rests on a trend (the quotients of S grow
+        # like those of qgevrey:2, so the truth is the cap)
+        code, rep = run_json(capsys, "index", "mu", "--omega",
+                             "assoc(descendant(qgevrey:2,1))")
+        est = rep["results"]["estimate"]
+        assert est["method"] == "bisection+trend"
+        assert (est["lower"], est["upper"]) == (6.0703125, 6.078125)
+        ends = [s for s in est["samples"] if s["r"] in (est["lower"], est["upper"])]
+        assert [s["provenance"] for s in ends] == ["trend", "trend"]
+
+    def test_a_short_list_gauge_reads_its_order_off_its_model(self, capsys):
+        # for t >= 5 the gauge is exactly 5 log t - log 120, so the order-r
+        # kernel integral converges at every r: the cap, with no probe
         code, rep = run_json(capsys, "index", "mu", "--omega",
                              '{"kind":"assoc","sequence":{"family":"explicit",'
                              '"values":[1,1,2,6,24,120]}}')
         est = rep["results"]["estimate"]
-        assert est["method"] == "bisection+trend"
-        assert (est["lower"], est["upper"]) == (8.1015625, 8.109375)
-        ends = [s for s in est["samples"] if s["r"] in (est["lower"], est["upper"])]
-        assert [s["provenance"] for s in ends] == ["trend", "trend"]
+        assert code == cli.EXIT_OK and validate_report(rep) == []
+        assert (est["lower"], est["upper"], est["method"]) == (
+            INDEX_CAP, INDEX_CAP, "growth-model")
+        assert est["samples"] == [] and est["diagnostics"]["probes"] == 0
+        assert est["diagnostics"]["law"] == {"kind": "growth", "exponent": 0.0,
+                                             "start": pytest.approx(5.0)}
 
     def test_index_needs_an_input(self, capsys):
         assert run(capsys, "index", "gamma")[0] == cli.EXIT_USAGE
@@ -561,6 +575,21 @@ class TestGridEnvironment:
                    for v in evidence.values()), evidence
         if status == "satisfied":
             assert evidence["sup"] == 1.0
+
+    def test_a_quotient_ratio_past_the_float_range_stays_violated(self, capsys):
+        # at r = 1e300 the log quotients of L = S**r climb to about 1e301 over
+        # the precondition range: the ratio is inf, its log stays finite, and
+        # the trend call is recorded without ending the command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "descend", "--sequence", "qgevrey:2",
+                               "--r", "1e300")
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_INCONCLUSIVE)
+        assert '"nan"' not in out
+        mixed = json.loads(out)["results"]["checks"]["mixed_L_N"]
+        assert (mixed["status"], mixed["provenance"]) == ("violated", "trend")
+        assert mixed["counterexample"]["mu_over_nu"] == "inf"
+        assert math.isfinite(mixed["diagnostics"]["max_log_ratio"])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_order_guards_refuse_non_finite(self, bad):

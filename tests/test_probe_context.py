@@ -1,7 +1,8 @@
 """Probe contexts: one index call computes its order-independent work once.
 
 Each probe of a bisection must give the verdict a standalone condition check
-gives on freshly built objects, the batched witness search must match a
+gives on freshly built objects (the bisection runs on the probe an index call
+builds, also where the index call itself reads the input's law), the batched witness search must match a
 per-j reference loop (result, search trace and the arguments it evaluates),
 and no array a context shares between probes may be written.  A sequence
 probe reads three values of its running sup where the reference builds it in
@@ -31,19 +32,29 @@ from ultraweight.verdict import (STABILIZE_REL, ConditionVerdict, Verdict,
 FAST = uw.RunConfig(p_max=20000)
 
 SEQUENCES = ["gevrey:1.3", "gevrey:2.4", "qgevrey:1.5", "power(gevrey:2, 0.6)"]
+# no growth model: the trend windows decide
+LAWLESS = "assoc(descendant(qgevrey:2,1))"
 FUNCTIONS = ["assoc(gevrey:1.5)", "assoc(qgevrey:1.5)", "subst(assoc(gevrey:2), 1.5)",
              "kappa(power:0.4)", "power:0.5", "logpower:2",
-             # no growth model: the trend windows decide
-             '{"kind":"assoc","sequence":{"family":"explicit","values":[1,1,2,6,24,120]}}']
+             # exactly 5 log t - log 120 from t = 5 on
+             '{"kind":"assoc","sequence":{"family":"explicit","values":[1,1,2,6,24,120]}}',
+             LAWLESS]
 
 
 def dicts(samples):
     return [(r, v.to_dict()) for r, v in samples]
 
 
+def bisected(name, probe, tol=FAST.index_tol):
+    est = indices._bisect_index(name, probe, tol=tol, diagnostics={})
+    assert est.r_samples
+    return est
+
+
 @pytest.mark.parametrize("desc", SEQUENCES)
 def test_gamma_seq_probes_match_standalone_checks(desc):
-    est = uw.gamma_index_seq(uw.make_sequence(desc), config=FAST)
+    M = uw.make_sequence(desc)
+    est = bisected("gamma_mixed", MixedSeqProbe(M, M, FAST))
     assert dicts(est.r_samples) == [
         (r, uw.mixed_condition_seq(uw.make_sequence(desc), r=r, config=FAST).to_dict())
         for r, _ in est.r_samples]
@@ -51,7 +62,8 @@ def test_gamma_seq_probes_match_standalone_checks(desc):
 
 def test_gamma_seq_pair_probes_match_standalone_checks():
     M, N = "gevrey:1.2", "gevrey:1.9"
-    est = uw.gamma_index_seq(uw.make_sequence(M), uw.make_sequence(N), config=FAST)
+    est = bisected("gamma_mixed", MixedSeqProbe(uw.make_sequence(M),
+                                                uw.make_sequence(N), FAST))
     assert dicts(est.r_samples) == [
         (r, uw.mixed_condition_seq(uw.make_sequence(M), uw.make_sequence(N), r,
                                    config=FAST).to_dict())
@@ -60,7 +72,8 @@ def test_gamma_seq_pair_probes_match_standalone_checks():
 
 @pytest.mark.parametrize("desc", SEQUENCES)
 def test_mu_seq_probes_match_standalone_checks(desc):
-    est = uw.mu_seq(uw.make_sequence(desc), config=FAST)
+    N = uw.make_sequence(desc)
+    est = bisected("mu", lambda r: sequences.check_nq_r(N, r, FAST.p_max))
     assert dicts(est.r_samples) == [
         (r, uw.check_sequence_condition(uw.make_sequence(desc), "nq_r", r=r,
                                         P=FAST.p_max).to_dict())
@@ -77,7 +90,8 @@ def test_gamma_fun_probes_match_standalone_checks(desc):
 
 @pytest.mark.parametrize("desc", FUNCTIONS)
 def test_mu_fun_probes_match_standalone_checks(desc):
-    est = uw.mu_fun(uw.make_function(desc))
+    est = bisected("mu", OmegaNodes(uw.make_function(desc)).nq_r,
+                   uw.RunConfig().index_tol)
     assert dicts(est.r_samples) == [
         (r, uw.check_omega_condition(uw.make_function(desc), "omega_nq_r",
                                      r=r).to_dict())
@@ -201,7 +215,7 @@ def test_sequence_context_arrays_are_read_only():
 
 
 def test_function_context_arrays_are_read_only():
-    omega = uw.make_function(FUNCTIONS[-1])  # model-free: every node set is read
+    omega = uw.make_function(LAWLESS)  # model-free: every node set is read
     probe = MixedFunProbe(omega, omega, uw.RunConfig())
     probe(0.5)
     probe.nodes.nq_r(0.5)  # decaying windows: the integral from 1 is read too

@@ -159,7 +159,8 @@ def test_a_missing_or_unknown_provenance_is_rejected():
 
 
 def test_an_index_sample_without_provenance_is_rejected():
-    rep = report("index", "mu", "--sequence", "gevrey:2")
+    # no law: the short list's order is bracketed by probes
+    rep = report("index", "mu", "--sequence", "explicit:1,1,2,6,24,120")
     assert validate_report(rep) == []
     del rep["results"]["estimate"]["samples"][0]["provenance"]
     assert validate_report(rep) == ["results.estimate.samples[0]: provenance None"]

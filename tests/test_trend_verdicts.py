@@ -1,9 +1,10 @@
 """Verdicts that a grid trend decided, on weight functions with no growth model.
 
 Two model-free inputs: the associated function of the finite list
-1, 1, 2, 6, 24, 120 (for t >= 5 it is 5 log t - log 120), and t -> omega(t**0.5)
-for the associated function of the quotients p**2.  Neither carries a
-`GrowthModel`, so every check below except the structural omega4 is decided
+1, 1, 2, 6, 24, 120 (for t >= 5 it is 5 log t - log 120) with that exact
+`GrowthModel` withheld, and t -> omega(t**0.5) for the associated function of
+the quotients p**2.  Neither carries a model while it is checked, so every
+check below except the structural omega4 is decided
 on the finite grid alone; the mixed condition is also run against the power
 laws t**0.1 and t**0.3, whose model cannot decide it while sigma has none.
 
@@ -24,7 +25,9 @@ ASSOC = '{"kind":"assoc","sequence":{"family":"explicit","values":[1,1,2,6,24,12
 def build(name: str) -> uw.WeightFunction:
     """A fresh function for each case."""
     if name == "assoc":
-        return uw.make_function(ASSOC)
+        fn = uw.make_function(ASSOC)
+        fn.model = None
+        return fn
     if name == "subst":
         return uw.power_substitute(
             uw.AssociatedOf(uw.from_quotients(lambda p: p ** 2.0)), 0.5)
