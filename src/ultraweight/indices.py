@@ -213,7 +213,7 @@ def _quotient_ratio_bounded(M: WeightSequence, N: WeightSequence,
     info = {"max_log_ratio": last, "P": P}
     step = QUOTIENT_RATIO_STEP
     if last > half + max(step, step * abs(half)):
-        # the largest log ratio is `last`, kept finite in the evidence
+        # `last` is the largest log ratio; past the float range only it is finite
         p_at = int(np.argmax(d)) + 1
         info.update({"p": p_at,
                      "ratio": math.exp(last) if last < _LOG_FLOAT_MAX else math.inf})
