@@ -503,7 +503,8 @@ def descendant(N: WeightSequence, r: float = 1.0, *,
     convergent (NotLogConvex / NotNonQuasianalytic / PreconditionInconclusive
     otherwise).  Postconditions, re-verified here: S strongly log-convex, the
     quotients of L bounded by a multiple of those of N, and the mixed
-    comparison of (L, N) at order r itself Satisfied.
+    comparison of (L, N) at order r itself not refuted by a certificate (a
+    Violated verdict that only the computed range decided is recorded).
     """
     if not 0 < r < math.inf:
         raise InvalidArgument("order r must be finite and > 0")
