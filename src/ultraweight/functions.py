@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .quadrature import (BLOCK, Y_CUT, PanelSamples, SuffixSamples, TailSamples,
-                         power_log_tail, sample_window, suffix_integral_grid)
+                         kernel_window, power_log_tail, suffix_integral_grid)
 from .sequences import WeightSequence
 from .verdict import (GAUGE_NOT_VANISH, LOG_NOT_VANISH, LOG_VANISH,
                       NOT_VANISH, RATIO_TREND_FLAT, REL_MARGIN, TREND_FLAT,
@@ -77,8 +77,12 @@ class GrowthModel:
             return False
         return self.log_power < -1.0
 
-    def tail_callable(self, s: float) -> Optional[Callable[[float], float]]:
-        if not self.exact or self.coeff is None:
+    def tail_callable(self, s: float, cutoff: float
+                      ) -> Optional[Callable[[float], float]]:
+        """The closed form of integral_Y^inf omega(u) u**(-s) du for Y >= cutoff,
+        None where the model gives none: not exact, not convergent at s, or
+        a cutoff below `start`, where a fitted tail is read instead."""
+        if not self.exact or self.coeff is None or cutoff < self.start:
             return None
         if self.converges_against(s) is not True:
             return None
@@ -271,15 +275,13 @@ class AssociatedOf(WeightFunction):
                 model = GrowthModel(0.0, 2.0, 1.0 / (2.0 * tm.a), 0.0, exact=False)
         elif seq.finite_size:
             # past the last quotient of the lower hull of (p, log M_p), the
-            # largest (log M_N - log M_p) / (N - p), the sup takes p = N.  A
-            # closed tail is read from Y_CUT on at the earliest, so the model
-            # is exact only when it holds there
+            # largest (log M_N - log M_p) / (N - p), the sup takes p = N
             N = seq.finite_size - 1
             log_M = seq.log_values(N)
             with np.errstate(over="ignore"):
                 start = float(np.exp(np.max((log_M[N] - log_M[:N]) / (N - np.arange(N)))))
             model = GrowthModel(0.0, 1.0, float(N), float(log_M[N]),
-                                exact=start <= Y_CUT, start=start)
+                                exact=True, start=start)
         super().__init__(f"assoc({seq.label})", model)
         self.seq = seq
         self._closed = (tm is not None and tm.exact and tm.start == 1
@@ -463,7 +465,8 @@ class KappaPower(WeightFunction):
         self.r = r
         self.s = s
         self.divergent = bm is not None and bm.converges_against(s) is False
-        self._tail = bm.tail_callable(s) if bm is not None else None
+        # every closing cutoff of suffix_integral_grid is at least Y_CUT
+        self._tail = bm.tail_callable(s, Y_CUT) if bm is not None else None
         self.tail_method = "closed-form" if self._tail is not None else "fitted"
 
     def eval(self, t: np.ndarray) -> np.ndarray:
@@ -769,7 +772,7 @@ class OmegaNodes:
     def trend_windows(self) -> tuple[PanelSamples, ...]:
         """The windows [1, 1e2], [1e2, 1e4], ..., [1e10, 1e12]."""
         cuts = [1.0] + [10.0 ** e for e in (2, 4, 6, 8, 10, 12)]
-        return tuple(sample_window(self.omega.eval, lo, hi, kinks=self.omega.kinks)
+        return tuple(kernel_window(self.omega.eval, lo, hi, kinks=self.omega.kinks)
                      for lo, hi in zip(cuts[:-1], cuts[1:]))
 
     def integral_trend(self, s: float):
@@ -796,7 +799,7 @@ class OmegaNodes:
         m = self.omega.model
         conv = m.converges_against(s) if m is not None else None
         if conv is True:
-            tail = m.tail_callable(s)
+            tail = m.tail_callable(s, self.from_one.cutoff)
             try:
                 return ConditionVerdict.satisfied(cond, {
                     "integral": self.from_one.integral(s, tail),
@@ -878,7 +881,7 @@ class MixedFunProbe:
         if (m is None or ms is None) and self.omega_over_sigma.is_violated:
             return self.omega_over_sigma
 
-        tail = m.tail_callable(s) if m is not None else None
+        tail = m.tail_callable(s, self.suffix.closing.cutoff) if m is not None else None
         tail_info = {}
         if tail is None and conv is True and m is not None and m.coeff is not None:
             # no exact closed form, but the growth model certifies convergence and

@@ -109,10 +109,13 @@ class PanelSamples:
         return float(self.panel_sums(s) @ self.half)
 
 
-def sample_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
+def kernel_window(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
                   kinks: Sequence[float] = ()) -> PanelSamples:
     """f at the log-axis Gauss-Legendre nodes of [a, b]: `.integral(s)` is
-    integral_a^b f(u) u**(-s) du, for any order s."""
+    integral_a^b f(u) u**(-s) du, for any order s.
+
+    With `suffix_integral_grid` it is one of the two functions that
+    perfbench's tracer finds by name and counts integrand points in."""
     if not (0 < a < b):
         raise InvalidArgument("a quadrature window needs 0 < a < b")
     return PanelSamples(f, _edges(a, b, kinks))
@@ -151,7 +154,7 @@ class TailSamples:
         if t <= 0:
             raise InvalidArgument("lower limit must be positive")
         self.cutoff = max(t, 1.0) * Y_CUT
-        self.window = sample_window(f, t, self.cutoff, kinks=kinks)
+        self.window = kernel_window(f, t, self.cutoff, kinks=kinks)
         self._f = f
 
     @cached_property

@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
-from .verdict import InvalidSpec
+from .verdict import InvalidSpec, PreconditionInconclusive
 from .sequences import (WeightSequence, explicit, factorial_shift, gevrey, hat,
                         power, qgevrey)
 from .functions import (KappaPower, LogPower, NormalizedShift, PiecewiseGlue,
@@ -126,8 +126,15 @@ def parse_inline(text: str) -> _Node:
 # builders
 
 def _descendant_seq(base: WeightSequence, r: float) -> WeightSequence:
+    """S of descendant(base, r), refused when a check of its pair is Violated."""
     from .constructions import descendant
-    return descendant(base, r).S
+    pair = descendant(base, r)
+    failed = sorted(name for name, v in pair.checks.items() if v.is_violated)
+    if failed:
+        raise PreconditionInconclusive(
+            f"descendant(r={r:g}) of {base.label} is not certified: "
+            f"{', '.join(failed)} Violated")
+    return pair.S
 
 
 def _associated(seq: WeightSequence) -> WeightFunction:

@@ -591,6 +591,28 @@ class TestGridEnvironment:
         assert mixed["counterexample"]["mu_over_nu"] == "inf"
         assert math.isfinite(mixed["diagnostics"]["max_log_ratio"])
 
+    def test_a_descendant_descriptor_past_the_float_range_is_refused(self, capsys):
+        code, out, err = run(capsys, "index", "mu", "--sequence",
+                             "descendant(qgevrey:2, 1e300)")
+        assert code == cli.EXIT_PRECONDITION and out == ""
+        assert "mixed_L_N Violated" in err
+
+    @pytest.mark.parametrize("argv", [
+        # exact from its last breakpoint 1e9 on, past the cutoff 1e8 of nq_r
+        ("check", "--omega", '{"kind":"glue","base":{"kind":"power","a":0.5},'
+         '"breakpoints":[1e9],"multipliers":[1,2],"offsets":[0,31622.776601683792]}',
+         "--conditions", "omega_nq"),
+        # exactly log t - log 1e10 from t = 1e10 on
+        ("check", "--omega", "assoc(explicit(1,1e10))"),
+        ("kappa", "--omega", "assoc(explicit(1,1e10))"),
+    ])
+    def test_a_model_starting_past_the_cutoff_reads_a_fitted_tail(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED, cli.EXIT_INCONCLUSIVE), err
+        assert not has_nan(out)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_order_guards_refuse_non_finite(self, bad):
         g2, pw = make_sequence("gevrey:2"), uw.PowerLaw(0.5)

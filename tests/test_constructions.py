@@ -289,6 +289,31 @@ class TestDescendant:
                 failures.append((float(s), float(r), repr(exc)))
         assert failures == []
 
+    @pytest.mark.parametrize("max_log_ratio,raises", [(50.0, True), (1e301, False)])
+    def test_only_a_trend_past_the_float_range_is_recorded(self, monkeypatch,
+                                                            gevrey2, max_log_ratio,
+                                                            raises):
+        # a trend-decided Violated mixed check ends the construction unless
+        # its quotient ratio is past the float range
+        from ultraweight import constructions
+        violated = uw.ConditionVerdict.violated(
+            "mixed_seq", {"p": 3, "r": 1.0, "mu_over_nu": math.exp(min(max_log_ratio, 700))},
+            "trend", max_log_ratio=max_log_ratio)
+        monkeypatch.setattr(constructions, "MixedSeqProbe",
+                            lambda *args: (lambda r: violated))
+        if raises:
+            with pytest.raises(uw.InternalInconsistency):
+                uw.descendant(gevrey2, 1.0)
+        else:
+            assert uw.descendant(gevrey2, 1.0).checks["mixed_L_N"] is violated
+
+    def test_a_descriptor_refuses_a_pair_with_a_violated_check(self):
+        # descend records the trend call past the float range; a descriptor
+        # does not hand that S on
+        assert uw.descendant(uw.qgevrey(2.0), 1e300).checks["mixed_L_N"].is_violated
+        with pytest.raises(uw.PreconditionInconclusive, match="mixed_L_N"):
+            uw.make_sequence("descendant(qgevrey:2, 1e300)")
+
     def test_precondition_errors(self, gevrey1, gevrey2):
         with pytest.raises(uw.NotLogConvex):
             uw.descendant(uw.explicit([1, 4, 8, 32]), 1.0)
