@@ -296,9 +296,8 @@ class TestDescendant:
         # a trend-decided Violated mixed check ends the construction unless
         # its quotient ratio is past the float range
         from ultraweight import constructions
-        violated = uw.ConditionVerdict.violated(
-            "mixed_seq", {"p": 3, "r": 1.0, "mu_over_nu": math.exp(min(max_log_ratio, 700))},
-            "trend", max_log_ratio=max_log_ratio)
+        violated = uw.ConditionVerdict.violated("mixed_seq", {"p": 3, "r": 1.0}, "trend",
+                                                max_log_ratio=max_log_ratio)
         monkeypatch.setattr(constructions, "MixedSeqProbe",
                             lambda *args: (lambda r: violated))
         if raises:
