@@ -635,9 +635,17 @@ def check_omega2(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
          "C": float(np.max(ratio)) * REL_MARGIN}, "growth-model")
 
 
+def _grid_end(omega: WeightFunction, config: RunConfig):
+    """The grid's last point and omega there: all that a model-decided
+    verdict quotes."""
+    ts = config.grid.geometric()[-1:]
+    return ts, omega.eval(ts)
+
+
 def check_omega5(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
-    ts, vals = _sweep(omega, config)
-    ratio, m = vals / (ts + 1.0), omega.model
+    m = omega.model
+    ts, vals = (_sweep if m is None else _grid_end)(omega, config)
+    ratio = vals / (ts + 1.0)
     if m is None:
         return grid_vanishing("omega5", ratio, ts, "omega(t)/(t+1)")
     c = _shape_cmp(m, _LINEAR)
@@ -651,10 +659,10 @@ def check_omega5(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
 
 
 def check_omega3(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
-    ts, vals = _sweep(omega, config)
+    m = omega.model
+    ts, vals = (_sweep if m is None else _grid_end)(omega, config)
     mask = ts >= 10.0
     ts, vals = ts[mask], vals[mask]
-    m = omega.model
     if m is None:
         # log t = o(omega): the reciprocal ratio vanishes
         with np.errstate(divide="ignore"):
@@ -843,7 +851,7 @@ class MixedFunProbe:
     def __init__(self, sigma: WeightFunction, omega: WeightFunction,
                  config: RunConfig):
         self.sigma, self.omega = sigma, omega
-        self.ts = read_only(config.grid.geometric())
+        self.ts = config.grid.geometric()
         self.sig = read_only(sigma.eval(self.ts))
         if float(np.max(self.sig)) <= 0.0:
             raise InvalidArgument("sigma vanishes on the whole evaluation grid")

@@ -30,7 +30,7 @@ from .sequences import (_LOG_FLOAT_MAX, PRECONDITION_P, RatioSweep, SuffixSums,
                         TailModel, WeightSequence, check_nq_r, log_ratio_limit,
                         require_log_convex)
 from .special import hurwitz_zeta
-from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, ConditionVerdict,
+from .verdict import (INDEX_CAP, QUOTIENT_RATIO_STEP, ConditionVerdict, Grid,
                       InternalInconsistency, InvalidArgument, RunConfig,
                       UltraweightError, _jsonify)
 
@@ -115,11 +115,13 @@ def _law_estimate(name: str, law: TailModel | GrowthModel | None,
     The caller passes the law its probes read: that of N for mu_seq and for
     gamma_index_seq (which passes it only on exact power laws from index 1
     with a bounded quotient ratio, where F_1 is finite exactly when r < e_N),
-    and omega's growth model for mu_fun.  A power law with e_lo == e_hi gives
-    e: sum nu_k**(-1/r) converges exactly when r < e.  A log-linear law gives
-    the cap.  A growth model t**a (log t)**k gives 1/a (the kernel integral
-    converges for r < 1/a and diverges for r > 1/a), and the cap at a = 0.
-    A power bracket with e_lo < e_hi fixes no order between them.
+    and omega's growth model for mu_fun and for gamma_index_fun (which
+    passes it only when sigma has a model too and omega grows no faster).
+    A power law with e_lo == e_hi gives e: sum nu_k**(-1/r) converges
+    exactly when r < e.  A log-linear law gives the cap.  A growth model
+    t**a (log t)**k gives 1/a (the kernel integral converges for r < 1/a
+    and diverges for r > 1/a), and the cap at a = 0.  A power bracket with
+    e_lo < e_hi fixes no order between them.
     """
     if law is None:
         return None
@@ -358,13 +360,24 @@ def mixed_condition_fun(sigma: WeightFunction, omega: Optional[WeightFunction] =
 
 def gamma_index_fun(sigma: WeightFunction, omega: Optional[WeightFunction] = None,
                     *, config: Optional[RunConfig] = None) -> IndexEstimate:
-    """Mixed growth index of a weight-function pair (single function if omega omitted)."""
+    """Mixed growth index of a weight-function pair (single function if omega omitted).
+
+    When both carry a growth model and omega grows no faster than sigma,
+    omega's model t**a (log t)**k decides every probe.  Below r = 1/a the
+    order-r integral is O(omega(t)) by Karamata's theorem (the model is
+    regularly varying), hence O(sigma(t) + 1); above it the integral
+    diverges.  The index is then omega's mu, read off the model with no
+    probe.  A pair whose omega grows faster is bisected.
+    """
     config = config or RunConfig()
     omega_eff = sigma if omega is None else omega
-    probe = MixedFunProbe(sigma, omega_eff, config)
-    return _bisect_index("gamma_mixed", probe, tol=config.index_tol,
-                         diagnostics={"domain": "function", "sigma": sigma.label,
-                                      "omega": omega_eff.label})
+    probe = MixedFunProbe(sigma, omega_eff, config)  # refuses a vanishing sigma
+    m, ms = omega_eff.model, sigma.model
+    diag = {"domain": "function", "sigma": sigma.label, "omega": omega_eff.label}
+    law = m if m is not None and ms is not None and _shape_cmp(m, ms) <= 0 else None
+    return (_law_estimate("gamma_mixed", law, diag)
+            or _bisect_index("gamma_mixed", probe, tol=config.index_tol,
+                             diagnostics=diag))
 
 
 def mu_fun(omega: WeightFunction, *,
@@ -425,34 +438,40 @@ def _doubling_sup(omega: WeightFunction, K: float, config: RunConfig) -> float:
     return float(np.max(omega.eval(K * ts[mask]) / vals[mask]))
 
 
+def _witness_ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs / rhs, 0 where lhs <= 0 and inf where only rhs is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lhs <= 0.0, 0.0,
+                        np.where(rhs > 0.0, lhs / np.where(rhs > 0.0, rhs, 1.0), math.inf))
+
+
 def _witness_c_needed(sigma: WeightFunction, omega: WeightFunction, K: float,
                       H: float, t0: float) -> float:
     """Smallest C making omega(K^j t) <= C H^j sigma(t) hold on the test grid."""
-    ts = np.geomspace(t0, _WITNESS_T_MAX, _WITNESS_T_POINTS)
+    ts = Grid(t0, _WITNESS_T_MAX, _WITNESS_T_POINTS).geometric()
     sig = sigma.eval(ts)
     scales = [K ** j for j in range(_WITNESS_J_MAX + 1)]
-    lhs_rows = None
+    heights = [H ** j for j in range(_WITNESS_J_MAX + 1)]
+    row_max = None
     if omega.pointwise and np.all(sig > 0.0):
         # with sigma > 0 on the grid no ratio below is infinite unless it
-        # overflows, so the loop reads every row: evaluate them in one call.
-        # A failure falls back to the loop, which stops where it always did.
+        # overflows, so the fold reads every row: evaluate and divide them
+        # as one array.  A failure falls back to the loop, which stops
+        # where it always did.
         try:
-            lhs_rows = omega.eval(np.concatenate([k * ts for k in scales]))
+            lhs = omega.eval(np.concatenate([k * ts for k in scales]))
         except UltraweightError:
             pass
-    needed = 0.0
-    for j, k in enumerate(scales):
-        if lhs_rows is None:
-            lhs = omega.eval(k * ts)
         else:
-            lhs = lhs_rows[j * len(ts): (j + 1) * len(ts)]
-        rhs_unit = H ** j * sig
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(lhs <= 0.0, 0.0,
-                             np.where(rhs_unit > 0.0, lhs / np.where(rhs_unit > 0.0,
-                                                                     rhs_unit, 1.0),
-                                      math.inf))
-        needed = max(needed, float(np.max(ratio)))
+            rhs = np.asarray(heights)[:, None] * sig
+            row_max = np.max(_witness_ratio(lhs.reshape(len(scales), len(ts)), rhs),
+                             axis=1)
+    if row_max is None:
+        row_max = (np.max(_witness_ratio(omega.eval(k * ts), h * sig))
+                   for k, h in zip(scales, heights))
+    needed = 0.0
+    for top in row_max:
+        needed = max(needed, float(top))
         if not math.isfinite(needed):
             break
     return needed

@@ -10,6 +10,7 @@ decided it, its provenance, from the one vocabulary `PROVENANCE`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -254,7 +255,13 @@ class Grid:
             raise InvalidArgument("grid needs at least 16 points")
 
     def geometric(self) -> np.ndarray:
-        return np.geomspace(self.t_min, self.t_max, self.points)
+        """The grid points, one read-only array shared by every equal grid."""
+        return _geometric(self.t_min, self.t_max, self.points)
+
+
+@functools.lru_cache(maxsize=32)
+def _geometric(t_min: float, t_max: float, points: int) -> np.ndarray:
+    return read_only(np.geomspace(t_min, t_max, points))
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,62 @@ class TestOmegaConditions:
             check_omega_condition(PowerLaw(0.5), "omega_nq_r")
 
 
+# one descriptor per function family, and one with no growth model
+FAMILIES = {
+    "power": "power:0.5", "logpower": "logpower:2", "assoc": "assoc(gevrey:2)",
+    "subst": "subst(assoc(gevrey:1.5), 0.7)", "kappa": "kappa(power:0.4, 1)",
+    "normalized": "normalized(power:0.5)", "norm": "norm(logpower:1)",
+    "glue": ('{"kind":"glue","base":{"kind":"power","a":0.5},"breakpoints":[4],'
+             '"multipliers":[1,2],"offsets":[0,2]}'),
+}
+
+
+class TestModelDecidedChecksReadTheGridEnd:
+    """omega3 and omega5 decided by a growth model quote omega at t_max
+    alone: the same verdict as from the full sweep, bit for bit."""
+
+    def test_every_family_is_covered(self):
+        from ultraweight import specio
+        assert set(FAMILIES) == set(specio._FUNCTIONS)
+
+    @pytest.mark.parametrize("cond", ["omega3", "omega5"])
+    @pytest.mark.parametrize("desc", [*FAMILIES.values(), "power:1", "power:1.5",
+                                      "logpower:1", "assoc(descendant(qgevrey:2,1))",
+                                      "kappa(power:0.4, 1.5)", "subst(power:2, 0.5)"])
+    def test_grid_end_verdict_is_the_sweep_verdict(self, desc, cond, monkeypatch):
+        from ultraweight import functions
+        end = check_omega_condition(make_function(desc), cond).to_dict()
+        monkeypatch.setattr(functions, "_grid_end", functions._sweep)
+        assert check_omega_condition(make_function(desc), cond).to_dict() == end
+
+    def test_a_model_decided_check_evaluates_one_point(self, monkeypatch):
+        fn = PowerLaw(0.5)
+        seen = []
+        monkeypatch.setattr(fn, "eval", lambda t: seen.append(len(t)) or t ** 0.5)
+        for cond in ("omega3", "omega5"):
+            check_omega_condition(fn, cond)
+        assert seen == [1, 1]
+
+
+class TestGeometricGrid:
+    def test_points_are_read_only(self):
+        ts = uw.Grid().geometric()
+        assert not ts.flags.writeable
+        with pytest.raises(ValueError):
+            ts[0] = 0.0
+
+    def test_equal_grids_share_one_array(self):
+        assert uw.Grid().geometric() is uw.Grid(1e-2, 1e12, 600).geometric()
+        assert np.array_equal(uw.Grid().geometric(), np.geomspace(1e-2, 1e12, 600))
+
+    @pytest.mark.parametrize("other", [uw.Grid(t_min=1e-3), uw.Grid(t_max=1e11),
+                                       uw.Grid(points=601)])
+    def test_grids_differing_in_one_field_share_nothing(self, other):
+        assert other.geometric() is not uw.Grid().geometric()
+        assert np.array_equal(other.geometric(), np.geomspace(
+            other.t_min, other.t_max, other.points))
+
+
 class TestKappaPowerNode:
     @pytest.mark.parametrize("base, method", [("power:0.5", "closed-form"),
                                               ("assoc(gevrey:2)", "fitted")])

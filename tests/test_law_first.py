@@ -1,7 +1,7 @@
 """Indices read off a law, against the bisection that the law replaced.
 
-`mu_seq`, `mu_fun` and `gamma_index_seq` answer a point, with no probe, when
-the input's law decides the condition at every order.  The differential part
+`mu_seq`, `mu_fun`, `gamma_index_seq` and `gamma_index_fun` answer a point,
+with no probe, when the input's law decides the condition at every order.  The differential part
 runs the bisection on the very probe each entry builds (the route every input
 took before the law was read first) and requires its bracket to hold the law
 point, within the index tolerance.  The coverage part maps every descriptor
@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ultraweight as uw
-from ultraweight import specio
-from ultraweight.functions import OmegaNodes
+from ultraweight import cli, specio
+from ultraweight.functions import MixedFunProbe, OmegaNodes, _shape_cmp
 from ultraweight.indices import MixedSeqProbe, _bisect_index
 from ultraweight.sequences import check_nq_r
 
@@ -38,6 +38,11 @@ def bisect_mu_fun(omega: uw.WeightFunction) -> uw.IndexEstimate:
 
 def bisect_gamma_seq(M: uw.WeightSequence, N: uw.WeightSequence) -> uw.IndexEstimate:
     return _bisect_index("gamma_mixed", MixedSeqProbe(M, N, CONFIG), tol=TOL,
+                         diagnostics={})
+
+
+def bisect_gamma_fun(sigma: uw.WeightFunction, omega: uw.WeightFunction) -> uw.IndexEstimate:
+    return _bisect_index("gamma_mixed", MixedFunProbe(sigma, omega, CONFIG), tol=TOL,
                          diagnostics={})
 
 
@@ -63,6 +68,19 @@ MU_FUN = ["assoc(gevrey:1.5)", "assoc(gevrey:0.8)", "assoc(qgevrey:2)",
           SHORT_LIST_ASSOC]
 GAMMA_SEQ = [("gevrey:1.5", "gevrey:1.5"), ("gevrey:1", "gevrey:2"),
              ("power(gevrey:2, 0.6)", "gevrey:1.4"), ("hat(gevrey:1)", "gevrey:2")]
+# (sigma, omega) with omega growing no faster than sigma: omega's model decides
+GAMMA_FUN_SAME = [(d, d) for d in ("assoc(gevrey:2)", "assoc(qgevrey:2)", "power:0.5",
+                                   "logpower:2", "subst(assoc(gevrey:2), 0.7)",
+                                   "kappa(power:0.3)", "normalized(power:0.4)")]
+GAMMA_FUN_SLOWER = [("power:0.5", "power:0.33333333"), ("assoc(gevrey:1.5)", "assoc(gevrey:2)"),
+                    ("power:0.5", "logpower:2"), ("logpower:2", "logpower:1")]
+# the same shape, other coefficients
+GAMMA_FUN_ALIKE = [("assoc(gevrey:2)", "subst(assoc(gevrey:1), 0.5)"),
+                   ("power:0.5", '{"kind":"power","a":0.5,"c":3}'),
+                   ("power:0.5", "assoc(gevrey:2)"), ("assoc(gevrey:2)", "power:0.5")]
+# omega grows faster than sigma: no law, the bisection answers
+GAMMA_FUN_FASTER = [("power:0.3", "power:0.5"), ("logpower:1", "logpower:2"),
+                    ("logpower:2", "power:0.1")]
 
 
 @pytest.mark.parametrize("desc", MU_SEQ)
@@ -81,6 +99,32 @@ def test_mu_fun_law_lies_in_the_bisection(desc):
 def test_gamma_seq_law_lies_in_the_bisection(M, N):
     law = uw.gamma_index_seq(uw.make_sequence(M), uw.make_sequence(N))
     assert_law_inside(law, bisect_gamma_seq(uw.make_sequence(M), uw.make_sequence(N)))
+
+
+@pytest.mark.parametrize("sigma, omega",
+                         GAMMA_FUN_SAME + GAMMA_FUN_SLOWER + GAMMA_FUN_ALIKE)
+def test_gamma_fun_law_lies_in_the_bisection(sigma, omega):
+    S, O = uw.make_function(sigma), uw.make_function(omega)
+    assert _shape_cmp(O.model, S.model) <= 0
+    assert_law_inside(uw.gamma_index_fun(S, O), bisect_gamma_fun(S, O))
+
+
+@pytest.mark.parametrize("sigma, omega", GAMMA_FUN_FASTER)
+def test_gamma_fun_bisects_when_omega_grows_faster(sigma, omega):
+    S, O = uw.make_function(sigma), uw.make_function(omega)
+    assert _shape_cmp(O.model, S.model) > 0
+    est = uw.gamma_index_fun(S, O)
+    assert est.method == "bisection" and est.diagnostics["probes"] > 0
+    bisected = bisect_gamma_fun(S, O)
+    assert (est.lower, est.upper, est.r_samples) == (
+        bisected.lower, bisected.upper, bisected.r_samples)
+
+
+def test_gamma_fun_refuses_a_vanishing_sigma_before_any_law(capsys):
+    # normalized(power:0) is 0 everywhere, yet it carries a growth model
+    assert uw.make_function("normalized(power:0)").model is not None
+    assert cli.main(["index", "gamma", "--sigma", "normalized(power:0)"]) == 64
+    assert "sigma vanishes" in capsys.readouterr().err
 
 
 EXPONENTS = st.floats(min_value=0.3, max_value=5.0, allow_nan=False).map(
@@ -111,6 +155,15 @@ def test_gamma_seq_of_any_gevrey_pair(s, gap):
     assert_law_inside(law, bisect_gamma_seq(uw.make_sequence(M), uw.make_sequence(N)))
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(EXPONENTS, st.floats(min_value=0.0, max_value=2.0).map(lambda x: round(x, 4)))
+def test_gamma_fun_of_any_assoc_gevrey_pair(s, gap):
+    # omega = assoc(gevrey:s + gap) grows like t**(1/(s + gap)), no faster than sigma
+    S = uw.make_function(f"assoc(gevrey:{s})")
+    O = uw.make_function(f"assoc(gevrey:{round(s + gap, 4)})")
+    assert_law_inside(uw.gamma_index_fun(S, O), bisect_gamma_fun(S, O))
+
+
 # ---------------------------------------------------------------------------
 # law coverage: every descriptor family
 
@@ -129,19 +182,20 @@ SEQUENCE_LAWS = {
 }
 # the descendant of a log-linear base carries no law either
 LAWLESS_SEQUENCES = {"descendant(qgevrey:2, 1)": "no law for a log-linear base's descendant"}
+# gamma_index_fun on (omega, omega): the same shape, so omega's model decides
+_FROM_MODEL = {"mu_fun", "gamma_index_fun"}
 FUNCTION_LAWS = {
-    "power": ("power:0.5", "growth", None, {"mu_fun"}),
-    "logpower": ("logpower:2", "growth", None, {"mu_fun"}),
-    "assoc": ("assoc(gevrey:2)", "growth", None, {"mu_fun"}),
-    "subst": ("subst(power:0.5, 0.5)", "growth", None, {"mu_fun"}),
-    "kappa": ("kappa(power:0.5, 1)", "growth", None, {"mu_fun"}),
-    "normalized": ("normalized(power:0.5)", "growth", None, {"mu_fun"}),
-    "norm": ("norm(logpower:2)", "growth", None, {"mu_fun"}),
+    "power": ("power:0.5", "growth", None, _FROM_MODEL),
+    "logpower": ("logpower:2", "growth", None, _FROM_MODEL),
+    "assoc": ("assoc(gevrey:2)", "growth", None, _FROM_MODEL),
+    "subst": ("subst(power:0.5, 0.5)", "growth", None, _FROM_MODEL),
+    "kappa": ("kappa(power:0.5, 1)", "growth", None, _FROM_MODEL),
+    "normalized": ("normalized(power:0.5)", "growth", None, _FROM_MODEL),
+    "norm": ("norm(logpower:2)", "growth", None, _FROM_MODEL),
     "glue": ('{"kind":"glue","base":{"kind":"power","a":0.5},"breakpoints":[4],'
-             '"multipliers":[1,2],"offsets":[0,2]}', "growth", None, {"mu_fun"}),
+             '"multipliers":[1,2],"offsets":[0,2]}', "growth", None, _FROM_MODEL),
 }
 LAWLESS_FUNCTIONS = {"assoc(descendant(qgevrey:2, 1))": "its sequence has no law"}
-# gamma_index_fun reads no law: a model alone does not fix the mixed index
 SEQUENCE_ENTRIES = {"mu_seq": uw.mu_seq, "gamma_index_seq": uw.gamma_index_seq}
 FUNCTION_ENTRIES = {"mu_fun": uw.mu_fun, "gamma_index_fun": uw.gamma_index_fun}
 

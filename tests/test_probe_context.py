@@ -180,6 +180,81 @@ def test_witness_on_a_table_capped_function_matches_per_j_loop(monkeypatch):
                          "skip": "evaluation failed"}
 
 
+# the rows of the witness constant: one array against the row loop
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class Gauge(uw.WeightFunction):
+    """A pointwise gauge given by `f`, with no growth model."""
+
+    def __init__(self, f):
+        super().__init__("gauge")
+        self.f = f
+
+    def eval(self, t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.f(np.asarray(t, dtype=float))
+
+
+def c_needed_both_ways(sigma, omega, K, H, t0):
+    """The constant from the row array and from the row loop (the same
+    omega, marked not pointwise), with the calls each made."""
+    batched, looped = Recording(omega), Recording(omega)
+    looped.pointwise = False
+    got = indices._witness_c_needed(sigma, batched, K, H, t0)
+    want = indices._witness_c_needed(sigma, looped, K, H, t0)
+    return got, want, len(batched.args), len(looped.args)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["power:{}", "assoc(gevrey:{})", "logpower:{}"]),
+       st.floats(0.2, 3.0), st.floats(0.1, 2.5), st.floats(0.1, 10.0),
+       st.sampled_from(indices._WITNESS_K), st.floats(0.01, 0.99),
+       st.sampled_from(indices._WITNESS_T0))
+def test_witness_row_array_is_the_row_loop_bit_for_bit(kind, a, b, c, K, h, t0):
+    sigma = uw.make_function(kind.format(a))
+    omega = uw.make_function(f'{{"kind":"power","a":{b},"c":{c}}}')
+    H = 1.0 + h * (K - 1.0)
+    got, want, calls, rows = c_needed_both_ways(sigma, omega, K, H, t0)
+    assert same_bits(got, want) and same_bits(got, per_j_c_needed(sigma, omega, K, H, t0))
+    ts = uw.Grid(t0, indices._WITNESS_T_MAX, indices._WITNESS_T_POINTS).geometric()
+    if np.all(sigma.eval(ts) > 0.0):
+        assert calls == 1 and rows == indices._WITNESS_J_MAX + 1
+    else:  # assoc(M) is 0 up to t = 1: both take the loop, which stops at once
+        assert calls == rows == 1 and got == math.inf
+
+
+def test_witness_rows_stop_at_an_infinite_ratio():
+    # omega overflows past 1e20: at K = 16 row j = 10 first reaches it
+    omega = Gauge(lambda t: np.where(t > 1e20, math.inf, np.sqrt(t)))
+    got, want, calls, rows = c_needed_both_ways(uw.make_function("power:0.5"), omega,
+                                                16.0, 2.0, 1.0)
+    assert got == want == math.inf
+    assert (calls, rows) == (1, 11)
+
+
+def test_witness_rows_skip_a_nan_row_alike():
+    # NaN on [1e12, 1e13]: a row's max is NaN there, and max(needed, NaN)
+    # keeps needed on both paths
+    omega = Gauge(lambda t: np.where((t >= 1e12) & (t <= 1e13), math.nan, t ** 0.4))
+    sigma = uw.make_function("power:0.5")
+    got, want, _, rows = c_needed_both_ways(sigma, omega, 16.0, 4.0, 10.0)
+    assert math.isfinite(got) and same_bits(got, want)
+    assert same_bits(got, per_j_c_needed(sigma, omega, 16.0, 4.0, 10.0))
+    assert rows == indices._WITNESS_J_MAX + 1
+
+
+def test_witness_rows_loop_where_sigma_vanishes():
+    # normalized(power:0.5) is 0 at t0 = 1: the array path is not taken, and
+    # the loop stops after its first row, whose ratio there is inf
+    sigma, omega = uw.make_function("normalized(power:0.5)"), Recording(
+        uw.make_function("power:0.5"))
+    assert indices._witness_c_needed(sigma, omega, 16.0, 2.0, 1.0) == math.inf
+    assert [len(a) for a in omega.args] == [indices._WITNESS_T_POINTS]
+
+
 # ---------------------------------------------------------------------------
 # shared arrays are read-only
 

@@ -17,7 +17,11 @@ numerics.  It passes only if the case files, line counts and all text (keys,
 verdict statuses) are identical, every integer (exit codes, counts) and every
 bracket endpoint or probed order (`lower`, `upper`, `r`) is identical, and
 every other number is within `REL_TOL` relative.  It prints each changed
-number with its file, line and key, and exits 1 if any check fails.
+number with its file, line and key, and exits 1 if any check fails.  A case
+whose line count changed fails too; for it the JSON reports of both
+renderings are parsed and every changed, added and removed key is printed,
+so that a deliberate change (a bracket become a point, say) can be vetted
+key by key.
 """
 
 from __future__ import annotations
@@ -180,6 +184,78 @@ def compare_line(where: str, old: str, new: str) -> tuple[list[str], list[str], 
     return changed, failed, worst
 
 
+def reports(text: str) -> list:
+    """The JSON reports of a rendering, in order: each runs from a line "{"
+    to the next line "}"."""
+    found, block = [], None
+    for line in text.splitlines():
+        if block is None and line == "{":
+            block = []
+        if block is not None:
+            block.append(line)
+            if line == "}":
+                found.append(json.loads("\n".join(block)))
+                block = None
+    return found
+
+
+def _short(value) -> str:
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= 72 else text[:69] + "..."
+
+
+def diff_keys(old, new, path: str = "") -> list[str]:
+    """The changed, added and removed keys of two parsed reports.  A list
+    that changes length shows its surplus as one slice added or removed."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(old.keys() | new.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in new:
+                out.append(f"removed {where} = {_short(old[key])}")
+            elif key not in old:
+                out.append(f"added {where} = {_short(new[key])}")
+            else:
+                out += diff_keys(old[key], new[key], where)
+        return out
+    if isinstance(old, list) and isinstance(new, list):
+        out = []
+        for i, (a, b) in enumerate(zip(old, new)):
+            out += diff_keys(a, b, f"{path}[{i}]")
+        if len(old) != len(new):
+            verb, longer = ("removed", old) if len(old) > len(new) else ("added", new)
+            lo, hi = min(len(old), len(new)), len(longer)
+            out.append(f"{verb} {path}[{lo}:{hi}] ({hi - lo} items)")
+        return out
+    return [] if old == new else [f"changed {path}: {_short(old)} -> {_short(new)}"]
+
+
+def diff_reports(name: str, old: str, new: str) -> list[str]:
+    """`diff_keys` for each pair of reports of a case, report by report."""
+    a, b = reports(old), reports(new)
+    out = [] if len(a) == len(b) else [f"{name}: {len(a)} reports -> {len(b)}"]
+    for i, (x, y) in enumerate(zip(a, b), start=1):
+        out += [f"{name} report {i}: {line}" for line in diff_keys(x, y)]
+    return out
+
+
+def compare_case(name: str, old: str, new: str) -> tuple[list[str], list[str], float]:
+    """The lines to print, the failures and the worst accepted relative
+    change of one case.  A case whose line count changed fails, and prints
+    the key changes of its reports instead of its numbers."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return (diff_reports(name, old, new),
+                [f"{name}: {len(old_lines)} lines -> {len(new_lines)}"], 0.0)
+    shown, failed, worst = [], [], 0.0
+    for i, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
+        changed, bad, rel = compare_line(f"{name}.txt:{i}", a, b)
+        shown += changed
+        failed += bad
+        worst = max(worst, rel)
+    return shown, failed, worst
+
+
 def compare_against(rev: str) -> int:
     """Render every case and compare it with tests/golden/ at `rev`."""
     listing = subprocess.run(
@@ -196,16 +272,11 @@ def compare_against(rev: str) -> int:
         if old == new:
             continue
         changed_files.append(name)
-        old_lines, new_lines = old.splitlines(), new.splitlines()
-        if len(old_lines) != len(new_lines):
-            failed.append(f"{name}: {len(old_lines)} lines -> {len(new_lines)}")
-            continue
-        for i, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
-            changed, bad, rel = compare_line(f"{name}.txt:{i}", a, b)
-            for line in changed:
-                print(line)
-            failed += bad
-            worst = max(worst, rel)
+        shown, bad, rel = compare_case(name, old, new)
+        for line in shown:
+            print(line)
+        failed += bad
+        worst = max(worst, rel)
     for line in failed:
         print(f"FAIL {line}")
     print(f"{len(changed_files)} of {len(stored | set(CASES))} cases changed"
