@@ -1,10 +1,10 @@
 """Indices read off a law, against the bisection that the law replaced.
 
 `mu_seq`, `mu_fun`, `gamma_index_seq` and `gamma_index_fun` answer a point,
-with no probe, when the input's law decides the condition at every order.  The differential part
-runs the bisection on the very probe each entry builds (the route every input
-took before the law was read first) and requires its bracket to hold the law
-point, within the index tolerance.  The coverage part maps every descriptor
+with no probe, when the input's law decides the condition at every order.
+The differential part runs the bisection on the very probe each entry builds
+(the route every input took before the law was read first) and requires its
+bracket to hold the law point, within the index tolerance.  The coverage part maps every descriptor
 family to the law its object carries, or to the reason it has none, and to the
 index entries that answer that family from the law.
 """
