@@ -94,6 +94,19 @@ class GrowthModel:
                                   self.offset, s, Y)
         return tail
 
+    @property
+    def law_start(self) -> float:
+        """Where `law` reads omega: `start` for an exact power law without a
+        log factor, inf for any other model."""
+        power = self.exact and self.coeff is not None and self.log_power == 0.0
+        return self.start if power else math.inf
+
+    def law(self, t: np.ndarray) -> np.ndarray:
+        """omega(t) = coeff * t**exponent - offset, at points t >= law_start."""
+        if np.any(t < self.law_start):
+            raise EvaluationRangeError("exact law read below its start")
+        return self.coeff * t ** self.exponent - self.offset
+
     def substituted(self, r: float) -> "GrowthModel":
         """Model of t -> omega(t**r)."""
         coeff = None if self.coeff is None else self.coeff * r ** self.log_power
@@ -444,7 +457,9 @@ class KappaPower(WeightFunction):
 
     For r = 1 this is the classical kernel average t * integral_t^inf
     base(u)/u**2 du; for general r it equals that average applied to the
-    substituted function base(u**r), evaluated at t**(1/r).
+    substituted function base(u**r), evaluated at t**(1/r).  Where the base
+    equals c u**a - off exactly from some start on, so does this average, as
+    (c / (1 - r a)) t**a - off: from the model's start on, eval reads that law.
     """
 
     pointwise = False  # one suffix integral over the sorted arguments
@@ -468,19 +483,24 @@ class KappaPower(WeightFunction):
         # every closing cutoff of suffix_integral_grid is at least Y_CUT
         self._tail = bm.tail_callable(s, Y_CUT) if bm is not None else None
         self.tail_method = "closed-form" if self._tail is not None else "fitted"
+        self._law_start = model.law_start if model is not None else math.inf
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         raw = np.asarray(t, dtype=float)
         t = np.maximum(raw, 1e-12)
         if self.divergent:
             return np.full_like(t, math.inf)
-        order = np.argsort(t)
-        ts, inverse = np.unique(t[order], return_inverse=True)
-        G = suffix_integral_grid(self.base.eval, ts, self.s, model_tail=self._tail,
-                                 kinks=self.base.kinks)
-        vals = ts ** (1.0 / self.r) * G / self.r
         out = np.empty_like(t)
-        out[order] = vals[inverse]
+        # an exact law gives each point past its start; the suffix integral
+        # covers the sorted points below it
+        quad = t < self._law_start
+        if not quad.all():
+            out[~quad] = self.model.law(t[~quad])
+        if quad.any():
+            ts, inverse = np.unique(t[quad], return_inverse=True)
+            G = suffix_integral_grid(self.base.eval, ts, self.s, model_tail=self._tail,
+                                     kinks=self.base.kinks)
+            out[quad] = (ts ** (1.0 / self.r) * G / self.r)[inverse]
         return np.where(raw == 0.0, 0.0, out)
 
     def spec(self) -> dict:
@@ -658,10 +678,16 @@ def check_omega5(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
         {"ratio_at_tmax": float(ratio[-1]), "model_exponent": m.exponent}, "growth-model")
 
 
+_OMEGA3_FROM = 10.0  # omega3 reads omega against log t on the grid from here on
+
+
 def check_omega3(omega: WeightFunction, config: RunConfig) -> ConditionVerdict:
+    if config.grid.t_max < _OMEGA3_FROM:
+        raise InvalidArgument(f"omega3 reads the grid on t >= {_OMEGA3_FROM:g}, and "
+                              f"this grid ends at t_max = {config.grid.t_max:g}")
     m = omega.model
     ts, vals = (_sweep if m is None else _grid_end)(omega, config)
-    mask = ts >= 10.0
+    mask = ts >= _OMEGA3_FROM
     ts, vals = ts[mask], vals[mask]
     if m is None:
         # log t = o(omega): the reciprocal ratio vanishes

@@ -8,7 +8,8 @@ directory.  Two measuring processes start, one importing the package from
 REV's `src/` and one from the working tree's, both running the kinds of
 `perfbench/workloads.py` from the working tree, which this script reads and
 does not change.  Each process first runs every kind once untimed.  Then every
-pass visits the kinds in a shuffled order and runs each on both sides, base
+pass visits the kinds in a shuffled order, a kind that takes another's
+parameters right after that kind, and runs each on both sides, base
 first on even passes and head first on odd ones, with the same parameters
 (`perfbench/worker.py`'s plan for the seed) and the benchmark's reference
 loop before each operation.  Every answer is checked against the oracle.
@@ -117,12 +118,19 @@ def main() -> int:
 
     sys.path.insert(0, str(BENCH))
     import workloads as W
-    names = [k.name for k in W.WORKLOADS[args.workload]]
+    kinds = W.WORKLOADS[args.workload]
+    names = [k.name for k in kinds]
     if args.kinds:
         unknown = set(args.kinds.split(",")) - set(names)
         if unknown:
             ap.error(f"unknown kinds {sorted(unknown)} (choose from {names})")
         names = [n for n in names if n in args.kinds.split(",")]
+    # a kind that takes another's parameters reads what that kind's operation
+    # of the same pass left (cli-cold's report reads descend's file)
+    follows = {k.name: k.params_of for k in kinds if k.params_of}
+    missing = {n: follows[n] for n in names if follows.get(n, n) not in names}
+    if missing:
+        ap.error(f"--kinds: {', '.join(f'{n} needs {m}' for n, m in missing.items())}")
 
     sides = ("base", "head")
     times = {s: {n: [] for n in names} for s in sides}
@@ -136,8 +144,10 @@ def main() -> int:
         try:
             order = random.Random(args.seed)
             for i in range(args.passes):
-                visit = names[:]
+                visit = [n for n in names if n not in follows]
                 order.shuffle(visit)
+                visit = [m for n in visit
+                         for m in (n, *(d for d in names if follows.get(d) == n))]
                 for name in visit:
                     got = {}
                     for side in (sides if i % 2 == 0 else sides[::-1]):
