@@ -37,7 +37,7 @@ def root_glue() -> PiecewiseGlue:
     return PiecewiseGlue(PowerLaw(0.5), [10.0], [1.0, 2.0], [0.0, math.sqrt(10.0)])
 
 
-# name -> (base builder, exponent a of its law, its law for mpmath): each
+# name -> (base factory, exponent a of its law, its law for mpmath): each
 # law holds from the start of the base's model on
 BASES = {
     "power": (lambda: PowerLaw(0.5, 3.0), 0.5, lambda u: 3 * mp.sqrt(u)),
@@ -68,6 +68,18 @@ def quadrature_route(node: KappaPower, ts: np.ndarray) -> np.ndarray:
 def rel_err(got, want) -> float:
     got, want = np.asarray(got), np.asarray(want)
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+@pytest.fixture
+def integral_calls(monkeypatch) -> list:
+    """The calls `KappaPower.eval` makes to `suffix_integral_grid`."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return suffix_integral_grid(*args, **kwargs)
+    monkeypatch.setattr(functions, "suffix_integral_grid", counted)
+    return calls
 
 
 def points_past(node: KappaPower) -> np.ndarray:
@@ -118,14 +130,11 @@ class TestTheLawAgreesWithQuadrature:
         ts = np.geomspace(1.0, 1e6, 7)
         assert np.array_equal(node.eval(ts), 3.0 / (1.0 - 0.25) * ts ** 0.5)
 
-    def test_no_quadrature_past_the_start(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(functions, "suffix_integral_grid",
-                            lambda *a, **k: calls.append(a) or suffix_integral_grid(*a, **k))
+    def test_no_quadrature_past_the_start(self, integral_calls):
         for base in sorted(BASES):
             node = KappaPower(BASES[base][0](), 1.0)
             node.eval(points_past(node))
-        assert calls == []
+        assert integral_calls == []
 
 
 class TestThePerPointSplit:
@@ -171,16 +180,12 @@ class TestThePerPointSplit:
 class TestGaugesWithoutALawKeepTheIntegral:
     @pytest.mark.parametrize("desc", ["logpower:2", "assoc(gevrey:2)", "assoc(gevrey:1.5)"])
     @pytest.mark.parametrize("nest", [1, 2])
-    def test_quadrature_is_called(self, desc, nest, monkeypatch):
+    def test_quadrature_is_called(self, desc, nest, integral_calls):
         node = make_function(desc)
         for _ in range(nest):
             node = KappaPower(node, 1.0)
         assert node.model.law_start == math.inf
-        calls = []
-        monkeypatch.setattr(functions, "suffix_integral_grid",
-                            lambda *a, **k: calls.append(a) or suffix_integral_grid(*a, **k))
         ts = np.geomspace(1.0, 1e6, 13)
         got = node.eval(ts)
-        assert len(calls) >= nest
-        monkeypatch.undo()
+        assert len(integral_calls) >= nest
         assert np.array_equal(got, quadrature_route(node, ts))
